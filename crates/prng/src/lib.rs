@@ -54,7 +54,15 @@ impl SeededHash {
     /// Hash a 64-bit key.
     #[inline]
     pub fn hash64(&self, key: u64) -> u64 {
-        splitmix64(self.seed ^ splitmix64(key))
+        self.finish(splitmix64(key))
+    }
+
+    /// The keyed half of [`SeededHash::hash64`]: `finish(splitmix64(k))
+    /// == hash64(k)`. The unkeyed half depends on the key alone, so a
+    /// caller hashing one key under many seeds computes it once.
+    #[inline]
+    pub fn finish(&self, premixed: u64) -> u64 {
+        splitmix64(self.seed ^ premixed)
     }
 
     /// Hash a block of keys into `out` (truncating to the shorter of the

@@ -49,7 +49,7 @@ use crate::router::{QueryRouter, RouterMode};
 use crate::sharded::run_turnstile_sharded;
 use sgs_graph::{Edge, VertexId};
 use sgs_stream::hash::{split_seed, FastRng};
-use sgs_stream::l0::{L0Mode, L0Sampler};
+use sgs_stream::l0::{BankFeed, L0Mode, L0Sampler, BANK_SUPER_BLOCK};
 use sgs_stream::reservoir::{ReservoirBank, ReservoirMode};
 use sgs_stream::{EdgeStream, ShardedFeed, SpaceUsage};
 
@@ -470,14 +470,16 @@ struct TurnstilePass {
     /// The vertex each pooled neighbor sampler listens on.
     nbr_verts: Vec<VertexId>,
     /// Blocked-feed scratch: the current block as `(edge key, delta)`
-    /// pairs, fed to each `f1` ℓ₀-bank sampler-hot.
+    /// pairs, queued on the `f1` bank feed.
     kd_scratch: Vec<(u64, i64)>,
     /// ℓ₀-bank feed path; bit-identical either way ([`PassOpts::l0`]).
     l0: L0Mode,
+    /// Router probe block size ([`PassOpts::block`]).
+    block: usize,
 }
 
 impl TurnstilePass {
-    fn build(batch: &[Query], n: usize, pass_seed: u64, l0: L0Mode) -> Self {
+    fn build(batch: &[Query], n: usize, pass_seed: u64, opts: PassOpts) -> Self {
         let router = QueryRouter::build(batch, RouterMode::Turnstile);
         let edge_samplers = router
             .edge_slots()
@@ -496,7 +498,8 @@ impl TurnstilePass {
             nbr_samplers,
             nbr_verts,
             kd_scratch: Vec::new(),
-            l0,
+            l0: opts.l0,
+            block: opts.block,
         }
     }
 
@@ -520,32 +523,35 @@ impl TurnstilePass {
         });
     }
 
-    /// Blocked sibling of [`TurnstilePass::feed`]: the `f1` bank absorbs
-    /// the block *samplers outer, updates inner* — each ℓ₀-bank's SoA
-    /// planes stay cache-hot across the whole block instead of every
-    /// bank cycling through cache per update. Detector fields are
-    /// additive, so the reordering is bit-identical, not just
-    /// distributionally so.
-    fn feed_block(&mut self, block: &[sgs_stream::EdgeUpdate]) {
-        self.kd_scratch.clear();
-        self.kd_scratch
-            .extend(block.iter().map(|u| (u.edge.key(), u.delta as i64)));
+    /// Blocked sibling of [`TurnstilePass::feed`], handed a run of whole
+    /// blocks ([`bank_run`]). The `f1` bank takes the run through one
+    /// bank-wide feed, which sweeps it *samplers outer, updates inner*
+    /// per super-block — each ℓ₀-bank's SoA planes stay cache-hot
+    /// instead of every bank cycling through cache per block. Detector
+    /// fields are additive, so the reordering is bit-identical, not just
+    /// distributionally so. The router drains the run block by block.
+    fn feed_block(&mut self, run: &[sgs_stream::EdgeUpdate]) {
         let l0 = self.l0;
-        for s in &mut self.edge_samplers {
-            s.update_batch_with(l0, &self.kd_scratch);
-        }
+        let mut f1 = BankFeed::new(&mut self.edge_samplers, l0);
         let nbr_samplers = &mut self.nbr_samplers;
         let nbr_verts = &self.nbr_verts;
-        self.router.feed_block(block, |j, s, e| {
-            let u = block[j];
-            for i in s as usize..e as usize {
-                nbr_samplers[i].update_with(
-                    l0,
-                    u.edge.other(nbr_verts[i]).0 as u64,
-                    u.delta as i64,
-                );
-            }
-        });
+        for block in run.chunks(self.block) {
+            self.kd_scratch.clear();
+            self.kd_scratch
+                .extend(block.iter().map(|u| (u.edge.key(), u.delta as i64)));
+            f1.push(&self.kd_scratch);
+            self.router.feed_block(block, |j, s, e| {
+                let u = block[j];
+                for i in s as usize..e as usize {
+                    nbr_samplers[i].update_with(
+                        l0,
+                        u.edge.other(nbr_verts[i]).0 as u64,
+                        u.delta as i64,
+                    );
+                }
+            });
+        }
+        f1.finish();
     }
 
     fn space_bytes(&self) -> usize {
@@ -586,6 +592,17 @@ impl TurnstilePass {
     }
 }
 
+/// The run length a blocked turnstile pass is replayed in: the most whole
+/// `block`s that fit one ℓ₀ bank super-block, and at least one. The
+/// router still probes `block` at a time; the `f1` bank sweeps once per
+/// run instead of once per block. `block <= 1` stays the scalar path.
+fn bank_run(block: usize) -> usize {
+    if block <= 1 {
+        return block;
+    }
+    (BANK_SUPER_BLOCK / block).max(1) * block
+}
+
 /// Answer one round's batch with one turnstile pass (the unit step of
 /// Theorem 11). Returns the answers and the pass state's measured
 /// footprint.
@@ -617,8 +634,8 @@ pub fn answer_turnstile_batch_with_opts(
     pass_seed: u64,
     opts: PassOpts,
 ) -> (Vec<Answer>, usize) {
-    let mut pass = TurnstilePass::build(batch, stream.num_vertices(), pass_seed, opts.l0);
-    replay_blocked(stream, opts.block, &mut pass);
+    let mut pass = TurnstilePass::build(batch, stream.num_vertices(), pass_seed, opts);
+    replay_blocked(stream, bank_run(opts.block), &mut pass);
     let space = pass.space_bytes();
     (pass.into_answers(), space)
 }

@@ -64,7 +64,7 @@ use crate::sharded::{merge_answers, run_shards, split_batch, ShardOutcome};
 use sgs_graph::{Edge, VertexId};
 use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
 use sgs_stream::hash::{split_seed, FastRng};
-use sgs_stream::l0::{L0Mode, L0Sampler};
+use sgs_stream::l0::{BankFeed, L0Mode, L0Sampler};
 use sgs_stream::reservoir::{ReservoirBank, ReservoirMode};
 use sgs_stream::sharded::{ShardUpdate, ShardedFeed};
 use sgs_stream::EdgeUpdate;
@@ -741,6 +741,7 @@ impl<'a> MuxTurnstileShardPass<'a> {
         } else {
             let mut buf = std::mem::take(&mut self.buf);
             let mut owned_kd = std::mem::take(&mut self.owned_kd);
+            let mut f1 = BankFeed::new(&mut self.f1_bank, l0);
             for chunk in deliveries.chunks(self.block) {
                 buf.clear();
                 owned_kd.clear();
@@ -750,9 +751,7 @@ impl<'a> MuxTurnstileShardPass<'a> {
                     }
                     buf.push(su.update);
                 }
-                for s in &mut self.f1_bank {
-                    s.update_batch_with(l0, &owned_kd);
-                }
+                f1.push(&owned_kd);
                 let samplers = &mut self.nbr_samplers;
                 let verts = &self.nbr_verts;
                 self.slot.router.feed_block(&buf, |j, s, e| {
@@ -766,6 +765,7 @@ impl<'a> MuxTurnstileShardPass<'a> {
                     }
                 });
             }
+            f1.finish();
             self.buf = buf;
             self.owned_kd = owned_kd;
         }

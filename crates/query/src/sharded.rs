@@ -51,7 +51,7 @@ use crate::round::RoundAdaptive;
 use crate::router::RouterMode;
 use sgs_graph::{Edge, VertexId};
 use sgs_stream::hash::{split_seed, FastRng};
-use sgs_stream::l0::L0Sampler;
+use sgs_stream::l0::{BankFeed, L0Sampler};
 use sgs_stream::persist::{frame, read_frame_of, Decoder, Encoder, PersistResult, KIND_PASS_STATE};
 use sgs_stream::reservoir::ReservoirBank;
 use sgs_stream::sharded::{ShardMap, ShardUpdate, ShardedFeed};
@@ -427,13 +427,15 @@ impl<'a> TurnstileShardPass<'a> {
                 });
             }
         } else {
-            // Blocked path: the f1 bank absorbs each block's *owned*
-            // updates samplers outer, updates inner (ℓ₀ planes
-            // cache-hot per bank; bit-identical because detector fields
-            // are additive), and the router drains the full block
-            // through its batched probes.
+            // Blocked path: the f1 bank takes the call's *owned*
+            // updates through one bank-wide feed, which sweeps it
+            // samplers outer per super-block (ℓ₀ planes cache-hot per
+            // bank; bit-identical because detector fields are
+            // additive), and the router drains each block through its
+            // batched probes.
             let mut buf = std::mem::take(&mut self.buf);
             let mut owned_kd = std::mem::take(&mut self.owned_kd);
+            let mut f1 = BankFeed::new(&mut self.f1_bank, l0);
             for chunk in deliveries.chunks(self.opts.block) {
                 buf.clear();
                 owned_kd.clear();
@@ -443,9 +445,7 @@ impl<'a> TurnstileShardPass<'a> {
                     }
                     buf.push(su.update);
                 }
-                for s in &mut self.f1_bank {
-                    s.update_batch_with(l0, &owned_kd);
-                }
+                f1.push(&owned_kd);
                 let samplers = &mut self.nbr_samplers;
                 let verts = &self.nbr_verts;
                 self.slot.router.feed_block(&buf, |j, s, e| {
@@ -459,6 +459,7 @@ impl<'a> TurnstileShardPass<'a> {
                     }
                 });
             }
+            f1.finish();
             self.buf = buf;
             self.owned_kd = owned_kd;
         }

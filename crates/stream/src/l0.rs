@@ -28,7 +28,9 @@
 //!   from the shared draw with one SplitMix64 remix each (full avalanche,
 //!   so per-repetition level assignments stay decorrelated), instead of
 //!   two independent double-hashes per repetition. Turnstile passes are
-//!   dominated by exactly this loop (`BENCH_executor.json`), so the bank
+//!   dominated by exactly this loop (perfbench `count-turnstile`: the
+//!   round-1 pass `query.pass.ms.r1` is nearly all of a solo run, read per
+//!   sampler-update as `stream.l0.ns_per_f1_update`), so the bank
 //!   bottleneck drops from `4R` to `2 + 2R` SplitMix64 steps per update.
 //!   The `shared_draw_distribution_matches_independent_draws` test pins
 //!   the output distribution and failure rate against the independent
@@ -54,6 +56,15 @@
 //!   the bit-identity oracle ([`L0Mode::Predicated`]); the three-way
 //!   pin in `soa_bank_is_bit_identical_to_aos_bank` holds all paths to
 //!   the same detector bits.
+//! * **Bank-wide feed** — a turnstile pass's `f1` bank is hundreds of
+//!   samplers that all absorb every update. [`BankFeed`] does the
+//!   sampler-independent work of each chunk (the unkeyed half of the base
+//!   hash, the key·delta split, the row-0 totals) once for the bank, then
+//!   sweeps samplers outer per [`BANK_SUPER_BLOCK`] so each sampler's
+//!   planes stay in cache. The sweep body is compiled twice, portable and
+//!   with AVX-512, and the CPU picks the copy at run time;
+//!   `bank_feed_is_bit_identical_across_kernels_and_per_sampler_paths`
+//!   pins both copies to per-sampler dispatch and the predicated oracle.
 //! * **Linearity** — every detector field is additive, so
 //!   [`L0Sampler::merge`] of identically-seeded samplers that absorbed
 //!   disjoint update subsets is *bit-identical* to one sampler that
@@ -162,7 +173,7 @@ pub const DEFAULT_REPS: usize = 8;
 /// Updates sharing one cohort drain on the dispatch batch path. The
 /// drain walks `(deepest+1)·reps` detector rows per chunk, so the
 /// per-update drain cost falls roughly linearly in the chunk width;
-/// 64 keeps the stack-side key·delta split buffers small while putting
+/// 128 keeps the per-chunk lane and prologue arrays small while putting
 /// the drain near one row-add per update.
 pub const DISPATCH_CHUNK: usize = 128;
 
@@ -366,49 +377,35 @@ impl L0Sampler {
         self.absorb_dispatch(key, delta, base);
     }
 
-    /// Dispatch a prehashed block with level-cohort slicing: for one
-    /// repetition, bucket every update's (delta, key·delta, fingerprint
-    /// delta) by its exact survivor level, then drain the cohorts
-    /// deepest→0 with a running suffix sum — each detector row of the
-    /// prefix `0..=deepest` takes **one** accumulated add for the whole
-    /// block. Every plane field is a commutative wrapping sum, so the
-    /// re-association leaves the final plane bits identical to per-update
-    /// dispatch (and hence to the predicated scan). The chunk width
-    /// ([`DISPATCH_CHUNK`]) sets how many updates share one drain: the
-    /// drain touches `(deepest+1)·reps` rows per chunk, so widening the
-    /// chunk amortizes it — 64 puts the drain near one row-add per
+    /// One sampler's share of a bank sweep over one prologue chunk, with
+    /// level-cohort slicing: for one repetition, bucket every update's
+    /// (delta, key·delta, fingerprint delta) by its exact survivor level,
+    /// then drain the cohorts deepest→0 with a running suffix sum — each
+    /// detector row of the prefix `0..=deepest` takes **one** accumulated
+    /// add for the whole chunk. Every plane field is a commutative
+    /// wrapping sum, so the re-association leaves the final plane bits
+    /// identical to per-update dispatch (and hence to the predicated
+    /// scan). The drain touches `(deepest+1)·reps` rows per chunk, so the
+    /// chunk width ([`DISPATCH_CHUNK`], 128) puts it near one row-add per
     /// update while the cohort scratch (4 planes × levels) stays L1-hot.
-    fn absorb_block_dispatch(&mut self, chunk: &[(u64, i64)], bases: &[u64]) {
+    ///
+    /// `BITMASK` picks how survivors past level 0 are walked: a compacted
+    /// index list (the portable copy) or the set bits of a lane mask
+    /// (the AVX-512 copy, where the mask comes from one compare per
+    /// vector). Both visit the same survivors in the same order.
+    #[inline(always)]
+    fn dispatch_chunk<const BITMASK: bool>(&mut self, c: &ChunkPrologue) {
         let reps = self.reps;
         let max = (self.levels - 1) as u32;
-        let n = chunk.len();
-        // Repetition-independent work, once per chunk: split key·delta,
-        // copy deltas into a flat lane array, and pre-total the row-0
-        // contribution — *every* update survives to level 0, so the
-        // chunk's delta and key·delta row-0 adds are shared by all
-        // repetitions.
-        let mut kd_lo = [0u64; DISPATCH_CHUNK];
-        let mut kd_hi = [0u64; DISPATCH_CHUNK];
-        let mut del = [0i64; DISPATCH_CHUNK];
-        let mut dtot = 0i64;
-        let mut ktot = 0i128;
-        for (((kl, kh), dl), &(key, delta)) in kd_lo[..n]
-            .iter_mut()
-            .zip(kd_hi[..n].iter_mut())
-            .zip(del[..n].iter_mut())
-            .zip(chunk)
-        {
-            let kd = key as i128 * delta as i128;
-            *kl = kd as u64;
-            *kh = (kd >> 64) as u64;
-            *dl = delta;
-            dtot = dtot.wrapping_add(delta);
-            // A plain wrapping i128 sum lands the same 2^128-modular
-            // value as the per-element lo/hi carry chain, so the row-0
-            // total stays bit-exact.
-            ktot = ktot.wrapping_add(kd);
+        let n = c.len;
+        // The keyed half of this sampler's base hash; the unkeyed half
+        // came from the shared prologue.
+        let mut bases = [0u64; DISPATCH_CHUNK];
+        for (b, &i) in bases[..n].iter_mut().zip(&c.inner[..n]) {
+            *b = self.base_hash.finish(i);
         }
-        let (ktot_lo, ktot_hi) = (ktot as u64, ((ktot as u128) >> 64) as u64);
+        let (kd_lo, kd_hi, del) = (&c.kd_lo, &c.kd_hi, &c.del);
+        let (ktot_lo, ktot_hi) = (c.ktot as u64, ((c.ktot as u128) >> 64) as u64);
         let mut lvl = [0u32; DISPATCH_CHUNK];
         let mut fpd = [0u64; DISPATCH_CHUNK];
         for r in 0..reps {
@@ -435,16 +432,6 @@ impl L0Sampler {
                 // Row-0 fingerprint total folds into the same reduction.
                 ftot = ftot.wrapping_add(fp);
             }
-            // Branchless survivor compaction: collect the indices that
-            // survive past level 0 (P = 1/2 each) without a data-
-            // dependent branch — the store always happens, the cursor
-            // advances conditionally, so there is nothing to mispredict.
-            let mut surv = [0u8; DISPATCH_CHUNK];
-            let mut ns = 0usize;
-            for (j, &l) in lvl[..n].iter().enumerate() {
-                surv[ns] = j as u8;
-                ns += (l != 0) as usize;
-            }
             // Deepest survivor level: a vectorizable max reduction over
             // the lane array, so the scatter below carries no extra
             // loop-carried dependency.
@@ -453,21 +440,21 @@ impl L0Sampler {
                 deepest = deepest.max(l);
             }
             let deepest = deepest as usize;
-            // Counting-sort pass over the compacted half: each survivor
-            // pays one scattered cohort add. The cohort planes are
-            // sliced to `levels` up front and the index re-clamped so
-            // every bounds check hoists out of the loop.
+            // Counting-sort pass over the survivors past level 0 (P = 1/2
+            // each): each pays one scattered cohort add. The cohort
+            // planes are sliced to `levels` up front and the index
+            // re-clamped so every bounds check hoists out of the loop.
             {
                 let levels = self.levels;
                 let cc = &mut self.coh_count[..levels];
                 let cf = &mut self.coh_fp[..levels];
                 let cklo = &mut self.coh_kd_lo[..levels];
                 let ckhi = &mut self.coh_kd_hi[..levels];
-                for &j8 in &surv[..ns] {
-                    // `% DISPATCH_CHUNK` is a no-op (j8 < n <= DISPATCH_CHUNK)
+                let mut add = |j: usize| {
+                    // `% DISPATCH_CHUNK` is a no-op (j < n <= DISPATCH_CHUNK)
                     // that lets the compiler drop the lane-array bounds
-                    // checks inside the loop.
-                    let j = j8 as usize % DISPATCH_CHUNK;
+                    // checks.
+                    let j = j % DISPATCH_CHUNK;
                     let l = (lvl[j] as usize).min(levels - 1);
                     cc[l] = cc[l].wrapping_add(del[j]);
                     cf[l] = cf[l].wrapping_add(fpd[j]);
@@ -476,11 +463,36 @@ impl L0Sampler {
                         .wrapping_add(kd_hi[j])
                         .wrapping_add((nl < kd_lo[j]) as u64);
                     cklo[l] = nl;
+                };
+                if BITMASK {
+                    for (w, lanes) in lvl[..n].chunks(64).enumerate() {
+                        let mut m = 0u64;
+                        for (b, &l) in lanes.iter().enumerate() {
+                            m |= ((l != 0) as u64) << b;
+                        }
+                        while m != 0 {
+                            add(w * 64 + m.trailing_zeros() as usize);
+                            m &= m - 1;
+                        }
+                    }
+                } else {
+                    // Branchless compaction: the store always happens,
+                    // the cursor advances conditionally, so there is
+                    // nothing to mispredict.
+                    let mut surv = [0u8; DISPATCH_CHUNK];
+                    let mut ns = 0usize;
+                    for (j, &l) in lvl[..n].iter().enumerate() {
+                        surv[ns] = j as u8;
+                        ns += (l != 0) as usize;
+                    }
+                    for &j in &surv[..ns] {
+                        add(j as usize);
+                    }
                 }
             }
             // Drain pass: a level-ℓ survivor contributes to every row
             // `0..=ℓ`, so the running suffix sum over cohorts is exactly
-            // each row's block total. Rows deepest..=1 take one
+            // each row's chunk total. Rows deepest..=1 take one
             // accumulated add each; cohorts are re-zeroed as they are
             // consumed, leaving the scratch clean for the next lane.
             let (mut dsum, mut fsum) = (0i64, 0u64);
@@ -505,12 +517,11 @@ impl L0Sampler {
                     .wrapping_add((nl < klo) as u64);
                 self.key_sum_lo[i] = nl;
             }
-            // Row 0 lands the precomputed chunk totals. Every plane
-            // field is a commutative wrapping sum (the 128-bit key sum
-            // is carried exactly), so the re-association leaves the
-            // final bits identical to per-update dispatch — and hence
-            // to the predicated scan.
-            self.count[r] = self.count[r].wrapping_add(dtot);
+            // Row 0 lands the prologue's chunk totals (every update
+            // survives to level 0, so they are shared by every
+            // repetition of every sampler) and this lane's fingerprint
+            // total.
+            self.count[r] = self.count[r].wrapping_add(c.dtot);
             self.fingerprint[r] = self.fingerprint[r].wrapping_add(ftot);
             let nl = self.key_sum_lo[r].wrapping_add(ktot_lo);
             self.key_sum_hi[r] = self.key_sum_hi[r]
@@ -521,23 +532,12 @@ impl L0Sampler {
     }
 
     /// [`L0Sampler::update_batch`] through the survivor-level dispatch
-    /// path: base hashes are computed a chunk ahead exactly as in the
-    /// predicated batch, then each chunk is fed via level-cohort slicing
-    /// ([`L0Sampler::absorb_block_dispatch`]). Bit-identical to both the
-    /// scalar paths and the predicated batch at every block size.
+    /// path: the one-sampler case of [`BankFeed`]. Bit-identical to both
+    /// the scalar paths and the predicated batch at every block size.
     pub fn update_batch_dispatch(&mut self, updates: &[(u64, i64)]) {
-        const CHUNK: usize = DISPATCH_CHUNK;
-        let mut keys = [0u64; CHUNK];
-        let mut bases = [0u64; CHUNK];
-        for chunk in updates.chunks(CHUNK) {
-            for (k, &(key, _)) in keys.iter_mut().zip(chunk) {
-                *k = key;
-            }
-            self.base_hash
-                .hash64_batch(&keys[..chunk.len()], &mut bases[..chunk.len()]);
-            self.absorb_block_dispatch(chunk, &bases[..chunk.len()]);
-        }
-        self.updates_absorbed += updates.len() as u64;
+        let mut feed = BankFeed::new(std::slice::from_mut(self), L0Mode::Dispatch);
+        feed.push(updates);
+        feed.finish();
     }
 
     /// Mode-selected scalar update: dispatch or predicated per `mode`.
@@ -719,6 +719,232 @@ impl L0Sampler {
         s.updates_absorbed = updates_absorbed;
         dec.finish()?;
         Ok(s)
+    }
+}
+
+/// Updates one bank-wide sweep covers: 16 dispatch chunks. Each sampler's
+/// planes are loaded once per super-block instead of once per router
+/// block, and the prologue scratch stays bounded (about 64 KiB) however
+/// long the feed call or the pass's block size. On a 2-vCPU AVX-512 Xeon,
+/// 8, 16 and 32 chunks timed the same end to end; 16 keeps the scratch
+/// small without approaching per-block sweeps.
+pub const BANK_SUPER_BLOCK: usize = BANK_SUPER_CHUNKS * DISPATCH_CHUNK;
+const BANK_SUPER_CHUNKS: usize = 16;
+
+/// The sampler-independent work of one dispatch chunk, done once for the
+/// whole bank: the unkeyed half of the base hash, the key·delta split,
+/// the delta lanes and the row-0 totals.
+struct ChunkPrologue {
+    len: usize,
+    /// `splitmix64(key)`; each sampler finishes it with its own seed.
+    inner: [u64; DISPATCH_CHUNK],
+    kd_lo: [u64; DISPATCH_CHUNK],
+    kd_hi: [u64; DISPATCH_CHUNK],
+    del: [i64; DISPATCH_CHUNK],
+    /// Row-0 totals: every update survives to level 0, so these are
+    /// shared by every repetition of every sampler.
+    dtot: i64,
+    ktot: i128,
+}
+
+impl ChunkPrologue {
+    fn empty() -> Self {
+        ChunkPrologue {
+            len: 0,
+            inner: [0; DISPATCH_CHUNK],
+            kd_lo: [0; DISPATCH_CHUNK],
+            kd_hi: [0; DISPATCH_CHUNK],
+            del: [0; DISPATCH_CHUNK],
+            dtot: 0,
+            ktot: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        (self.len, self.dtot, self.ktot) = (0, 0, 0);
+    }
+
+    /// Append up to the chunk's free lanes from `updates`; returns how
+    /// many were taken.
+    fn extend(&mut self, updates: &[(u64, i64)]) -> usize {
+        let start = self.len;
+        let take = (DISPATCH_CHUNK - start).min(updates.len());
+        let (mut dtot, mut ktot) = (self.dtot, self.ktot);
+        for ((((i, lo), hi), d), &(key, delta)) in self.inner[start..start + take]
+            .iter_mut()
+            .zip(&mut self.kd_lo[start..start + take])
+            .zip(&mut self.kd_hi[start..start + take])
+            .zip(&mut self.del[start..start + take])
+            .zip(updates)
+        {
+            let kd = key as i128 * delta as i128;
+            *i = splitmix64(key);
+            *lo = kd as u64;
+            *hi = (kd >> 64) as u64;
+            *d = delta;
+            dtot = dtot.wrapping_add(delta);
+            // A plain wrapping i128 sum lands the same 2^128-modular
+            // value as the per-element lo/hi carry chain, so the row-0
+            // total stays bit-exact.
+            ktot = ktot.wrapping_add(kd);
+        }
+        self.len += take;
+        self.dtot = dtot;
+        self.ktot = ktot;
+        take
+    }
+}
+
+/// The one sweep body: samplers outer, chunks inner, so each sampler's
+/// planes stay in cache for the whole super-block.
+#[inline(always)]
+fn sweep_body<const BITMASK: bool>(bank: &mut [L0Sampler], chunks: &[ChunkPrologue]) {
+    let absorbed: u64 = chunks.iter().map(|c| c.len as u64).sum();
+    for s in bank {
+        for c in chunks {
+            s.dispatch_chunk::<BITMASK>(c);
+        }
+        s.updates_absorbed += absorbed;
+    }
+}
+
+/// The portable copy of the sweep, compiled for the build's target.
+fn sweep_portable(bank: &mut [L0Sampler], chunks: &[ChunkPrologue]) {
+    sweep_body::<false>(bank, chunks)
+}
+
+/// Declares the AVX-512 copy of the sweep and its run-time check from one
+/// feature list, so the features the copy is compiled with and the
+/// features the CPU is checked for are the same list.
+#[cfg(target_arch = "x86_64")]
+macro_rules! avx512_copy {
+    ($($feature:tt),+) => {
+        /// The AVX-512 copy of the sweep: [`sweep_body`] compiled with
+        /// the features below, walking survivors by lane mask. Calling it
+        /// on a CPU without them is undefined behaviour, so the one call
+        /// site checks [`avx512_supported`] first.
+        $(#[target_feature(enable = $feature)])+
+        fn sweep_avx512(bank: &mut [L0Sampler], chunks: &[ChunkPrologue]) {
+            sweep_body::<true>(bank, chunks)
+        }
+
+        /// Whether this CPU has every feature [`sweep_avx512`] is
+        /// compiled with; detected on first use and cached.
+        fn avx512_supported() -> bool {
+            static SUPPORTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+            *SUPPORTED.get_or_init(|| $(std::arch::is_x86_feature_detected!($feature))&&+)
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+avx512_copy!("avx512f", "avx512dq", "avx512cd", "avx512vl");
+
+/// Which compiled copy of the sweep runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Kernel {
+    /// The widest copy this CPU can run.
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if avx512_supported() {
+            return Kernel::Avx512;
+        }
+        Kernel::Portable
+    }
+
+    fn sweep(self, bank: &mut [L0Sampler], chunks: &[ChunkPrologue]) {
+        match self {
+            Kernel::Portable => sweep_portable(bank, chunks),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => {
+                assert!(avx512_supported(), "AVX-512 sweep on a CPU without it");
+                // SAFETY: the assert above found every feature
+                // `sweep_avx512` is compiled with.
+                unsafe { sweep_avx512(bank, chunks) }
+            }
+        }
+    }
+}
+
+/// A bank-wide feed: every sampler of a bank absorbs every pushed
+/// `(key, delta)` update — the shape of a turnstile pass's `f1` bank,
+/// where each `f1` query owns one sampler over the whole edge domain.
+///
+/// On [`L0Mode::Dispatch`] the feed queues updates in prologue chunks of
+/// [`DISPATCH_CHUNK`], doing the sampler-independent work once for the
+/// bank, and sweeps the bank samplers outer once per
+/// [`BANK_SUPER_BLOCK`] queued updates and at [`BankFeed::finish`].
+/// Every plane field is a commutative wrapping sum, so the planes,
+/// `updates_absorbed` and the persisted bytes equal per-sampler
+/// [`L0Sampler::update_batch_dispatch`] over the same updates, whatever
+/// the push sizes. [`L0Mode::Predicated`] forwards each push to the
+/// per-sampler oracle unchanged.
+pub struct BankFeed<'a> {
+    bank: &'a mut [L0Sampler],
+    mode: L0Mode,
+    kernel: Kernel,
+    /// Prologue chunks; the first `used` hold queued updates.
+    chunks: Vec<ChunkPrologue>,
+    used: usize,
+}
+
+impl<'a> BankFeed<'a> {
+    /// Start feeding `bank` through `mode`.
+    pub fn new(bank: &'a mut [L0Sampler], mode: L0Mode) -> Self {
+        Self::with_kernel(bank, mode, Kernel::detect())
+    }
+
+    fn with_kernel(bank: &'a mut [L0Sampler], mode: L0Mode, kernel: Kernel) -> Self {
+        BankFeed {
+            bank,
+            mode,
+            kernel,
+            chunks: Vec::new(),
+            used: 0,
+        }
+    }
+
+    /// Feed `updates` to every sampler of the bank.
+    pub fn push(&mut self, mut updates: &[(u64, i64)]) {
+        if self.mode == L0Mode::Predicated {
+            for s in self.bank.iter_mut() {
+                s.update_batch(updates);
+            }
+            return;
+        }
+        while !updates.is_empty() {
+            if self.used == 0 || self.chunks[self.used - 1].len == DISPATCH_CHUNK {
+                if self.used == BANK_SUPER_CHUNKS {
+                    self.sweep();
+                }
+                if self.used == self.chunks.len() {
+                    self.chunks.reserve_exact(BANK_SUPER_CHUNKS - self.used);
+                    self.chunks.push(ChunkPrologue::empty());
+                }
+                self.chunks[self.used].clear();
+                self.used += 1;
+            }
+            let took = self.chunks[self.used - 1].extend(updates);
+            updates = &updates[took..];
+        }
+    }
+
+    /// Land every queued update in the bank.
+    pub fn finish(mut self) {
+        if self.used > 0 {
+            self.sweep();
+        }
+    }
+
+    fn sweep(&mut self) {
+        self.kernel.sweep(self.bank, &self.chunks[..self.used]);
+        self.used = 0;
     }
 }
 
@@ -936,6 +1162,152 @@ mod tests {
             assert_planes_eq(&resumed, &oracle, "dispatch feed after restore");
             assert_eq!(resumed.updates_absorbed(), oracle.updates_absorbed());
         }
+    }
+
+    /// Updates for the bank-feed tests: repeated small keys (cancelling
+    /// pairs, crowded cohorts), full-width keys whose key·delta carries
+    /// into the high half, and zero, negative and |delta| > 1 deltas.
+    fn bank_updates(seed: u64, len: usize) -> Vec<(u64, i64)> {
+        (0..len as u64)
+            .map(|i| {
+                let h = splitmix64(seed ^ i);
+                let key = if i % 3 == 0 { h } else { h % 97 + 1 };
+                let delta = match i % 9 {
+                    0..=3 => 1,
+                    4 => -1,
+                    5 => 0,
+                    6 => 3,
+                    7 => -2,
+                    _ => 1 << 40,
+                };
+                (key, delta)
+            })
+            .collect()
+    }
+
+    fn fresh_bank(len: usize, max_level: u32, reps: usize) -> Vec<L0Sampler> {
+        (0..len)
+            .map(|i| L0Sampler::new(max_level, reps, split_seed(0xba4c, i as u64)))
+            .collect()
+    }
+
+    fn persisted(bank: &[L0Sampler]) -> Vec<Vec<u8>> {
+        bank.iter().map(L0Sampler::to_persist_bytes).collect()
+    }
+
+    /// Feed `updates` to a fresh bank through [`BankFeed`] on `kernel`:
+    /// pushes of the cycled `sizes`, split over `calls` separate feeds.
+    fn bank_fed(
+        kernel: Kernel,
+        shape: (usize, u32, usize),
+        updates: &[(u64, i64)],
+        sizes: &[usize],
+        calls: usize,
+    ) -> Vec<Vec<u8>> {
+        let (len, max_level, reps) = shape;
+        let mut bank = fresh_bank(len, max_level, reps);
+        let per_call = updates.len().div_ceil(calls).max(1);
+        for call in updates.chunks(per_call) {
+            let mut feed = BankFeed::with_kernel(&mut bank, L0Mode::Dispatch, kernel);
+            let mut rest = call;
+            for &size in sizes.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(size.min(rest.len()));
+                feed.push(head);
+                rest = tail;
+            }
+            feed.finish();
+        }
+        persisted(&bank)
+    }
+
+    /// The kernels this CPU runs; the AVX-512 copy is skipped with a note
+    /// when the features are missing.
+    fn kernels() -> Vec<Kernel> {
+        let mut kernels = vec![Kernel::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if avx512_supported() {
+            kernels.push(Kernel::Avx512);
+        }
+        if kernels.len() == 1 {
+            println!(
+                "note: this CPU lacks the AVX-512 copy's features; checked the portable copy only"
+            );
+        }
+        kernels
+    }
+
+    #[test]
+    fn bank_feed_is_bit_identical_across_kernels_and_per_sampler_paths() {
+        // Four paths over the same updates must persist the same bytes,
+        // planes and update counters alike: the bank feed on the portable
+        // copy, on the AVX-512 copy, per-sampler `update_batch_dispatch`,
+        // and the scalar predicated oracle.
+        let kernels = kernels();
+        let check = |shape: (usize, u32, usize), updates: &[(u64, i64)], what: &str| {
+            let (len, max_level, reps) = shape;
+            let mut oracle = fresh_bank(len, max_level, reps);
+            for s in &mut oracle {
+                for &(k, d) in updates {
+                    s.update(k, d);
+                }
+            }
+            let want = persisted(&oracle);
+            let mut per_sampler = fresh_bank(len, max_level, reps);
+            for s in &mut per_sampler {
+                for block in updates.chunks(DISPATCH_CHUNK + 1) {
+                    s.update_batch_dispatch(block);
+                }
+            }
+            assert!(
+                persisted(&per_sampler) == want,
+                "{what}: per-sampler dispatch"
+            );
+            let whole = [updates.len().max(1)];
+            let splits: [(&[usize], usize); 4] = [
+                (&whole, 1),
+                (&[13], 1),
+                (&[127, 129, 1], 2),
+                (&[BANK_SUPER_BLOCK - 1, 2], 3),
+            ];
+            for &kernel in &kernels {
+                for &(sizes, calls) in &splits {
+                    assert!(
+                        bank_fed(kernel, shape, updates, sizes, calls) == want,
+                        "{what}: {kernel:?} pushes {sizes:?} over {calls} call(s)"
+                    );
+                }
+            }
+        };
+        let mut lens: Vec<usize> = (1..=17).collect();
+        lens.extend([127, 129, 300]);
+        for &reps in &[8usize, 16, 32] {
+            for &max_level in &[1u32, 24] {
+                for &len in &lens {
+                    let updates = bank_updates(len as u64 ^ reps as u64, len);
+                    let what = format!("R={reps} max_level={max_level} len={len}");
+                    check((3, max_level, reps), &updates, &what);
+                }
+            }
+        }
+        // Super-block edges, on one- and three-sampler banks.
+        for len in [
+            BANK_SUPER_BLOCK - 1,
+            BANK_SUPER_BLOCK,
+            BANK_SUPER_BLOCK + 1,
+            2 * BANK_SUPER_BLOCK + 129,
+        ] {
+            let updates = bank_updates(0x5b ^ len as u64, len);
+            for bank_len in [1usize, 3] {
+                let what = format!("bank {bank_len} len={len}");
+                check((bank_len, 24, DEFAULT_REPS), &updates, &what);
+            }
+        }
+        // A triangle-trial-sized bank: 1200 samplers.
+        let updates = bank_updates(0x1200, 300);
+        check((1200, 20, DEFAULT_REPS), &updates, "bank 1200");
     }
 
     #[test]

@@ -34,10 +34,49 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
+    /// A numeric flag: `Ok(None)` when absent, an error naming the flag
+    /// and its value when present but unparsable (an empty value too).
+    fn try_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let Some(v) = self.get(name) else {
+            return Ok(None);
+        };
+        v.parse()
+            .map(Some)
+            .map_err(|_| format!("{}: invalid value '{v}'", flag_label(name)))
+    }
+
+    /// [`Args::try_num`] with a default; a bad value exits 2.
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
+        self.try_num(name)
+            .unwrap_or_else(|e| fail_usage(&e))
             .unwrap_or(default)
+    }
+
+    /// `--trials`: at least 1, since zero trials has no estimate.
+    fn try_trials(&self, default: usize) -> Result<usize, String> {
+        match self.try_num("trials")?.unwrap_or(default) {
+            0 => Err("--trials: invalid value '0' (must be at least 1)".to_string()),
+            t => Ok(t),
+        }
+    }
+
+    /// `--eps`: a finite accuracy target above zero (trial counts divide
+    /// by `eps²`).
+    fn try_eps(&self, default: f64) -> Result<f64, String> {
+        let eps = self.try_num("eps")?.unwrap_or(default);
+        if eps.is_finite() && eps > 0.0 {
+            Ok(eps)
+        } else {
+            Err(format!(
+                "--eps: invalid value '{}' (must be finite and above 0)",
+                self.get("eps").unwrap_or_default()
+            ))
+        }
+    }
+
+    /// [`Args::try_eps`]; a bad value exits 2.
+    fn eps(&self, default: f64) -> f64 {
+        self.try_eps(default).unwrap_or_else(|e| fail_usage(&e))
     }
 
     fn has(&self, name: &str) -> bool {
@@ -70,6 +109,20 @@ fn parse_args(argv: &[String]) -> Args {
         i += 1;
     }
     Args { flags }
+}
+
+/// How a parsed flag name was spelled on the command line.
+fn flag_label(name: &str) -> String {
+    if name.chars().count() == 1 {
+        format!("-{name}")
+    } else {
+        format!("--{name}")
+    }
+}
+
+fn fail_usage(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    exit(2);
 }
 
 fn fail_persist(e: PersistError) -> ! {
@@ -403,7 +456,7 @@ fn parse_l0(args: &Args) -> sgs_query::L0Mode {
 fn run_multi_count(args: &Args, queries_path: &str, seed: u64) {
     let src = load_source(args);
     let m = src.live_edges();
-    let eps: f64 = args.num("eps", 0.2);
+    let eps: f64 = args.eps(0.2);
     let shards: usize = args.num("shards", 1).max(1);
     let block: usize = args.num("block", sgs_query::exec::DEFAULT_BLOCK);
     let opts = sgs_query::PassOpts::with_block(block).l0(parse_l0(args));
@@ -580,7 +633,7 @@ fn main() {
             let pattern = need_pattern(&args);
             let src = load_source(&args);
             let m = src.live_edges();
-            let eps: f64 = args.num("eps", 0.2);
+            let eps: f64 = args.eps(0.2);
             let plan = match SamplerPlan::new(&pattern) {
                 Some(p) => p,
                 None => {
@@ -590,7 +643,9 @@ fn main() {
             };
             let default_trials =
                 sgs_core::fgp::practical_trials(m, plan.rho(), eps, 1.0).min(2_000_000);
-            let trials: usize = args.num("trials", default_trials);
+            let trials = args
+                .try_trials(default_trials)
+                .unwrap_or_else(|e| fail_usage(&e));
             // --shards N fans the stream out over N hash-partitioned
             // feed shards (one router + worker per shard); answers are
             // merged exactly, so the estimate is bit-identical to the
@@ -891,6 +946,12 @@ fn main() {
                 exit(2);
             };
             let dir = PathBuf::from(&dirs);
+            // Query options are checked before the directory is opened,
+            // so a bad value exits 2 without leaving a node behind.
+            let pass =
+                sgs_query::PassOpts::with_block(args.num("block", sgs_query::exec::DEFAULT_BLOCK))
+                    .l0(parse_l0(&args));
+            let eps = args.eps(0.2);
             let defaults = sgs_query::ServeConfig::default();
             let flag_cfg = sgs_query::ServeConfig {
                 shards: args.num("shards", 1).max(1),
@@ -983,14 +1044,7 @@ fn main() {
             // (the protocol tests, the CI smoke) can proceed.
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
-            let serve_opts = sgs_core::ServeOptions {
-                policy,
-                pass: sgs_query::PassOpts::with_block(
-                    args.num("block", sgs_query::exec::DEFAULT_BLOCK),
-                )
-                .l0(parse_l0(&args)),
-                eps: args.num("eps", 0.2),
-            };
+            let serve_opts = sgs_core::ServeOptions { policy, pass, eps };
             let snap = sgs_core::run_server(node, listeners, serve_opts)
                 .unwrap_or_else(|e| fail_persist(e));
             println!(
@@ -1160,7 +1214,7 @@ fn main() {
         "search" => {
             let pattern = need_pattern(&args);
             let g = load_graph(&args);
-            let eps: f64 = args.num("eps", 0.25);
+            let eps: f64 = args.eps(0.25);
             let cap: usize = args.num("max-trials", 1_000_000);
             let s = InsertionStream::from_graph(&g, seed ^ 0x77);
             let res = sgs_core::fgp::search_count_insertion(&pattern, &s, eps, seed, cap)
@@ -1177,7 +1231,7 @@ fn main() {
         "cliques" => {
             let g = load_graph(&args);
             let r: usize = args.num("r", 3);
-            let eps: f64 = args.num("eps", 0.3);
+            let eps: f64 = args.eps(0.3);
             let instances: usize = args.num("instances", 5);
             let lambda = sgs_graph::degeneracy::degeneracy(&g);
             let s = InsertionStream::from_graph(&g, seed ^ 0x77);
@@ -1299,5 +1353,62 @@ mod tests {
         assert!(read_updates_file(&path).is_err());
         std::fs::write(&path, "0 1\n").unwrap();
         assert!(read_updates_file(&path).is_err());
+    }
+
+    fn args_of(argv: &[&str]) -> Args {
+        parse_args(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn numeric_flags_reject_unparsable_values_by_name() {
+        let args = args_of(&["--trials", "abc", "--shards", "two", "--seed", "7"]);
+        assert_eq!(
+            args.try_num::<usize>("trials"),
+            Err("--trials: invalid value 'abc'".to_string())
+        );
+        assert_eq!(
+            args.try_num::<usize>("shards"),
+            Err("--shards: invalid value 'two'".to_string())
+        );
+        assert_eq!(args.try_num::<u64>("seed"), Ok(Some(7)));
+        assert_eq!(args.try_num::<usize>("block"), Ok(None));
+        // A flag given without its value is an error, not the default.
+        let args = args_of(&["--trials", "--bits"]);
+        assert_eq!(
+            args.try_num::<usize>("trials"),
+            Err("--trials: invalid value ''".to_string())
+        );
+        assert_eq!(
+            args_of(&["-r", "x"]).try_num::<usize>("r"),
+            Err("-r: invalid value 'x'".to_string())
+        );
+        assert_eq!(
+            args_of(&["--seed", "-5"]).try_num::<u64>("seed"),
+            Err("--seed: invalid value '-5'".to_string())
+        );
+    }
+
+    #[test]
+    fn trials_must_be_at_least_one() {
+        assert_eq!(args_of(&[]).try_trials(40), Ok(40));
+        assert_eq!(args_of(&["--trials", "600"]).try_trials(40), Ok(600));
+        let err = args_of(&["--trials", "0"]).try_trials(40).unwrap_err();
+        assert!(err.starts_with("--trials: invalid value '0'"), "{err}");
+        let err = args_of(&["--trials", "abc"]).try_trials(40).unwrap_err();
+        assert_eq!(err, "--trials: invalid value 'abc'");
+    }
+
+    #[test]
+    fn eps_must_be_finite_and_positive() {
+        assert_eq!(args_of(&[]).try_eps(0.2), Ok(0.2));
+        assert_eq!(args_of(&["--eps", "0.05"]).try_eps(0.2), Ok(0.05));
+        assert_eq!(args_of(&["--eps", "3"]).try_eps(0.2), Ok(3.0));
+        for bad in ["0", "-0", "-0.1", "NaN", "inf", "-inf", "abc", ""] {
+            let err = args_of(&["--eps", bad]).try_eps(0.2).unwrap_err();
+            assert!(
+                err.starts_with(&format!("--eps: invalid value '{bad}'")),
+                "{bad}: {err}"
+            );
+        }
     }
 }

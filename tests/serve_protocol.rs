@@ -394,3 +394,64 @@ fn kill_nine_mid_ingest_then_restart_resumes_byte_identical() {
     assert_eq!(s.send("QUIT"), "BYE");
     wait_shutdown(proc);
 }
+
+/// `--eps` sizes every COUNT that omits `trials=`, so a node must never
+/// run with a zero, negative, NaN or infinite value: such a node would
+/// start normally and then panic on its first defaulted COUNT. The CLI
+/// refuses the value before the directory is opened — exit 2 naming the
+/// flag and value, no LISTENING, nothing written — and batch
+/// `sgs count` refuses it the same way. A valid `--eps` on the same
+/// directory then serves a defaulted COUNT byte-identical to batch.
+#[test]
+fn invalid_eps_is_refused_before_the_node_opens() {
+    let dir = tmp("bad_eps");
+    let updates = script(12, 40, false);
+    let updates_file = dir.join("updates.txt");
+    write_updates_file(&updates_file, &updates);
+    let node_dir = dir.join("node");
+    for bad in ["0", "-0.5", "NaN", "inf", "abc"] {
+        let out = Command::new(BIN)
+            .arg("serve")
+            .arg(&node_dir)
+            .args(["--eps", bad])
+            .output()
+            .expect("run sgs serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "serve --eps {bad}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--eps: invalid value '{bad}'")),
+            "serve --eps {bad}: {stderr}"
+        );
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("LISTENING"),
+            "serve --eps {bad} started listening"
+        );
+        assert!(!node_dir.exists(), "serve --eps {bad} opened the node");
+
+        let out = Command::new(BIN)
+            .arg("count")
+            .arg("--updates")
+            .arg(&updates_file)
+            .args(["--pattern", "triangle", "--eps", bad])
+            .output()
+            .expect("run sgs count");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "count --eps {bad}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--eps: invalid value '{bad}'")),
+            "count --eps {bad}: {stderr}"
+        );
+    }
+
+    let proc = spawn_serve(&node_dir, &["--eps", "2", "--seed", "1"]);
+    let mut s = Session::connect(&proc.addr);
+    ingest_all(&mut s, &updates, 0);
+    let live = bits_of(&s.send("COUNT triangle"));
+    let batch = batch_bits(
+        &updates_file,
+        &["--pattern", "triangle", "--eps", "2", "--seed", "1"],
+    );
+    assert_eq!(live, batch, "defaulted COUNT diverged from batch");
+    assert_eq!(s.send("QUIT"), "BYE");
+    wait_shutdown(proc);
+}
