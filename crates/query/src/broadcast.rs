@@ -284,9 +284,10 @@ fn run_turnstile_broadcast_pass(
     side: &mut [SideSink<'_>],
 ) -> Vec<ShardOutcome> {
     let n = feed.num_vertices();
+    let bank_threads = bcast.policy.bank_threads(slots.len());
     let passes: Vec<TurnstileShardPass<'_>> = slots
         .iter_mut()
-        .map(|slot| TurnstileShardPass::new(slot, n, f1_slots, pass_seed, opts))
+        .map(|slot| TurnstileShardPass::new(slot, n, f1_slots, pass_seed, opts, bank_threads))
         .collect();
     drive_ring(feed, passes, bcast, side)
 }

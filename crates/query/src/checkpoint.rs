@@ -632,7 +632,11 @@ fn run_checkpointed<A: RoundAdaptive>(
                 if model == 0 {
                     Pass::Insertion(InsertionShardPass::new(slot, &targets, pass_seed, opts))
                 } else {
-                    Pass::Turnstile(TurnstileShardPass::new(slot, n, &f1_slots, pass_seed, opts))
+                    // Checkpointed runs take no policy: one thread
+                    // per bank sweep.
+                    Pass::Turnstile(TurnstileShardPass::new(
+                        slot, n, &f1_slots, pass_seed, opts, 1,
+                    ))
                 }
             })
             .collect();

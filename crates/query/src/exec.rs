@@ -476,10 +476,18 @@ struct TurnstilePass {
     l0: L0Mode,
     /// Router probe block size ([`PassOpts::block`]).
     block: usize,
+    /// Threads each `f1` bank sweep may use ([`BankFeed::new`]).
+    bank_threads: usize,
 }
 
 impl TurnstilePass {
-    fn build(batch: &[Query], n: usize, pass_seed: u64, opts: PassOpts) -> Self {
+    fn build(
+        batch: &[Query],
+        n: usize,
+        pass_seed: u64,
+        opts: PassOpts,
+        bank_threads: usize,
+    ) -> Self {
         let router = QueryRouter::build(batch, RouterMode::Turnstile);
         let edge_samplers = router
             .edge_slots()
@@ -500,6 +508,7 @@ impl TurnstilePass {
             kd_scratch: Vec::new(),
             l0: opts.l0,
             block: opts.block,
+            bank_threads,
         }
     }
 
@@ -532,7 +541,7 @@ impl TurnstilePass {
     /// distributionally so. The router drains the run block by block.
     fn feed_block(&mut self, run: &[sgs_stream::EdgeUpdate]) {
         let l0 = self.l0;
-        let mut f1 = BankFeed::new(&mut self.edge_samplers, l0);
+        let mut f1 = BankFeed::new(&mut self.edge_samplers, l0, self.bank_threads);
         let nbr_samplers = &mut self.nbr_samplers;
         let nbr_verts = &self.nbr_verts;
         for block in run.chunks(self.block) {
@@ -627,14 +636,29 @@ pub fn answer_turnstile_batch_with_block(
 
 /// [`answer_turnstile_batch`] with full feed-path options: block size
 /// plus the ℓ₀-bank feed path ([`PassOpts::l0`]). Answers are
-/// byte-identical across every option combination.
+/// byte-identical across every option combination. The `f1` bank is
+/// swept on the calling thread alone.
 pub fn answer_turnstile_batch_with_opts(
     batch: &[Query],
     stream: &impl EdgeStream,
     pass_seed: u64,
     opts: PassOpts,
 ) -> (Vec<Answer>, usize) {
-    let mut pass = TurnstilePass::build(batch, stream.num_vertices(), pass_seed, opts);
+    turnstile_batch_pass(batch, stream, pass_seed, opts, 1)
+}
+
+/// [`answer_turnstile_batch_with_opts`] with each `f1` bank sweep split
+/// over up to `bank_threads` threads; the answers and the footprint are
+/// the same for every thread count.
+pub(crate) fn turnstile_batch_pass(
+    batch: &[Query],
+    stream: &impl EdgeStream,
+    pass_seed: u64,
+    opts: PassOpts,
+    bank_threads: usize,
+) -> (Vec<Answer>, usize) {
+    let mut pass =
+        TurnstilePass::build(batch, stream.num_vertices(), pass_seed, opts, bank_threads);
     replay_blocked(stream, bank_run(opts.block), &mut pass);
     let space = pass.space_bytes();
     (pass.into_answers(), space)

@@ -672,6 +672,8 @@ struct MuxTurnstileShardPass<'a> {
     slot: &'a mut ShardSlot,
     block: usize,
     l0: L0Mode,
+    /// Threads each `f1` bank sweep may use ([`BankFeed::new`]).
+    bank_threads: usize,
     f1_bank: Vec<L0Sampler>,
     nbr_samplers: Vec<L0Sampler>,
     nbr_verts: Vec<VertexId>,
@@ -686,6 +688,7 @@ impl<'a> MuxTurnstileShardPass<'a> {
         f1_slots: &[u32],
         plan: &RoundPlan,
         opts: PassOpts,
+        bank_threads: usize,
     ) -> Self {
         slot.router.rebuild(&slot.sub_batch, RouterMode::Turnstile);
         let f1_bank: Vec<L0Sampler> = f1_slots
@@ -708,6 +711,7 @@ impl<'a> MuxTurnstileShardPass<'a> {
             slot,
             block: opts.block,
             l0: opts.l0,
+            bank_threads,
             f1_bank,
             nbr_samplers,
             nbr_verts,
@@ -741,7 +745,7 @@ impl<'a> MuxTurnstileShardPass<'a> {
         } else {
             let mut buf = std::mem::take(&mut self.buf);
             let mut owned_kd = std::mem::take(&mut self.owned_kd);
-            let mut f1 = BankFeed::new(&mut self.f1_bank, l0);
+            let mut f1 = BankFeed::new(&mut self.f1_bank, l0, self.bank_threads);
             for chunk in deliveries.chunks(self.block) {
                 buf.clear();
                 owned_kd.clear();
@@ -863,9 +867,11 @@ fn mux_turnstile_pass(
     let mut outcomes = match engine {
         Engine::Sharded(policy) => {
             feed.begin_pass();
+            let bank_threads = policy.bank_threads(shards);
             run_shards(&mut arena.slots[..shards], *policy, |i, slot| {
                 let t0 = Instant::now();
-                let mut pass = MuxTurnstileShardPass::new(&mut *slot, n, &f1_slots, plan, opts);
+                let mut pass =
+                    MuxTurnstileShardPass::new(&mut *slot, n, &f1_slots, plan, opts, bank_threads);
                 pass.feed(feed.shard(i));
                 let out = pass.finish();
                 slot.pass_nanos.push(t0.elapsed().as_nanos() as u64);
@@ -873,9 +879,12 @@ fn mux_turnstile_pass(
             })
         }
         Engine::Ring(bcast) => {
+            let bank_threads = bcast.policy.bank_threads(shards);
             let passes: Vec<MuxTurnstileShardPass<'_>> = arena.slots[..shards]
                 .iter_mut()
-                .map(|slot| MuxTurnstileShardPass::new(slot, n, &f1_slots, plan, opts))
+                .map(|slot| {
+                    MuxTurnstileShardPass::new(slot, n, &f1_slots, plan, opts, bank_threads)
+                })
                 .collect();
             drive_mux_ring(feed, passes, *bcast, stalls)
         }

@@ -22,19 +22,29 @@
 //!   silent no-op on non-Linux targets and on hosts that refuse the
 //!   syscall. Pinning affects *where* work runs, never *what* it
 //!   computes, so every equivalence guarantee is unaffected.
+//! * **The `f1` bank uses the cores the shard workers leave.** A
+//!   turnstile pass may split each ℓ₀ bank sweep
+//!   ([`sgs_stream::l0::BankFeed`]) across
+//!   [`ExecPolicy::bank_threads`] threads per shard: every core at one
+//!   shard, one thread under [`ThreadMode::Serial`]. The helpers are
+//!   scoped threads that live for one sweep and are never pinned.
 
-/// How the sharded/broadcast executors schedule their shard workers.
+/// How the executors schedule their shard workers and the helper
+/// threads of an `f1` bank sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ThreadMode {
     /// Thread when the host has more than one core (the pre-PR-7
-    /// unset-env behavior).
+    /// unset-env behavior); bank sweeps use the cores the shard
+    /// workers leave free.
     #[default]
     Auto,
     /// Always run the deterministic single-thread schedule (inline
-    /// shard loop / cooperative ring round-robin).
+    /// shard loop / cooperative ring round-robin), with every bank
+    /// sweep on its shard's thread.
     Serial,
-    /// Always run the threaded schedule, even on one core — the test
-    /// suite's way of exercising the parallel path everywhere.
+    /// Always run the threaded schedule, even on one core, and split
+    /// bank sweeps in at least two — the test suite's way of
+    /// exercising the parallel paths everywhere.
     Threaded,
 }
 
@@ -43,11 +53,12 @@ pub enum ThreadMode {
 /// policy — this value only decides *where* the work runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct ExecPolicy {
-    /// Thread-or-not decision.
+    /// Thread-or-not decision, for shard workers and bank sweeps alike.
     pub mode: ThreadMode,
     /// Pin persistent shard workers round-robin over the host's cores
     /// (Linux only; ignored by the scoped-thread and serial paths,
-    /// which have no long-lived workers worth binding).
+    /// which have no long-lived workers worth binding, and never
+    /// applied to the scoped helper threads of a bank sweep).
     pub pin: bool,
 }
 
@@ -93,6 +104,22 @@ impl ExecPolicy {
         }
     }
 
+    /// Threads each shard's turnstile pass may sweep its `f1` ℓ₀ bank
+    /// on, its own thread included, when a pass runs `shards` shards:
+    /// 1 under [`ThreadMode::Serial`], `max(1, host cores ÷ shards)`
+    /// under [`ThreadMode::Auto`] (every core at one shard, one thread
+    /// per shard once the shard workers fill the host), and
+    /// `max(2, host cores ÷ shards)` under [`ThreadMode::Threaded`].
+    /// Never 0. Passes ask once, when they start.
+    pub fn bank_threads(&self, shards: usize) -> usize {
+        let free = host_cores() / shards.max(1);
+        match self.mode {
+            ThreadMode::Serial => 1,
+            ThreadMode::Auto => free.max(1),
+            ThreadMode::Threaded => free.max(2),
+        }
+    }
+
     /// Map the operator-facing `SGS_SHARD_THREADS` variable (`0` = serial,
     /// `1` = threaded, unset/other = auto) to a policy. **CLI layer
     /// only** — library code takes the resulting value; nothing below
@@ -106,11 +133,16 @@ impl ExecPolicy {
     }
 }
 
-/// The host's available parallelism (1 when unknown).
+/// The host's available parallelism (1 when unknown), read once per
+/// process: `available_parallelism` reads cgroup files, which took
+/// 21 µs a call (55–90 µs for a process's first) on a 2-vCPU Linux host.
 pub fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Bind the calling thread to one CPU. Returns whether the kernel
@@ -174,6 +206,29 @@ mod tests {
             host_cores() > 1,
             "auto mode must mirror available_parallelism"
         );
+    }
+
+    #[test]
+    fn bank_threads_follow_mode_and_shard_count() {
+        let cores = host_cores();
+        for shards in [0usize, 1, 2, 3, 4, 16, 1024] {
+            assert_eq!(ExecPolicy::serial().bank_threads(shards), 1);
+            assert_eq!(
+                ExecPolicy::auto().bank_threads(shards),
+                (cores / shards.max(1)).max(1),
+                "auto at {shards} shards"
+            );
+            let threaded = ExecPolicy::threaded().bank_threads(shards);
+            assert!(threaded >= 2, "threaded at {shards} shards");
+            assert!(threaded >= ExecPolicy::auto().bank_threads(shards));
+            // Pinning changes where shard workers run, not the budget.
+            assert_eq!(
+                ExecPolicy::auto().with_pin().bank_threads(shards),
+                ExecPolicy::auto().bank_threads(shards)
+            );
+        }
+        assert_eq!(ExecPolicy::auto().bank_threads(1), cores);
+        assert_eq!(ExecPolicy::threaded().bank_threads(1), cores.max(2));
     }
 
     #[test]

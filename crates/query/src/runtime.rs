@@ -72,6 +72,7 @@ enum Task {
         num_vertices: usize,
         pass_seed: u64,
         opts: PassOpts,
+        bank_threads: usize,
     },
 }
 
@@ -131,12 +132,19 @@ fn worker_loop(sid: usize, pin_core: Option<usize>, tasks: Receiver<Task>, repli
                 num_vertices,
                 pass_seed,
                 opts,
+                bank_threads,
             } => {
                 slot.sub_batch = sub_batch;
                 slot.slot_map = slot_map;
                 let t0 = Instant::now();
-                let mut pass =
-                    TurnstileShardPass::new(&mut slot, num_vertices, &f1_slots, pass_seed, opts);
+                let mut pass = TurnstileShardPass::new(
+                    &mut slot,
+                    num_vertices,
+                    &f1_slots,
+                    pass_seed,
+                    opts,
+                    bank_threads,
+                );
                 for b in consumer {
                     filter_block(&b, sid, &mut scratch);
                     pass.feed(&scratch);
@@ -344,6 +352,7 @@ impl ShardRuntime {
             "runtime sized for a different shard count"
         );
         let shards = self.shards;
+        let bank_threads = bcast.policy.bank_threads(shards);
         split_batch(batch, RouterMode::Turnstile, feed.shard_map(), arena);
         let f1_slots = std::mem::take(&mut arena.scratch_edge);
         let shared_f1: Arc<[u32]> = f1_slots.as_slice().into();
@@ -363,6 +372,7 @@ impl ShardRuntime {
                     num_vertices: feed.num_vertices(),
                     pass_seed,
                     opts,
+                    bank_threads,
                 })
                 .expect("shard worker gone");
         }

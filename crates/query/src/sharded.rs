@@ -357,6 +357,8 @@ fn run_insertion_shard(
 pub(crate) struct TurnstileShardPass<'a> {
     slot: &'a mut ShardSlot,
     opts: PassOpts,
+    /// Threads each `f1` bank sweep may use ([`BankFeed::new`]).
+    bank_threads: usize,
     f1_bank: Vec<L0Sampler>,
     nbr_samplers: Vec<L0Sampler>,
     nbr_verts: Vec<VertexId>,
@@ -369,13 +371,15 @@ impl<'a> TurnstileShardPass<'a> {
     /// keeps the full `f1` bank, identically seeded by global slot, and
     /// feeds it *owned* deliveries only: merging the banks across
     /// shards reassembles the exact single-stream sketch state
-    /// (ℓ₀-samplers are linear).
+    /// (ℓ₀-samplers are linear). Each bank sweep may be split over up
+    /// to `bank_threads` threads, with the same planes for every count.
     pub(crate) fn new(
         slot: &'a mut ShardSlot,
         num_vertices: usize,
         f1_slots: &[u32],
         pass_seed: u64,
         opts: PassOpts,
+        bank_threads: usize,
     ) -> Self {
         slot.router.rebuild(&slot.sub_batch, RouterMode::Turnstile);
         let f1_bank: Vec<L0Sampler> = f1_slots
@@ -397,6 +401,7 @@ impl<'a> TurnstileShardPass<'a> {
         TurnstileShardPass {
             slot,
             opts,
+            bank_threads,
             f1_bank,
             nbr_samplers,
             nbr_verts,
@@ -435,7 +440,7 @@ impl<'a> TurnstileShardPass<'a> {
             // batched probes.
             let mut buf = std::mem::take(&mut self.buf);
             let mut owned_kd = std::mem::take(&mut self.owned_kd);
-            let mut f1 = BankFeed::new(&mut self.f1_bank, l0);
+            let mut f1 = BankFeed::new(&mut self.f1_bank, l0, self.bank_threads);
             for chunk in deliveries.chunks(self.opts.block) {
                 buf.clear();
                 owned_kd.clear();
@@ -565,10 +570,17 @@ fn run_turnstile_shard(
     f1_slots: &[u32],
     pass_seed: u64,
     opts: PassOpts,
+    bank_threads: usize,
 ) -> ShardOutcome {
     let t0 = Instant::now();
-    let mut pass =
-        TurnstileShardPass::new(&mut *slot, feed.num_vertices(), f1_slots, pass_seed, opts);
+    let mut pass = TurnstileShardPass::new(
+        &mut *slot,
+        feed.num_vertices(),
+        f1_slots,
+        pass_seed,
+        opts,
+        bank_threads,
+    );
     pass.feed(feed.shard(shard_id));
     let out = pass.finish();
     slot.pass_nanos.push(t0.elapsed().as_nanos() as u64);
@@ -788,11 +800,12 @@ pub fn answer_turnstile_batch_sharded_with_exec(
     policy: ExecPolicy,
 ) -> (Vec<Answer>, usize) {
     let shards = feed.num_shards();
+    let bank_threads = policy.bank_threads(shards);
     if shards == 1 {
         // See answer_insertion_batch_sharded: direct pass over the feed.
         arena.ensure_shards(1);
         let t0 = Instant::now();
-        let out = crate::exec::answer_turnstile_batch_with_opts(batch, feed, pass_seed, opts);
+        let out = crate::exec::turnstile_batch_pass(batch, feed, pass_seed, opts, bank_threads);
         arena.slots[0]
             .pass_nanos
             .push(t0.elapsed().as_nanos() as u64);
@@ -802,7 +815,7 @@ pub fn answer_turnstile_batch_sharded_with_exec(
     split_batch(batch, RouterMode::Turnstile, feed.shard_map(), arena);
     let f1_slots = std::mem::take(&mut arena.scratch_edge);
     let mut outcomes = run_shards(&mut arena.slots[..shards], policy, |i, slot| {
-        run_turnstile_shard(slot, feed, i, &f1_slots, pass_seed, opts)
+        run_turnstile_shard(slot, feed, i, &f1_slots, pass_seed, opts, bank_threads)
     });
     let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
     // Merge the per-shard f1 banks into shard 0's (linear sketches):

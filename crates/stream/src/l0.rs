@@ -62,9 +62,17 @@
 //!   hash, the key·delta split, the row-0 totals) once for the bank, then
 //!   sweeps samplers outer per [`BANK_SUPER_BLOCK`] so each sampler's
 //!   planes stay in cache. The sweep body is compiled twice, portable and
-//!   with AVX-512, and the CPU picks the copy at run time;
+//!   with AVX-512, and the CPU picks the copy at run time. A sweep may
+//!   also be split into contiguous sampler ranges on scoped threads, up
+//!   to the caller's thread budget; the calling thread builds every
+//!   prologue and takes the first range, and the helpers only read it.
+//!   A split needs every part to get at least 65,536 sampler-updates
+//!   (1.8–2.5 ms of one-thread sweep, against 24 µs for one scoped
+//!   spawn + join on a 2-vCPU AVX-512 Xeon), so small banks stay on
+//!   one thread, and so do short feed calls unless the bank is large;
 //!   `bank_feed_is_bit_identical_across_kernels_and_per_sampler_paths`
-//!   pins both copies to per-sampler dispatch and the predicated oracle.
+//!   pins both copies, whole and split into 2, 3 and 7 parts, to
+//!   per-sampler dispatch and the predicated oracle.
 //! * **Linearity** — every detector field is additive, so
 //!   [`L0Sampler::merge`] of identically-seeded samplers that absorbed
 //!   disjoint update subsets is *bit-identical* to one sampler that
@@ -535,7 +543,7 @@ impl L0Sampler {
     /// path: the one-sampler case of [`BankFeed`]. Bit-identical to both
     /// the scalar paths and the predicated batch at every block size.
     pub fn update_batch_dispatch(&mut self, updates: &[(u64, i64)]) {
-        let mut feed = BankFeed::new(std::slice::from_mut(self), L0Mode::Dispatch);
+        let mut feed = BankFeed::new(std::slice::from_mut(self), L0Mode::Dispatch, 1);
         feed.push(updates);
         feed.finish();
     }
@@ -872,6 +880,17 @@ impl Kernel {
     }
 }
 
+/// The least work, in sampler-updates (samplers × queued updates), that
+/// every part of a split sweep must get; a sweep with less stays whole on
+/// the calling thread. On a 2-vCPU AVX-512 Xeon a one-thread sweep costs
+/// 28–38 ns per sampler-update (perfbench `count-turnstile --trace 1`),
+/// so 65,536 of them take 1.8–2.5 ms, against a median 24 µs for one
+/// scoped spawn + join: at most 1.3% overhead per part. One-trial
+/// passes and small banks then never spawn a thread, and a short feed
+/// call needs a large bank: a 256-update call splits in two only from
+/// 512 samplers up.
+const SPLIT_FLOOR: usize = 65_536;
+
 /// A bank-wide feed: every sampler of a bank absorbs every pushed
 /// `(key, delta)` update — the shape of a turnstile pass's `f1` bank,
 /// where each `f1` query owns one sampler over the whole edge domain.
@@ -880,31 +899,50 @@ impl Kernel {
 /// [`DISPATCH_CHUNK`], doing the sampler-independent work once for the
 /// bank, and sweeps the bank samplers outer once per
 /// [`BANK_SUPER_BLOCK`] queued updates and at [`BankFeed::finish`].
+/// A sweep may be split into up to `threads` contiguous sampler ranges
+/// that run at once over the shared read-only prologue, when every
+/// range gets at least 65,536 sampler-updates; each sampler is still
+/// swept by exactly one thread.
 /// Every plane field is a commutative wrapping sum, so the planes,
 /// `updates_absorbed` and the persisted bytes equal per-sampler
 /// [`L0Sampler::update_batch_dispatch`] over the same updates, whatever
-/// the push sizes. [`L0Mode::Predicated`] forwards each push to the
-/// per-sampler oracle unchanged.
+/// the push sizes and the split. [`L0Mode::Predicated`] forwards each
+/// push to the per-sampler oracle unchanged, on the calling thread.
 pub struct BankFeed<'a> {
     bank: &'a mut [L0Sampler],
     mode: L0Mode,
     kernel: Kernel,
+    /// Most threads one sweep may use, the calling thread included.
+    threads: usize,
+    /// Least sampler-updates per part of a split sweep: [`SPLIT_FLOOR`],
+    /// lowered only by tests.
+    floor: usize,
     /// Prologue chunks; the first `used` hold queued updates.
     chunks: Vec<ChunkPrologue>,
     used: usize,
 }
 
 impl<'a> BankFeed<'a> {
-    /// Start feeding `bank` through `mode`.
-    pub fn new(bank: &'a mut [L0Sampler], mode: L0Mode) -> Self {
-        Self::with_kernel(bank, mode, Kernel::detect())
+    /// Start feeding `bank` through `mode`, sweeping on up to `threads`
+    /// threads (the calling thread included; 0 and 1 both keep every
+    /// sweep on the calling thread).
+    pub fn new(bank: &'a mut [L0Sampler], mode: L0Mode, threads: usize) -> Self {
+        Self::with_kernel(bank, mode, Kernel::detect(), threads, SPLIT_FLOOR)
     }
 
-    fn with_kernel(bank: &'a mut [L0Sampler], mode: L0Mode, kernel: Kernel) -> Self {
+    fn with_kernel(
+        bank: &'a mut [L0Sampler],
+        mode: L0Mode,
+        kernel: Kernel,
+        threads: usize,
+        floor: usize,
+    ) -> Self {
         BankFeed {
             bank,
             mode,
             kernel,
+            threads,
+            floor,
             chunks: Vec::new(),
             used: 0,
         }
@@ -942,9 +980,43 @@ impl<'a> BankFeed<'a> {
         }
     }
 
+    /// Sweep the queued chunks into the bank. Split sweeps hand each
+    /// helper thread one contiguous sampler range; the calling thread
+    /// takes the first. The ranges are disjoint and the prologue is only
+    /// read, so every sampler gets the adds of the one-thread sweep.
     fn sweep(&mut self) {
-        self.kernel.sweep(self.bank, &self.chunks[..self.used]);
+        let chunks = &self.chunks[..self.used];
+        let parts = self.parts(chunks.iter().map(|c| c.len).sum());
+        let kernel = self.kernel;
+        if parts <= 1 {
+            kernel.sweep(self.bank, chunks);
+        } else {
+            // Balanced sizes: part i holds q samplers, plus one for the
+            // first `extra` parts.
+            let (q, extra) = (self.bank.len() / parts, self.bank.len() % parts);
+            let mut rest = &mut *self.bank;
+            std::thread::scope(|scope| {
+                for i in (1..parts).rev() {
+                    let at = rest.len() - q - usize::from(i < extra);
+                    let (head, range) = std::mem::take(&mut rest).split_at_mut(at);
+                    rest = head;
+                    scope.spawn(move || kernel.sweep(range, chunks));
+                }
+                kernel.sweep(rest, chunks);
+            });
+        }
         self.used = 0;
+    }
+
+    /// How many parts a sweep of `updates` queued updates splits into:
+    /// at most `threads`, and few enough that the smallest part still
+    /// gets `floor` sampler-updates.
+    fn parts(&self, updates: usize) -> usize {
+        if self.threads <= 1 || updates == 0 {
+            return 1;
+        }
+        let min_samplers = self.floor.div_ceil(updates).max(1);
+        (self.bank.len() / min_samplers).clamp(1, self.threads)
     }
 }
 
@@ -1196,9 +1268,12 @@ mod tests {
     }
 
     /// Feed `updates` to a fresh bank through [`BankFeed`] on `kernel`:
-    /// pushes of the cycled `sizes`, split over `calls` separate feeds.
+    /// pushes of the cycled `sizes`, split over `calls` separate feeds,
+    /// each sweep split into up to `parts` threads with the work floor
+    /// lowered to one sampler-update.
     fn bank_fed(
         kernel: Kernel,
+        parts: usize,
         shape: (usize, u32, usize),
         updates: &[(u64, i64)],
         sizes: &[usize],
@@ -1208,7 +1283,7 @@ mod tests {
         let mut bank = fresh_bank(len, max_level, reps);
         let per_call = updates.len().div_ceil(calls).max(1);
         for call in updates.chunks(per_call) {
-            let mut feed = BankFeed::with_kernel(&mut bank, L0Mode::Dispatch, kernel);
+            let mut feed = BankFeed::with_kernel(&mut bank, L0Mode::Dispatch, kernel, parts, 1);
             let mut rest = call;
             for &size in sizes.iter().cycle() {
                 if rest.is_empty() {
@@ -1244,7 +1319,9 @@ mod tests {
         // Four paths over the same updates must persist the same bytes,
         // planes and update counters alike: the bank feed on the portable
         // copy, on the AVX-512 copy, per-sampler `update_batch_dispatch`,
-        // and the scalar predicated oracle.
+        // and the scalar predicated oracle. The bank feed also runs with
+        // every sweep split into 2, 3 and 7 threads, which on the one- and
+        // three-sampler banks asks for more parts than there are samplers.
         let kernels = kernels();
         let check = |shape: (usize, u32, usize), updates: &[(u64, i64)], what: &str| {
             let (len, max_level, reps) = shape;
@@ -1273,11 +1350,17 @@ mod tests {
                 (&[BANK_SUPER_BLOCK - 1, 2], 3),
             ];
             for &kernel in &kernels {
-                for &(sizes, calls) in &splits {
-                    assert!(
-                        bank_fed(kernel, shape, updates, sizes, calls) == want,
-                        "{what}: {kernel:?} pushes {sizes:?} over {calls} call(s)"
-                    );
+                for parts in [1, 2, 3, 7] {
+                    // Split sweeps see the same chunks whatever the push
+                    // sizes; the multi-call splits give them more sweeps.
+                    let splits = &splits[if parts == 1 { 0 } else { 2 }..];
+                    for &(sizes, calls) in splits {
+                        assert!(
+                            bank_fed(kernel, parts, shape, updates, sizes, calls) == want,
+                            "{what}: {kernel:?} in {parts} part(s), \
+                             pushes {sizes:?} over {calls} call(s)"
+                        );
+                    }
                 }
             }
         };
@@ -1308,6 +1391,33 @@ mod tests {
         // A triangle-trial-sized bank: 1200 samplers.
         let updates = bank_updates(0x1200, 300);
         check((1200, 20, DEFAULT_REPS), &updates, "bank 1200");
+    }
+
+    #[test]
+    fn split_sweeps_respect_the_work_floor() {
+        // Parts a sweep of `updates` splits into, for a bank of `len`
+        // samplers and a budget of `threads`, at the shipped floor.
+        let parts = |len: usize, threads: usize, updates: usize| {
+            let mut bank = fresh_bank(len, 4, 8);
+            BankFeed::new(&mut bank, L0Mode::Dispatch, threads).parts(updates)
+        };
+        // 1200 samplers × one super-block: 2,457,600 sampler-updates.
+        assert_eq!(parts(1200, 2, BANK_SUPER_BLOCK), 2);
+        assert_eq!(parts(1200, 7, BANK_SUPER_BLOCK), 7);
+        // Each part needs 65,536 / 2048 = 32 samplers of a full sweep.
+        assert_eq!(parts(64, 2, BANK_SUPER_BLOCK), 2);
+        assert_eq!(parts(63, 2, BANK_SUPER_BLOCK), 1);
+        assert_eq!(parts(100, 8, BANK_SUPER_BLOCK), 3);
+        // A 256-update feed call needs 256 samplers per part.
+        assert_eq!(parts(512, 2, 256), 2);
+        assert_eq!(parts(511, 2, 256), 1);
+        // A one-trial bank, a short feed call and a one-thread budget
+        // never split.
+        assert_eq!(parts(2, 2, BANK_SUPER_BLOCK), 1);
+        assert_eq!(parts(1200, 2, 54), 1);
+        assert_eq!(parts(1200, 1, BANK_SUPER_BLOCK), 1);
+        assert_eq!(parts(1200, 0, BANK_SUPER_BLOCK), 1);
+        assert_eq!(parts(1200, 2, 0), 1);
     }
 
     #[test]

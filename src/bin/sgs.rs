@@ -52,12 +52,24 @@ impl Args {
             .unwrap_or(default)
     }
 
-    /// `--trials`: at least 1, since zero trials has no estimate.
-    fn try_trials(&self, default: usize) -> Result<usize, String> {
-        match self.try_num("trials")?.unwrap_or(default) {
-            0 => Err("--trials: invalid value '0' (must be at least 1)".to_string()),
-            t => Ok(t),
+    /// A count or size flag that must be at least 1: `--trials` (zero
+    /// trials has no estimate), `--shards`, `--wal-block` and
+    /// `--ring-capacity`. Zero is an error naming the flag, never a
+    /// silent 1.
+    fn try_at_least_one(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.try_num(name)?.unwrap_or(default) {
+            0 => Err(format!(
+                "{}: invalid value '0' (must be at least 1)",
+                flag_label(name)
+            )),
+            n => Ok(n),
         }
+    }
+
+    /// [`Args::try_at_least_one`]; a bad value exits 2.
+    fn at_least_one(&self, name: &str, default: usize) -> usize {
+        self.try_at_least_one(name, default)
+            .unwrap_or_else(|e| fail_usage(&e))
     }
 
     /// `--eps`: a finite accuracy target above zero (trial counts divide
@@ -457,7 +469,7 @@ fn run_multi_count(args: &Args, queries_path: &str, seed: u64) {
     let src = load_source(args);
     let m = src.live_edges();
     let eps: f64 = args.eps(0.2);
-    let shards: usize = args.num("shards", 1).max(1);
+    let shards = args.at_least_one("shards", 1);
     let block: usize = args.num("block", sgs_query::exec::DEFAULT_BLOCK);
     let opts = sgs_query::PassOpts::with_block(block).l0(parse_l0(args));
     let turnstile = args.has("turnstile");
@@ -643,14 +655,12 @@ fn main() {
             };
             let default_trials =
                 sgs_core::fgp::practical_trials(m, plan.rho(), eps, 1.0).min(2_000_000);
-            let trials = args
-                .try_trials(default_trials)
-                .unwrap_or_else(|e| fail_usage(&e));
+            let trials = args.at_least_one("trials", default_trials);
             // --shards N fans the stream out over N hash-partitioned
             // feed shards (one router + worker per shard); answers are
             // merged exactly, so the estimate is bit-identical to the
             // single-stream run with the same seed.
-            let shards: usize = args.num("shards", 1).max(1);
+            let shards = args.at_least_one("shards", 1);
             // --block B feeds each pass in blocks of B updates (batched
             // index probes, ℓ₀ lane loops); 0 forces the scalar
             // per-update path. Bit-identical either way — the knob only
@@ -792,7 +802,7 @@ fn main() {
                 // per delivery block); snapshots land every
                 // `snapshot_every` such blocks, so small streams want a
                 // small W to see any snapshot at all.
-                let wal_block: usize = args.num("wal-block", sgs_query::DEFAULT_CHECKPOINT_CHUNK);
+                let wal_block = args.at_least_one("wal-block", sgs_query::DEFAULT_CHECKPOINT_CHUNK);
                 let feed = if turnstile {
                     let s = src.turnstile_stream(seed);
                     sgs_stream::ShardedFeed::partition(&s, shards)
@@ -954,10 +964,10 @@ fn main() {
             let eps = args.eps(0.2);
             let defaults = sgs_query::ServeConfig::default();
             let flag_cfg = sgs_query::ServeConfig {
-                shards: args.num("shards", 1).max(1),
-                wal_block: args.num("wal-block", sgs_query::DEFAULT_SERVE_BLOCK).max(1),
+                shards: args.at_least_one("shards", 1),
+                wal_block: args.at_least_one("wal-block", sgs_query::DEFAULT_SERVE_BLOCK),
                 snapshot_every: args.num("snapshot-every", defaults.snapshot_every),
-                ring_capacity: args.num("ring-capacity", defaults.ring_capacity).max(1),
+                ring_capacity: args.at_least_one("ring-capacity", defaults.ring_capacity),
                 segment_bytes: defaults.segment_bytes,
                 seed,
             };
@@ -1390,12 +1400,34 @@ mod tests {
 
     #[test]
     fn trials_must_be_at_least_one() {
-        assert_eq!(args_of(&[]).try_trials(40), Ok(40));
-        assert_eq!(args_of(&["--trials", "600"]).try_trials(40), Ok(600));
-        let err = args_of(&["--trials", "0"]).try_trials(40).unwrap_err();
+        let trials = |argv: &[&str]| args_of(argv).try_at_least_one("trials", 40);
+        assert_eq!(trials(&[]), Ok(40));
+        assert_eq!(trials(&["--trials", "600"]), Ok(600));
+        let err = trials(&["--trials", "0"]).unwrap_err();
         assert!(err.starts_with("--trials: invalid value '0'"), "{err}");
-        let err = args_of(&["--trials", "abc"]).try_trials(40).unwrap_err();
+        let err = trials(&["--trials", "abc"]).unwrap_err();
         assert_eq!(err, "--trials: invalid value 'abc'");
+    }
+
+    #[test]
+    fn size_flags_refuse_zero_by_name() {
+        for flag in ["shards", "wal-block", "ring-capacity"] {
+            let dash = format!("--{flag}");
+            assert_eq!(args_of(&[]).try_at_least_one(flag, 7), Ok(7), "{flag}");
+            assert_eq!(
+                args_of(&[&dash, "3"]).try_at_least_one(flag, 7),
+                Ok(3),
+                "{flag}"
+            );
+            assert_eq!(
+                args_of(&[&dash, "0"]).try_at_least_one(flag, 7),
+                Err(format!("--{flag}: invalid value '0' (must be at least 1)"))
+            );
+            assert_eq!(
+                args_of(&[&dash, "-1"]).try_at_least_one(flag, 7),
+                Err(format!("--{flag}: invalid value '-1'"))
+            );
+        }
     }
 
     #[test]

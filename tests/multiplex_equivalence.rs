@@ -178,6 +178,76 @@ fn threaded_policy_is_byte_identical_to_serial() {
 }
 
 #[test]
+fn threaded_policy_is_byte_identical_to_serial_on_turnstile_banks() {
+    // Round 1 of the 200-trial triangle job asks 400 `f1` ℓ₀-samplers,
+    // two per trial. The churned gnm(64, 500) stream has about
+    // 2.5 × 500 = 1250 updates, so the one-shard round-1 sweep is about
+    // 400 × 1250 = 500,000 sampler-updates, and each of two shards
+    // sweeps the ~625 updates it owns: about 250,000. Both exceed the
+    // 2 × 65,536 a two-way split needs, so under the threaded policy
+    // (at least two bank threads) every round-1 sweep is split, while
+    // the serial policy keeps it whole. The bound is asserted below.
+    let g = sgs_graph::gen::gnm(64, 500, 49);
+    let tst = TurnstileStream::from_graph_with_churn(&g, 0.5, 50);
+    let spec = MultiQuerySpec {
+        pattern: Pattern::triangle(),
+        trials: 200,
+        seed: 505,
+        sampler: SamplerMode::Relaxed,
+        reservoir: ReservoirMode::Skip,
+    };
+    let specs = vec![
+        spec.clone(),
+        MultiQuerySpec {
+            pattern: Pattern::cycle(5),
+            trials: 40,
+            seed: 606,
+            ..spec.clone()
+        },
+    ];
+    let opts = PassOpts::with_block(128);
+    for shards in [1usize, 2] {
+        let feed = ShardedFeed::partition(&tst, shards);
+        let min_owned = (0..shards)
+            .map(|i| feed.shard(i).iter().filter(|u| u.owned).count())
+            .min()
+            .unwrap();
+        assert!(
+            2 * spec.trials * min_owned >= 2 * 65_536,
+            "{shards} shards: round-1 sweeps too small to split"
+        );
+        let solo = |policy: ExecPolicy| {
+            estimate_turnstile_on_feed_with_exec(
+                &spec.pattern,
+                &feed,
+                spec.trials,
+                spec.seed,
+                &mut RouterArena::new(),
+                opts,
+                policy,
+            )
+            .unwrap()
+        };
+        let serial = solo(ExecPolicy::serial());
+        assert!(serial.hits > 0, "{shards} shards: a degenerate estimate");
+        assert_estimates_equal(
+            &serial,
+            &solo(ExecPolicy::threaded()),
+            &format!("solo, {shards} shards"),
+        );
+        let mux = |policy: ExecPolicy| {
+            estimate_multi_turnstile(&specs, &feed, &mut RouterArena::new(), opts, policy)
+                .unwrap()
+                .0
+        };
+        let serial = mux(ExecPolicy::serial());
+        for (j, (a, b)) in serial.iter().zip(&mux(ExecPolicy::threaded())).enumerate() {
+            assert_estimates_equal(a, b, &format!("job {j}, {shards} shards"));
+        }
+    }
+}
+
+#[test]
 fn ring_engine_matches_sharded_engine() {
     let g = sgs_graph::gen::gnm(48, 220, 47);
     let ins = InsertionStream::from_graph(&g, 48);

@@ -403,6 +403,81 @@ fn kill_nine_mid_ingest_then_restart_resumes_byte_identical() {
 /// `sgs count` refuses it the same way. A valid `--eps` on the same
 /// directory then serves a defaulted COUNT byte-identical to batch.
 #[test]
+fn zero_size_flags_are_refused_before_the_node_opens() {
+    // `--shards 0`, `--wal-block 0` and `--ring-capacity 0` used to be
+    // clamped to 1 silently; now each exits 2 naming the flag, before
+    // serve opens DIR and before count writes a checkpoint directory.
+    let dir = tmp("zero_sizes");
+    let updates_file = dir.join("updates.txt");
+    write_updates_file(&updates_file, &script(12, 40, true));
+    let node_dir = dir.join("node");
+    for flag in ["--shards", "--wal-block", "--ring-capacity"] {
+        let out = Command::new(BIN)
+            .arg("serve")
+            .arg(&node_dir)
+            .args([flag, "0"])
+            .output()
+            .expect("run sgs serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "serve {flag} 0: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag}: invalid value '0'")),
+            "serve {flag} 0: {stderr}"
+        );
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("LISTENING"),
+            "serve {flag} 0 started listening"
+        );
+        assert!(!node_dir.exists(), "serve {flag} 0 opened the node");
+    }
+    let ckpt_dir = dir.join("ckpt");
+    let count = |extra: &[&str]| {
+        Command::new(BIN)
+            .arg("count")
+            .arg("--updates")
+            .arg(&updates_file)
+            .args(["--pattern", "triangle", "--turnstile"])
+            .args(extra)
+            .output()
+            .expect("run sgs count")
+    };
+    let queries = dir.join("queries.txt");
+    std::fs::write(&queries, "triangle trials=20\n").unwrap();
+    let q = queries.to_str().unwrap();
+    let c = ckpt_dir.to_str().unwrap();
+    for (flag, extra) in [
+        ("--shards", vec!["--shards", "0"]),
+        ("--shards", vec!["--queries", q, "--shards", "0"]),
+        (
+            "--wal-block",
+            vec!["--checkpoint-dir", c, "--wal-block", "0"],
+        ),
+        ("--trials", vec!["--trials", "0"]),
+    ] {
+        let out = count(&extra);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "count {extra:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag}: invalid value '0'")),
+            "count {extra:?}: {stderr}"
+        );
+    }
+    assert!(!ckpt_dir.exists(), "count --wal-block 0 wrote a checkpoint");
+    // `--block 0` keeps its meaning: the scalar feed path, same bits.
+    let bits = |block: &str| {
+        let out = count(&["--trials", "40", "--seed", "3", "--bits", "--block", block]);
+        assert!(out.status.success(), "count --block {block}");
+        String::from_utf8_lossy(&out.stdout)
+            .split("bits=")
+            .nth(1)
+            .expect("--bits output")
+            .trim()
+            .to_string()
+    };
+    assert_eq!(bits("0"), bits("128"));
+}
+
+#[test]
 fn invalid_eps_is_refused_before_the_node_opens() {
     let dir = tmp("bad_eps");
     let updates = script(12, 40, false);
