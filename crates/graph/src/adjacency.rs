@@ -40,6 +40,24 @@ impl AdjListGraph {
         g
     }
 
+    /// Build from distinct edges whose degrees `degree[v]` are known up
+    /// front, so every list and the edge set get their exact capacity.
+    /// Neighbor lists follow the order of `edges`, as [`Self::from_edges`]
+    /// would give.
+    pub(crate) fn from_distinct_edges(degree: &[usize], edges: impl Iterator<Item = Edge>) -> Self {
+        let m = degree.iter().sum::<usize>() / 2;
+        let mut adj: Vec<Vec<VertexId>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
+        let mut edge_set = HashSet::with_capacity(m);
+        for e in edges {
+            let fresh = edge_set.insert(e.key());
+            debug_assert!(fresh, "edge {e:?} listed twice");
+            adj[e.u().index()].push(e.v());
+            adj[e.v().index()].push(e.u());
+        }
+        debug_assert_eq!(edge_set.len(), m, "degrees disagree with the edges");
+        AdjListGraph { adj, edge_set, m }
+    }
+
     /// Convenience constructor from `(u32, u32)` pairs.
     pub fn from_pairs(n: usize, pairs: impl IntoIterator<Item = (u32, u32)>) -> Self {
         Self::from_edges(n, pairs.into_iter().map(Edge::from))

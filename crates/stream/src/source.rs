@@ -70,13 +70,15 @@ impl InsertionStream {
     /// ("arbitrary order": deterministic given the seed, unknown to the
     /// algorithm).
     pub fn from_graph(g: &impl StaticGraph, order_seed: u64) -> Self {
-        let mut edges = g.edges();
+        Self::shuffled(g.num_vertices(), g.edges(), order_seed)
+    }
+
+    /// Stream `edges` in the seeded order [`Self::from_graph`] gives a
+    /// graph whose `edges()` equal them.
+    pub fn shuffled(n: usize, mut edges: Vec<Edge>, order_seed: u64) -> Self {
         let mut rng = FastRng::seed_from_u64(order_seed);
         rng.shuffle(&mut edges);
-        InsertionStream {
-            n: g.num_vertices(),
-            updates: edges.into_iter().map(EdgeUpdate::insert).collect(),
-        }
+        Self::from_edge_order(n, edges)
     }
 
     /// Stream edges in the exact order given (adversarial-order tests).

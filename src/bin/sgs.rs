@@ -163,37 +163,46 @@ fn graph_parse_error(path: &Path, msg: String) -> PersistError {
     .located(path)
 }
 
-/// Load an edge list, routing open failures and malformed lines through
-/// [`PersistError`] so every message carries the file path (and for
-/// parse errors the offending line as the offset) instead of an opaque
-/// bare string.
-fn read_graph_file(path: &Path) -> Result<AdjListGraph, PersistError> {
-    let file = std::fs::File::open(path).map_err(|e| PersistError::io(path, e))?;
-    sgs_graph::io::read_edge_list(std::io::BufReader::new(file))
-        .map_err(|msg| graph_parse_error(path, msg))
-}
-
-fn load_graph(args: &Args) -> AdjListGraph {
+/// Open the `--edges` file and parse it with `read`, routing open
+/// failures and malformed lines through [`PersistError`] so every message
+/// carries the file path (and for parse errors the offending line as the
+/// offset) instead of an opaque bare string. Exits 2 on any error.
+fn load_edges<T>(args: &Args, read: impl FnOnce(std::fs::File) -> Result<T, String>) -> T {
     let Some(path) = args.get("edges") else {
         eprintln!("error: --edges FILE is required");
         exit(2);
     };
-    match read_graph_file(Path::new(path)) {
-        Ok(g) => g,
-        Err(e) => fail_persist(e),
-    }
+    let path = Path::new(path);
+    let file =
+        std::fs::File::open(path).unwrap_or_else(|e| fail_persist(PersistError::io(path, e)));
+    read(file).unwrap_or_else(|msg| fail_persist(graph_parse_error(path, msg)))
+}
+
+fn load_graph(args: &Args) -> AdjListGraph {
+    load_edges(args, |file| {
+        sgs_graph::io::read_edge_list(std::io::BufReader::new(file))
+    })
 }
 
 /// Where a `count` run's stream comes from.
 ///
-/// `--edges FILE` shuffles a static graph into a stream (seeded with
-/// `seed ^ 0x77`, the historical CLI behavior). `--updates FILE` replays
-/// a raw update sequence (`u v ±1` per line) in file order — the exact
-/// order a serve node ingests, so a batch run over the same file is
-/// byte-comparable to the live node's answers.
+/// `--edges FILE` shuffles the file's distinct edges into a stream
+/// (seeded with `seed ^ 0x77`, the historical CLI behavior); no
+/// adjacency graph is built for it. `--updates FILE` replays a raw update
+/// sequence (`u v ±1` per line) in file order — the exact order a serve
+/// node ingests, so a batch run over the same file is byte-comparable to
+/// the live node's answers.
 enum SourceSpec {
-    Graph(AdjListGraph),
-    Updates { n: usize, updates: Vec<EdgeUpdate> },
+    /// `n` and the distinct edges in `sgs_graph::io::read_edges` order,
+    /// which is the `edges()` order of the graph `read_edge_list` builds.
+    Graph {
+        n: usize,
+        edges: Vec<Edge>,
+    },
+    Updates {
+        n: usize,
+        updates: Vec<EdgeUpdate>,
+    },
 }
 
 impl SourceSpec {
@@ -201,42 +210,40 @@ impl SourceSpec {
     /// (inserts minus deletes) for an update log, `m` for a graph.
     fn live_edges(&self) -> usize {
         match self {
-            SourceSpec::Graph(g) => g.num_edges(),
+            SourceSpec::Graph { edges, .. } => edges.len(),
             SourceSpec::Updates { updates, .. } => {
                 updates.iter().map(|u| u.delta as i64).sum::<i64>().max(0) as usize
             }
         }
     }
 
-    fn has_deletions(&self) -> bool {
+    fn insertion_stream(self, seed: u64) -> InsertionStream {
         match self {
-            SourceSpec::Graph(_) => false,
-            SourceSpec::Updates { updates, .. } => updates.iter().any(|u| u.delta < 0),
-        }
-    }
-
-    fn insertion_stream(&self, seed: u64) -> InsertionStream {
-        match self {
-            SourceSpec::Graph(g) => InsertionStream::from_graph(g, seed ^ 0x77),
+            SourceSpec::Graph { n, edges } => InsertionStream::shuffled(n, edges, seed ^ 0x77),
             SourceSpec::Updates { n, updates } => {
-                if self.has_deletions() {
+                if updates.iter().any(|u| u.delta < 0) {
                     eprintln!(
                         "error: --updates file contains deletions; insertion-model runs \
                          need --turnstile"
                     );
                     exit(2);
                 }
-                InsertionStream::from_edge_order(*n, updates.iter().map(|u| u.edge).collect())
+                InsertionStream::from_edge_order(n, updates.into_iter().map(|u| u.edge).collect())
             }
         }
     }
 
-    fn turnstile_stream(&self, seed: u64) -> TurnstileStream {
+    fn turnstile_stream(self, seed: u64) -> TurnstileStream {
         match self {
-            SourceSpec::Graph(g) => TurnstileStream::from_graph_with_churn(g, 1.0, seed ^ 0x77),
-            SourceSpec::Updates { n, updates } => {
-                TurnstileStream::from_updates(*n, updates.clone())
-            }
+            // The churn sampler needs `has_edge`, so this builds a graph.
+            // Its `edges()` list `edges` in order, as the graph
+            // `read_edge_list` builds would, so the stream is unchanged.
+            SourceSpec::Graph { n, edges } => TurnstileStream::from_graph_with_churn(
+                &AdjListGraph::from_edges(n, edges),
+                1.0,
+                seed ^ 0x77,
+            ),
+            SourceSpec::Updates { n, updates } => TurnstileStream::from_updates(n, updates),
         }
     }
 }
@@ -301,7 +308,10 @@ fn load_source(args: &Args) -> SourceSpec {
             Ok((n, updates)) => SourceSpec::Updates { n, updates },
             Err(e) => fail_persist(e),
         },
-        (None, _) => SourceSpec::Graph(load_graph(args)),
+        (None, _) => {
+            let (n, edges) = load_edges(args, sgs_graph::io::read_edges);
+            SourceSpec::Graph { n, edges }
+        }
     }
 }
 

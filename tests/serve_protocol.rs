@@ -477,6 +477,117 @@ fn zero_size_flags_are_refused_before_the_node_opens() {
     assert_eq!(bits("0"), bits("128"));
 }
 
+/// `sgs count --edges` through the binary: a dirty copy of a clean edge
+/// list (header comments, blank lines, CRLF endings, reversed duplicates
+/// with a trailing weight, self-loops) holds the same edges in the same
+/// first-appearance order, so every shape prints the clean file's bits.
+/// A malformed line and ids too sparse for the edge count exit 2 naming
+/// the line, from `count` and `info` alike.
+#[test]
+fn dirty_edge_lists_count_like_clean_ones_and_bad_ones_exit_2() {
+    let dir = tmp("edge_lists");
+    let edges: Vec<(u32, u32)> = script(30, 160, false)
+        .into_iter()
+        .map(|(u, v, _)| (u, v))
+        .collect();
+    let clean_file = dir.join("clean.txt");
+    let mut clean = String::new();
+    for &(u, v) in &edges {
+        clean.push_str(&format!("{u} {v}\n"));
+    }
+    std::fs::write(&clean_file, &clean).unwrap();
+    let dirty_file = dir.join("dirty.txt");
+    let mut dirty = String::from("# SNAP-style header\r\n% 160 edges\r\n\r\n");
+    for (i, &(u, v)) in edges.iter().enumerate() {
+        dirty.push_str(&format!("{u}\t{v}\r\n"));
+        if i % 3 == 0 {
+            dirty.push_str(&format!("{v} {u} 1.5\r\n"));
+        }
+        if i % 5 == 0 {
+            // 999 would raise n if a self-loop counted toward it.
+            dirty.push_str(&format!("{u} {u}\r\n  \r\n999 999\r\n"));
+        }
+    }
+    std::fs::write(&dirty_file, &dirty).unwrap();
+    let queries = dir.join("queries.txt");
+    std::fs::write(&queries, "triangle trials=300\nC4 trials=200 relaxed\n").unwrap();
+    let q = queries.to_str().unwrap();
+
+    let bits = |file: &Path, shape: &[&str]| {
+        let out = Command::new(BIN)
+            .arg("count")
+            .arg("--edges")
+            .arg(file)
+            .args(["--bits", "--seed", "5"])
+            .args(shape)
+            .output()
+            .expect("run sgs count");
+        assert!(
+            out.status.success(),
+            "count {shape:?} on {}: {}",
+            file.display(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        let all: Vec<u64> = stdout
+            .lines()
+            .filter(|l| l.contains("bits="))
+            .map(bits_of)
+            .collect();
+        assert!(!all.is_empty(), "no bits in: {stdout}");
+        all
+    };
+    for shape in [
+        &["--pattern", "triangle", "--trials", "2000"][..],
+        &["--pattern", "triangle", "--trials", "2000", "--shards", "2"],
+        &["--queries", q, "--shards", "2"],
+        &["--pattern", "triangle", "--trials", "300", "--turnstile"],
+    ] {
+        assert_eq!(
+            bits(&dirty_file, shape),
+            bits(&clean_file, shape),
+            "{shape:?}"
+        );
+    }
+
+    let bad_file = dir.join("bad.txt");
+    std::fs::write(&bad_file, format!("{clean}3 x\n")).unwrap();
+    let sparse = dir.join("sparse.txt");
+    std::fs::write(&sparse, "0 300000000\n").unwrap();
+    let widest = dir.join("widest.txt");
+    std::fs::write(&widest, "0 4294967295\n").unwrap();
+    let bad_line = format!("line {}: bad target", edges.len() + 1);
+    for (file, want) in [
+        (&bad_file, bad_line.as_str()),
+        (
+            &sparse,
+            "line 1: vertex id 300000000 is too sparse for 1 edge",
+        ),
+        (
+            &widest,
+            "line 1: vertex id 4294967295 is too sparse for 1 edge",
+        ),
+    ] {
+        for cmd in ["count", "info"] {
+            let out = Command::new(BIN)
+                .arg(cmd)
+                .arg("--edges")
+                .arg(file)
+                .args(["--pattern", "triangle"])
+                .output()
+                .expect("run sgs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{cmd} {}: {stderr}",
+                file.display()
+            );
+            assert!(stderr.contains(want), "{cmd} {}: {stderr}", file.display());
+        }
+    }
+}
+
 #[test]
 fn invalid_eps_is_refused_before_the_node_opens() {
     let dir = tmp("bad_eps");
