@@ -145,6 +145,49 @@ pub fn practical_trials(m: usize, rho: Rho, epsilon: f64, lower_bound: f64) -> u
     (k.ceil() as usize).max(1)
 }
 
+/// Peak resident bytes one insertion-model trial costs: the sampler, its
+/// queries and answers, and its share of the pass state. Measured with
+/// `sgs count --pattern triangle --shards 2` on a 1M-edge stream over
+/// 50k vertices: 459.5 MB peak RSS at 300k trials against 78.7 MB at
+/// one trial, (459.5 − 78.7) MiB / 300k ≈ 1,331 B.
+pub const INSERTION_TRIAL_BYTES: u64 = 1_331;
+
+/// Peak resident bytes one turnstile-model trial costs, dominated by its
+/// `f1` ℓ₀-sampler (whose size grows with `log n`, so larger graphs cost
+/// more). Measured with `sgs count --pattern triangle --turnstile
+/// --shards 1` on gnm(200, 8000): 401.3 MB peak RSS at 30k trials
+/// against 13.8 MB at one trial, (401.3 − 13.8) MiB / 30k ≈ 13,544 B.
+pub const TURNSTILE_TRIAL_BYTES: u64 = 13_544;
+
+/// Admit `trials` concurrently resident trials before anything is
+/// allocated: their estimated footprint (`trials` times the model's
+/// per-trial bytes, in checked arithmetic) must fit in `available`
+/// bytes. `available` is the host's free memory
+/// (`sgs_query::available_memory()`); with `None` only an overflowing
+/// product refuses. Returns the estimated bytes, or the reason for
+/// refusing, which names the trial count.
+pub fn admit_trials(trials: u64, turnstile: bool, available: Option<u64>) -> Result<u64, String> {
+    let per_trial = if turnstile {
+        TURNSTILE_TRIAL_BYTES
+    } else {
+        INSERTION_TRIAL_BYTES
+    };
+    let Some(bytes) = trials.checked_mul(per_trial) else {
+        return Err(format!(
+            "{trials} trials: the memory estimate overflows ({per_trial} bytes per trial)"
+        ));
+    };
+    match available {
+        Some(avail) if bytes > avail => Err(format!(
+            "{trials} trials need about {} MB ({per_trial} bytes per trial), more than the {} MB \
+             of memory available",
+            bytes / 1_000_000,
+            avail / 1_000_000
+        )),
+        _ => Ok(bytes),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +259,28 @@ mod tests {
         let p2 = practical_trials(1000, rho, 0.1, 100.0);
         let ratio = p2 as f64 / p as f64;
         assert!((2.6..3.1).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn trial_admission_multiplies_and_compares_with_the_budget() {
+        let budget = Some(INSERTION_TRIAL_BYTES * 1_000);
+        assert_eq!(
+            admit_trials(1_000, false, budget),
+            budget.ok_or(String::new())
+        );
+        let err = admit_trials(1_001, false, budget).unwrap_err();
+        assert!(err.contains("1001 trials"), "{err}");
+        let budget = Some(TURNSTILE_TRIAL_BYTES * 100);
+        assert_eq!(admit_trials(100, true, budget), budget.ok_or(String::new()));
+        assert!(admit_trials(101, true, budget).is_err());
+        // Without a budget only overflow refuses.
+        let big = 1u64 << 40;
+        assert_eq!(
+            admit_trials(big, true, None),
+            Ok(big * TURNSTILE_TRIAL_BYTES)
+        );
+        let err = admit_trials(u64::MAX, false, None).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

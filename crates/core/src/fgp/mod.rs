@@ -27,8 +27,8 @@ pub use broadcast_exec::{
 };
 pub use checkpoint_exec::{estimate_insertion_checkpointed, estimate_turnstile_checkpointed};
 pub use counter::{
-    estimate_insertion, estimate_oracle, estimate_turnstile, practical_trials, theory_trials,
-    CountEstimate,
+    admit_trials, estimate_insertion, estimate_oracle, estimate_turnstile, practical_trials,
+    theory_trials, CountEstimate, INSERTION_TRIAL_BYTES, TURNSTILE_TRIAL_BYTES,
 };
 pub use multi_exec::{
     estimate_multi_insertion, estimate_multi_insertion_broadcast, estimate_multi_turnstile,

@@ -9,9 +9,9 @@
 //! [`crate::fgp::parallel_exec::estimate_insertion_on_feed_with_exec`]
 //! run with the same spec over the same feed — the broadcast engine's
 //! equivalence to the sharded engine is the load-bearing invariant
-//! (`tests/broadcast_equivalence.rs`), and the runtime dispatch is the
-//! same `insertion_pass`/`turnstile_pass` the internally-pooled path
-//! takes.
+//! (`tests/broadcast_equivalence.rs`), and the runtime runs the same
+//! one-job plan through the same shard machines as the internally-pooled
+//! path.
 
 use crate::fgp::counter::{build_parallel, CountEstimate};
 use crate::fgp::plan::SamplerPlan;

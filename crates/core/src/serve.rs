@@ -31,15 +31,16 @@
 //! so a later `sgs serve` (or `sgs recover`) resumes from the directory.
 
 use crate::fgp::{
-    estimate_insertion_on_runtime, estimate_multi_insertion, estimate_multi_turnstile,
-    estimate_turnstile_on_runtime, practical_trials, CountEstimate, MultiQuerySpec, SamplerPlan,
+    admit_trials, estimate_insertion_on_runtime, estimate_multi_insertion,
+    estimate_multi_turnstile, estimate_turnstile_on_runtime, practical_trials, CountEstimate,
+    MultiQuerySpec, SamplerPlan,
 };
 use crate::SamplerMode;
 use sgs_graph::zoo::parse_pattern;
 use sgs_graph::Pattern;
 use sgs_query::{
-    BroadcastOpts, ExecPolicy, PassOpts, ReservoirMode, RouterArena, ServeError, ServeSnapshot,
-    ServerNode,
+    available_memory, BroadcastOpts, ExecPolicy, PassOpts, ReservoirMode, RouterArena, ServeError,
+    ServeSnapshot, ServerNode,
 };
 use sgs_stream::persist::PersistResult;
 use std::io::{BufRead, BufReader, Write};
@@ -300,6 +301,12 @@ fn answer_group(
         } else {
             spec.trials
         };
+        // Refuse a trial count the host cannot hold before anything is
+        // allocated; the node keeps serving.
+        if let Err(e) = admit_trials(trials as u64, turnstile, available_memory()) {
+            let _ = jobs[k].1.send(format!("ERR {e}"));
+            continue;
+        }
         let sampler = if turnstile || spec.relaxed {
             SamplerMode::Relaxed
         } else {
@@ -405,16 +412,14 @@ fn answer_counts(
 fn stat_reply(node: &ServerNode) -> String {
     let s = node.stats();
     format!(
-        "OK updates={} blocks={} pending={} vertices={} edges={} deletions={} ring_produced={} \
-         ring_consumed={} served={} snapshots={} shards={}",
+        "OK updates={} blocks={} pending={} vertices={} edges={} deletions={} served={} \
+         snapshots={} shards={}",
         s.updates,
         s.blocks,
         s.pending,
         s.num_vertices,
         s.edges,
         s.deletions,
-        s.ring_produced,
-        s.ring_consumed,
         s.served,
         s.snapshots,
         s.shards,

@@ -1,12 +1,15 @@
 //! Broadcast pass execution: one ingest feeds every consumer at once.
 //!
-//! The sharded executors in [`crate::sharded`] give each shard worker a
-//! private replay of its buffer. This module routes the same per-shard
-//! pass state machines ([`InsertionShardPass`] / [`TurnstileShardPass`])
-//! through a bounded [`Broadcast`] ring instead: **one producer** pushes
-//! the feed's routed buffer in blocks, and every consumer — the N shard
-//! routers *plus* any number of side consumers (baselines, exact
-//! oracles, pass counters) — walks the blocks through its own cursor.
+//! The scoped-thread engine in [`crate::sharded`] gives each shard
+//! machine a private replay of its buffer. This module routes the same
+//! shard machines ([`crate::sharded::PassMachine`]) through a bounded
+//! [`Broadcast`] ring instead: **one producer** pushes the feed's routed
+//! buffer in blocks, and every consumer — the N shard machines *plus*
+//! any number of side consumers (baselines, exact oracles, pass
+//! counters) — walks the blocks through its own cursor. [`run_ring`]
+//! is the one scoped ring driver; solo runs and multiplexed runs both
+//! use it, and the persistent [`crate::runtime::ShardRuntime`] feeds its
+//! workers the same way.
 //!
 //! **Equivalence.** A shard consumer reconstructs exactly its scoped
 //! buffer from the ring: every [`RoutedUpdate`] carries the owner/other
@@ -16,8 +19,8 @@
 //! with zero hash recomputes at the cursor. Delivery chunking differs
 //! (ring blocks vs one big slice) but chunk boundaries never change an
 //! answer, so broadcast answers are **byte-identical** to the sharded
-//! (and therefore single-stream, and therefore frozen-reference) answers
-//! for every seed, shard count, feed block size, and reservoir mode —
+//! (and therefore frozen-reference) answers for every seed, shard
+//! count, feed block size, and reservoir mode —
 //! `tests/broadcast_equivalence.rs` pins all of it.
 //!
 //! **Pass accounting.** One broadcast session is one logical pass on the
@@ -32,26 +35,30 @@
 //! otherwise a deterministic cooperative round-robin drives the same
 //! ring through the try-APIs. The round-loop executors
 //! ([`run_insertion_broadcast_with_opts`] and its turnstile sibling)
-//! additionally keep a persistent [`crate::runtime::ShardRuntime`] pool
-//! under the threaded policy, feeding the *same* workers pass after
-//! pass instead of respawning scoped threads per round. All schedules
-//! produce identical answers — every consumer sees the whole stream in
-//! order either way.
+//! are one-job [`QuerySet`] runs that keep a persistent
+//! [`ShardRuntime`] pool under the threaded policy, feeding the *same*
+//! workers pass after pass instead of respawning scoped threads per
+//! round. All schedules produce identical answers — every consumer sees
+//! the whole stream in order either way.
 
 use crate::accounting::ExecReport;
 use crate::arena::{RouterArena, ShardSlot};
-use crate::exec::{PassOpts, ANSWER_BYTES};
+use crate::exec::PassOpts;
+use crate::multiplex::{Engine, QuerySet, StallEvent};
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
 use crate::router::RouterMode;
-use crate::sharded::{
-    draw_targets, merge_answers, split_batch, InsertionShardPass, ShardOutcome, TurnstileShardPass,
-};
+use crate::runtime::ShardRuntime;
+use crate::sharded::{solo_pass, PassEngine, PassMachine, PassSetup, ShardOutcome};
 use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
-use sgs_stream::hash::split_seed;
 use sgs_stream::sharded::{RoutedUpdate, ShardUpdate, ShardedFeed};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Producer stalls longer than this are recorded as [`StallEvent`]s on
+/// the scoped ring — long enough to ignore scheduler jitter, short
+/// enough to catch a consumer that is actually wedged.
+const STALL_THRESHOLD: Duration = Duration::from_millis(10);
 
 /// A side consumer of one broadcast pass: fed every ring block (the
 /// whole routed stream, in order), independent of shard routing. The
@@ -103,65 +110,32 @@ pub(crate) fn filter_block(block: &[RoutedUpdate], sid: usize, scratch: &mut Vec
     }
 }
 
-/// The shard-pass operations the generic ring driver needs; both
-/// model-specific state machines expose exactly this surface.
-trait RingPass: Send {
-    fn feed(&mut self, deliveries: &[ShardUpdate]);
-    fn record_pass_nanos(&mut self, nanos: u64);
-    fn finish(self) -> ShardOutcome
-    where
-        Self: Sized;
-}
-
-impl RingPass for InsertionShardPass<'_> {
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        InsertionShardPass::feed(self, deliveries);
-    }
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        InsertionShardPass::record_pass_nanos(self, nanos);
-    }
-    fn finish(self) -> ShardOutcome {
-        InsertionShardPass::finish(self)
-    }
-}
-
-impl RingPass for TurnstileShardPass<'_> {
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        TurnstileShardPass::feed(self, deliveries);
-    }
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        TurnstileShardPass::record_pass_nanos(self, nanos);
-    }
-    fn finish(self) -> ShardOutcome {
-        TurnstileShardPass::finish(self)
-    }
-}
-
-/// Drive one broadcast pass: producer + per-shard pass machines + side
-/// sinks over one ring — threaded (blocking API, scoped threads) or
-/// cooperative (try-API round-robin on this thread). Identical answers
-/// either way; shard order is preserved in the returned outcomes.
+/// Drive one pass over one scoped broadcast ring: producer + one shard
+/// machine per slot + side sinks — threaded (blocking API, scoped
+/// threads) or cooperative (try-API round-robin on this thread).
+/// Identical answers either way; shard order is preserved in the
+/// returned outcomes. Producer stalls past [`STALL_THRESHOLD`] are
+/// appended to `stalls` (solo callers ignore them).
 ///
-/// Per-shard feed durations land in the arena slots just like the
-/// scoped-thread path records them (so `RouterArena::shard_pass_nanos`
-/// keeps working on the serving path), with one caveat: under the
-/// threaded schedule a shard's figure is its drain wall time (ring
-/// waits included), under the cooperative schedule only its own
-/// processing segments.
-fn drive_ring<P: RingPass>(
+/// Each outcome carries its shard's feed time: under the threaded
+/// schedule its drain wall time (ring waits included), under the
+/// cooperative schedule only its own processing segments.
+pub(crate) fn run_ring(
     feed: &ShardedFeed,
-    passes: Vec<P>,
+    slots: &mut [ShardSlot],
+    setup: &PassSetup,
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
+    stalls: &mut Vec<StallEvent>,
 ) -> Vec<ShardOutcome> {
-    let shards = passes.len();
-    let ring = Broadcast::new(bcast.ring_capacity);
+    let shards = slots.len();
+    let ring = Broadcast::with_stall_threshold(bcast.ring_capacity, STALL_THRESHOLD);
     let shard_consumers: Vec<BroadcastConsumer> = (0..shards).map(|_| ring.subscribe()).collect();
     let side_consumers: Vec<BroadcastConsumer> = side.iter().map(|_| ring.subscribe()).collect();
     let producer = RoutedProducer::new(feed, bcast.ring_block);
     // The producer is one extra party, so thread policy is decided by
     // the consumer count (>= 2 parties always; the injected policy rules).
-    if bcast.policy.use_threads((shards + side.len()).max(2)) {
+    let outcomes = if bcast.policy.use_threads((shards + side.len()).max(2)) {
         let ring = &ring;
         std::thread::scope(|scope| {
             scope.spawn(move || producer.run(ring));
@@ -176,20 +150,20 @@ fn drive_ring<P: RingPass>(
                     })
                 })
                 .collect();
-            let shard_handles: Vec<_> = passes
-                .into_iter()
+            let shard_handles: Vec<_> = slots
+                .iter_mut()
                 .zip(shard_consumers)
                 .enumerate()
-                .map(|(sid, (mut pass, consumer))| {
+                .map(|(sid, (slot, consumer))| {
                     scope.spawn(move || {
+                        let mut pass = PassMachine::new(slot, setup);
                         let t0 = Instant::now();
                         let mut scratch: Vec<ShardUpdate> = Vec::new();
                         for block in consumer {
                             filter_block(&block, sid, &mut scratch);
                             pass.feed(&scratch);
                         }
-                        pass.record_pass_nanos(t0.elapsed().as_nanos() as u64);
-                        pass.finish()
+                        pass.finish(t0.elapsed().as_nanos() as u64)
                     })
                 })
                 .collect();
@@ -203,10 +177,10 @@ fn drive_ring<P: RingPass>(
         })
     } else {
         let mut producer = producer;
-        let mut workers: Vec<(P, BroadcastConsumer, bool, u64)> = passes
-            .into_iter()
+        let mut workers: Vec<(PassMachine<'_>, BroadcastConsumer, bool, u64)> = slots
+            .iter_mut()
             .zip(shard_consumers)
-            .map(|(p, c)| (p, c, false, 0u64))
+            .map(|(slot, c)| (PassMachine::new(slot, setup), c, false, 0u64))
             .collect();
         let mut side_workers: Vec<(&mut SideSink<'_>, BroadcastConsumer, bool)> = side
             .iter_mut()
@@ -248,48 +222,11 @@ fn drive_ring<P: RingPass>(
         }
         workers
             .into_iter()
-            .map(|(mut p, _, _, nanos)| {
-                p.record_pass_nanos(nanos);
-                p.finish()
-            })
+            .map(|(p, _, _, nanos)| p.finish(nanos))
             .collect()
-    }
-}
-
-/// One insertion-model broadcast pass through [`drive_ring`].
-fn run_insertion_broadcast_pass(
-    feed: &ShardedFeed,
-    slots: &mut [ShardSlot],
-    targets: &[(u64, u32)],
-    pass_seed: u64,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-) -> Vec<ShardOutcome> {
-    let passes: Vec<InsertionShardPass<'_>> = slots
-        .iter_mut()
-        .map(|slot| InsertionShardPass::new(slot, targets, pass_seed, opts))
-        .collect();
-    drive_ring(feed, passes, bcast, side)
-}
-
-/// One turnstile-model broadcast pass through [`drive_ring`].
-fn run_turnstile_broadcast_pass(
-    feed: &ShardedFeed,
-    slots: &mut [ShardSlot],
-    f1_slots: &[u32],
-    pass_seed: u64,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-) -> Vec<ShardOutcome> {
-    let n = feed.num_vertices();
-    let bank_threads = bcast.policy.bank_threads(slots.len());
-    let passes: Vec<TurnstileShardPass<'_>> = slots
-        .iter_mut()
-        .map(|slot| TurnstileShardPass::new(slot, n, f1_slots, pass_seed, opts, bank_threads))
-        .collect();
-    drive_ring(feed, passes, bcast, side)
+    };
+    stalls.extend(ring.stall_events());
+    outcomes
 }
 
 /// Answer one round's batch with one **broadcast** insertion-only pass:
@@ -325,19 +262,21 @@ pub fn answer_insertion_batch_broadcast_with_opts(
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
 ) -> (Vec<Answer>, usize) {
-    let shards = feed.num_shards();
-    split_batch(batch, RouterMode::Insertion, feed.shard_map(), arena);
-    let mut targets = std::mem::take(&mut arena.scratch_targets);
-    draw_targets(batch, feed.stream_len() as u64, pass_seed, &mut targets);
-    let outcomes = {
-        let slots = &mut arena.slots[..shards];
-        let targets = &targets;
-        run_insertion_broadcast_pass(feed, slots, targets, pass_seed, opts, bcast, side)
+    let stalls = &mut Vec::new();
+    let engine = PassEngine::Ring {
+        bcast,
+        side,
+        stalls,
     };
-    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>() + targets.len() * 16;
-    arena.scratch_targets = targets;
-    let answers = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-    (answers, space)
+    solo_pass(
+        RouterMode::Insertion,
+        batch,
+        feed,
+        pass_seed,
+        arena,
+        opts,
+        engine,
+    )
 }
 
 /// Answer one round's batch with one **broadcast** turnstile pass.
@@ -370,28 +309,21 @@ pub fn answer_turnstile_batch_broadcast_with_opts(
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
 ) -> (Vec<Answer>, usize) {
-    let shards = feed.num_shards();
-    split_batch(batch, RouterMode::Turnstile, feed.shard_map(), arena);
-    let f1_slots = std::mem::take(&mut arena.scratch_edge);
-    let mut outcomes = {
-        let slots = &mut arena.slots[..shards];
-        run_turnstile_broadcast_pass(feed, slots, &f1_slots, pass_seed, opts, bcast, side)
+    let stalls = &mut Vec::new();
+    let engine = PassEngine::Ring {
+        bcast,
+        side,
+        stalls,
     };
-    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
-    // Merge the per-shard f1 banks into shard 0's (linear sketches):
-    // the result is the exact single-stream sketch state.
-    let (head, rest) = outcomes.split_at_mut(1);
-    for o in rest.iter() {
-        for (a, b) in head[0].f1_bank.iter_mut().zip(&o.f1_bank) {
-            a.merge(b);
-        }
-    }
-    let mut answers = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-    for (&slot, s) in f1_slots.iter().zip(&outcomes[0].f1_bank) {
-        answers[slot as usize] = Answer::Edge(s.sample().map(sgs_graph::Edge::from_key));
-    }
-    arena.scratch_edge = f1_slots;
-    (answers, space)
+    solo_pass(
+        RouterMode::Turnstile,
+        batch,
+        feed,
+        pass_seed,
+        arena,
+        opts,
+        engine,
+    )
 }
 
 /// Execute a round-adaptive algorithm over broadcast passes: one ring
@@ -417,7 +349,9 @@ pub fn run_insertion_broadcast<A: RoundAdaptive>(
 }
 
 /// [`run_insertion_broadcast`] with explicit feed-path options and ring
-/// geometry.
+/// geometry. Under a threaded policy the run stands up one persistent
+/// [`ShardRuntime`] and feeds it every round — no per-pass thread
+/// spawns on the hot path.
 pub fn run_insertion_broadcast_with_opts<A: RoundAdaptive>(
     alg: A,
     feed: &ShardedFeed,
@@ -427,22 +361,24 @@ pub fn run_insertion_broadcast_with_opts<A: RoundAdaptive>(
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
 ) -> (A::Output, ExecReport) {
-    let shards = feed.num_shards();
-    // Threaded policy: stand up the persistent worker pool once and
-    // feed it every round — no per-pass thread spawns on the hot path.
-    let mut runtime = bcast
-        .policy
-        .use_threads((shards + side.len()).max(2))
-        .then(|| crate::runtime::ShardRuntime::new(shards, bcast.policy));
-    run_insertion_rounds(alg, feed, seed, arena, opts, bcast, side, runtime.as_mut())
+    run_solo(
+        RouterMode::Insertion,
+        alg,
+        feed,
+        seed,
+        arena,
+        opts,
+        bcast,
+        side,
+        None,
+    )
 }
 
 /// [`run_insertion_broadcast_with_opts`] on a caller-owned persistent
 /// [`ShardRuntime`] — the serving path, where one long-lived worker
 /// pool answers every query instead of standing up threads per run.
-/// Byte-identical to the internally-pooled run: both dispatch the same
-/// `insertion_pass` per round. The runtime's shard count must match
-/// the feed's.
+/// Byte-identical to the internally-pooled run. The runtime's shard
+/// count must match the feed's.
 #[allow(clippy::too_many_arguments)]
 pub fn run_insertion_broadcast_on_runtime<A: RoundAdaptive>(
     alg: A,
@@ -452,53 +388,20 @@ pub fn run_insertion_broadcast_on_runtime<A: RoundAdaptive>(
     opts: PassOpts,
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
-    runtime: &mut crate::runtime::ShardRuntime,
+    runtime: &mut ShardRuntime,
 ) -> (A::Output, ExecReport) {
-    assert_eq!(
-        runtime.shards(),
-        feed.num_shards(),
-        "runtime pool and feed must agree on the shard count"
-    );
-    run_insertion_rounds(alg, feed, seed, arena, opts, bcast, side, Some(runtime))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_insertion_rounds<A: RoundAdaptive>(
-    mut alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-    mut runtime: Option<&mut crate::runtime::ShardRuntime>,
-) -> (A::Output, ExecReport) {
-    let mut report = ExecReport::default();
-    arena.begin_run();
-    let mut answers: Vec<Answer> = Vec::new();
-    loop {
-        let batch = alg.next_round(&answers);
-        if batch.is_empty() {
-            break;
-        }
-        report.rounds += 1;
-        report.passes += 1;
-        report.queries += batch.len();
-        report.answer_bytes += batch.len() * ANSWER_BYTES;
-        let pass_seed = split_seed(seed, report.passes as u64);
-        let side_now: &mut [SideSink<'_>] = if report.passes == 1 { side } else { &mut [] };
-        let (a, space) = match runtime.as_deref_mut() {
-            Some(rt) => rt.insertion_pass(&batch, feed, pass_seed, arena, opts, bcast, side_now),
-            None => answer_insertion_batch_broadcast_with_opts(
-                &batch, feed, pass_seed, arena, opts, bcast, side_now,
-            ),
-        };
-        report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
-        answers = a;
-        arena.note_round();
-    }
-    arena.end_run();
-    (alg.output(), report)
+    let rt = Some(runtime);
+    run_solo(
+        RouterMode::Insertion,
+        alg,
+        feed,
+        seed,
+        arena,
+        opts,
+        bcast,
+        side,
+        rt,
+    )
 }
 
 /// Turnstile sibling of [`run_insertion_broadcast`].
@@ -520,8 +423,7 @@ pub fn run_turnstile_broadcast<A: RoundAdaptive>(
     )
 }
 
-/// [`run_turnstile_broadcast`] with explicit feed-path options and ring
-/// geometry.
+/// Turnstile sibling of [`run_insertion_broadcast_with_opts`].
 pub fn run_turnstile_broadcast_with_opts<A: RoundAdaptive>(
     alg: A,
     feed: &ShardedFeed,
@@ -531,13 +433,17 @@ pub fn run_turnstile_broadcast_with_opts<A: RoundAdaptive>(
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
 ) -> (A::Output, ExecReport) {
-    let shards = feed.num_shards();
-    // See run_insertion_broadcast_with_opts: one persistent pool per run.
-    let mut runtime = bcast
-        .policy
-        .use_threads((shards + side.len()).max(2))
-        .then(|| crate::runtime::ShardRuntime::new(shards, bcast.policy));
-    run_turnstile_rounds(alg, feed, seed, arena, opts, bcast, side, runtime.as_mut())
+    run_solo(
+        RouterMode::Turnstile,
+        alg,
+        feed,
+        seed,
+        arena,
+        opts,
+        bcast,
+        side,
+        None,
+    )
 }
 
 /// Turnstile sibling of [`run_insertion_broadcast_on_runtime`].
@@ -550,53 +456,54 @@ pub fn run_turnstile_broadcast_on_runtime<A: RoundAdaptive>(
     opts: PassOpts,
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
-    runtime: &mut crate::runtime::ShardRuntime,
+    runtime: &mut ShardRuntime,
 ) -> (A::Output, ExecReport) {
-    assert_eq!(
-        runtime.shards(),
-        feed.num_shards(),
-        "runtime pool and feed must agree on the shard count"
-    );
-    run_turnstile_rounds(alg, feed, seed, arena, opts, bcast, side, Some(runtime))
+    let rt = Some(runtime);
+    run_solo(
+        RouterMode::Turnstile,
+        alg,
+        feed,
+        seed,
+        arena,
+        opts,
+        bcast,
+        side,
+        rt,
+    )
 }
 
+/// A solo broadcast run as a one-job [`QuerySet`] run: on `runtime` when
+/// given, else on a run-private runtime under a threaded policy, else on
+/// the cooperative scoped ring.
 #[allow(clippy::too_many_arguments)]
-fn run_turnstile_rounds<A: RoundAdaptive>(
-    mut alg: A,
+fn run_solo<A: RoundAdaptive>(
+    model: RouterMode,
+    alg: A,
     feed: &ShardedFeed,
     seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
-    mut runtime: Option<&mut crate::runtime::ShardRuntime>,
+    runtime: Option<&mut ShardRuntime>,
 ) -> (A::Output, ExecReport) {
-    let mut report = ExecReport::default();
-    arena.begin_run();
-    let mut answers: Vec<Answer> = Vec::new();
-    loop {
-        let batch = alg.next_round(&answers);
-        if batch.is_empty() {
-            break;
+    let shards = feed.num_shards();
+    let mut own = (runtime.is_none() && bcast.policy.use_threads((shards + side.len()).max(2)))
+        .then(|| ShardRuntime::new(shards, bcast.policy));
+    let engine = match runtime.or(own.as_mut()) {
+        Some(rt) => {
+            assert_eq!(
+                rt.shards(),
+                shards,
+                "runtime pool and feed must agree on the shard count"
+            );
+            Engine::Runtime(rt, bcast)
         }
-        report.rounds += 1;
-        report.passes += 1;
-        report.queries += batch.len();
-        report.answer_bytes += batch.len() * ANSWER_BYTES;
-        let pass_seed = split_seed(seed, report.passes as u64);
-        let side_now: &mut [SideSink<'_>] = if report.passes == 1 { side } else { &mut [] };
-        let (a, space) = match runtime.as_deref_mut() {
-            Some(rt) => rt.turnstile_pass(&batch, feed, pass_seed, arena, opts, bcast, side_now),
-            None => answer_turnstile_batch_broadcast_with_opts(
-                &batch, feed, pass_seed, arena, opts, bcast, side_now,
-            ),
-        };
-        report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
-        answers = a;
-        arena.note_round();
-    }
-    arena.end_run();
-    (alg.output(), report)
+        None => Engine::Ring(bcast),
+    };
+    QuerySet::solo(alg, seed, opts)
+        .run_with(feed, arena, opts, model, engine, side)
+        .into_solo()
 }
 
 #[cfg(test)]

@@ -16,6 +16,15 @@
 //!   position hits, ℓ₀ planes) at a delivery-block boundary of the
 //!   in-flight pass.
 //!
+//! The driver runs the same shard machines ([`crate::sharded::PassMachine`])
+//! through the same split → machines → merge step as every other engine,
+//! each round a one-job plan; only its delivery loop is its own — it walks
+//! the routed stream one WAL block at a time, so it can snapshot and stop
+//! between blocks. A pass machine's snapshot is its router feed state plus
+//! its banks: for an insertion machine the `f1` cursor and hits and one
+//! reservoir-bank blob per plan participant, for a turnstile machine its
+//! `f1` and neighbour ℓ₀ banks.
+//!
 //! Chunk boundaries never change an answer (the block-equivalence
 //! property the broadcast ring relies on), so snapshotting *between*
 //! blocks is answer-neutral: restore + resume is **byte-identical** to
@@ -34,13 +43,12 @@
 use crate::accounting::ExecReport;
 use crate::arena::RouterArena;
 use crate::exec::{PassOpts, ANSWER_BYTES};
+use crate::multiplex::RoundPlan;
 use crate::query::Answer;
 use crate::round::RoundAdaptive;
 use crate::router::RouterMode;
-use crate::sharded::{
-    draw_targets, merge_answers, split_batch, InsertionShardPass, ShardOutcome, TurnstileShardPass,
-};
-use sgs_graph::{Edge, VertexId};
+use crate::sharded::{begin_pass, end_pass, PassMachine, ShardOutcome};
+use sgs_graph::VertexId;
 use sgs_stream::hash::split_seed;
 use sgs_stream::persist::{
     frame, publish_snapshot, read_frame_of, read_latest_snapshot, read_wal, Decoder, Encoder,
@@ -49,6 +57,7 @@ use sgs_stream::persist::{
 use sgs_stream::reservoir::ReservoirMode;
 use sgs_stream::sharded::{ShardUpdate, ShardedFeed};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Default delivery-block size (updates) for checkpointed runs: the WAL
 /// block granularity and therefore the snapshot/crash-point resolution.
@@ -513,19 +522,6 @@ fn replay_history<A: RoundAdaptive>(
     Ok(answers)
 }
 
-fn filter_chunk(
-    chunk: &[sgs_stream::sharded::RoutedUpdate],
-    sid: usize,
-    out: &mut Vec<ShardUpdate>,
-) {
-    out.clear();
-    for r in chunk {
-        if let Some(su) = r.delivery_for(sid) {
-            out.push(su);
-        }
-    }
-}
-
 /// Execute a round-adaptive algorithm as a checkpointed insertion-only
 /// streaming run: the cooperative single-threaded sibling of
 /// [`crate::sharded::run_insertion_sharded_with_opts`], byte-identical
@@ -565,7 +561,10 @@ pub fn run_turnstile_checkpointed<A: RoundAdaptive>(
 
 /// The shared driver: `model` picks which pass machines run (0 =
 /// insertion, 1 = turnstile). One loop shape so the crash/snapshot
-/// logic cannot drift between the models.
+/// logic cannot drift between the models. Each round is a one-job plan
+/// through the same [`begin_pass`] → [`PassMachine`] → [`end_pass`] step
+/// every engine runs; the delivery loop is this driver's own, chunked
+/// by WAL block so it can snapshot and stop between blocks.
 fn run_checkpointed<A: RoundAdaptive>(
     mut alg: A,
     feed: &ShardedFeed,
@@ -577,6 +576,11 @@ fn run_checkpointed<A: RoundAdaptive>(
 ) -> PersistResult<Option<(A::Output, ExecReport)>> {
     let shards = feed.num_shards();
     let chunk = session.chunk;
+    let mode = if model == 0 {
+        RouterMode::Insertion
+    } else {
+        RouterMode::Turnstile
+    };
     let mut report = ExecReport::default();
     let mut answers: Vec<Answer> = Vec::new();
     let mut history: Vec<Vec<Answer>> = Vec::new();
@@ -608,46 +612,23 @@ fn run_checkpointed<A: RoundAdaptive>(
             report.queries += batch.len();
             report.answer_bytes += batch.len() * ANSWER_BYTES;
         }
-        let pass_seed = split_seed(seed, report.passes as u64);
+        let plan = RoundPlan::solo(
+            batch.len(),
+            split_seed(seed, report.passes as u64),
+            opts.reservoir,
+        );
         feed.begin_pass();
-        let mode = if model == 0 {
-            RouterMode::Insertion
-        } else {
-            RouterMode::Turnstile
-        };
-        split_batch(&batch, mode, feed.shard_map(), arena);
-        let mut targets = std::mem::take(&mut arena.scratch_targets);
-        let f1_slots = std::mem::take(&mut arena.scratch_edge);
-        if model == 0 {
-            draw_targets(&batch, feed.stream_len() as u64, pass_seed, &mut targets);
-        }
-        enum Pass<'a> {
-            Insertion(InsertionShardPass<'a>),
-            Turnstile(TurnstileShardPass<'a>),
-        }
-        let n = feed.num_vertices();
-        let mut passes: Vec<Pass<'_>> = arena.slots[..shards]
+        // Checkpointed runs take no policy: one thread per bank sweep.
+        let setup = begin_pass(mode, &batch, &plan, feed, arena, opts, 1);
+        let mut passes: Vec<PassMachine<'_>> = arena.slots[..shards]
             .iter_mut()
-            .map(|slot| {
-                if model == 0 {
-                    Pass::Insertion(InsertionShardPass::new(slot, &targets, pass_seed, opts))
-                } else {
-                    // Checkpointed runs take no policy: one thread
-                    // per bank sweep.
-                    Pass::Turnstile(TurnstileShardPass::new(
-                        slot, n, &f1_slots, pass_seed, opts, 1,
-                    ))
-                }
-            })
+            .map(|slot| PassMachine::new(slot, &setup))
             .collect();
         let mut start_block = 0usize;
         if resuming {
             if let Some(blobs) = resume_blobs.take() {
                 for (p, b) in passes.iter_mut().zip(&blobs) {
-                    match p {
-                        Pass::Insertion(p) => p.restore_state(b)?,
-                        Pass::Turnstile(p) => p.restore_state(b)?,
-                    }
+                    p.restore_state(b)?;
                 }
             }
             start_block = resume_offset as usize;
@@ -656,15 +637,16 @@ fn run_checkpointed<A: RoundAdaptive>(
         let routed = feed.routed();
         let pass_blocks = routed.len().div_ceil(chunk);
         let mut scratch: Vec<ShardUpdate> = Vec::new();
+        let mut nanos = vec![0u64; shards];
         for bi in start_block..pass_blocks {
             let lo = bi * chunk;
             let hi = (lo + chunk).min(routed.len());
             for (sid, pass) in passes.iter_mut().enumerate() {
-                filter_chunk(&routed[lo..hi], sid, &mut scratch);
-                match pass {
-                    Pass::Insertion(p) => p.feed(&scratch),
-                    Pass::Turnstile(p) => p.feed(&scratch),
-                }
+                let t0 = Instant::now();
+                scratch.clear();
+                scratch.extend(routed[lo..hi].iter().filter_map(|r| r.delivery_for(sid)));
+                pass.feed(&scratch);
+                nanos[sid] += t0.elapsed().as_nanos() as u64;
             }
             session.blocks_processed += 1;
             if session.snapshot_every > 0
@@ -672,13 +654,7 @@ fn run_checkpointed<A: RoundAdaptive>(
                     .blocks_processed
                     .is_multiple_of(session.snapshot_every)
             {
-                let blobs: Vec<Vec<u8>> = passes
-                    .iter()
-                    .map(|p| match p {
-                        Pass::Insertion(p) => p.snapshot_state(),
-                        Pass::Turnstile(p) => p.snapshot_state(),
-                    })
-                    .collect();
+                let blobs: Vec<Vec<u8>> = passes.iter().map(PassMachine::snapshot_state).collect();
                 session.publish(
                     model,
                     shards,
@@ -691,46 +667,18 @@ fn run_checkpointed<A: RoundAdaptive>(
                 )?;
             }
             if session.crash_after == Some(session.blocks_processed) {
-                drop(passes);
-                arena.scratch_targets = targets;
-                arena.scratch_edge = f1_slots;
                 return Ok(None);
             }
         }
         resuming = false;
 
-        let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(shards);
-        for p in passes {
-            outcomes.push(match p {
-                Pass::Insertion(p) => p.finish(),
-                Pass::Turnstile(p) => p.finish(),
-            });
-        }
-        let mut space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
-        if model == 0 {
-            space += targets.len() * 16;
-        }
+        let outcomes: Vec<ShardOutcome> = passes
+            .into_iter()
+            .zip(nanos)
+            .map(|(p, n)| p.finish(n))
+            .collect();
+        let (merged, space) = end_pass(setup, batch.len(), feed, arena, outcomes);
         report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
-        arena.scratch_targets = targets;
-        let mut merged = {
-            let a = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-            arena.scratch_edge = f1_slots;
-            a
-        };
-        if model == 1 {
-            // Merge the per-shard f1 banks into shard 0's (linear
-            // sketches) and answer the f1 slots from the merged state —
-            // the same merge the sharded/broadcast drivers perform.
-            let (head, rest) = outcomes.split_at_mut(1);
-            for o in rest.iter() {
-                for (a, b) in head[0].f1_bank.iter_mut().zip(&o.f1_bank) {
-                    a.merge(b);
-                }
-            }
-            for (&slot, s) in arena.scratch_edge.iter().zip(&outcomes[0].f1_bank) {
-                merged[slot as usize] = Answer::Edge(s.sample().map(Edge::from_key));
-            }
-        }
         answers = merged;
         history.push(answers.clone());
         arena.note_round();
@@ -745,6 +693,7 @@ mod tests {
     use crate::query::Query;
     use crate::sharded::{run_insertion_sharded_with_opts, run_turnstile_sharded_with_block};
     use sgs_graph::gen;
+    use sgs_graph::Edge;
     use sgs_stream::{InsertionStream, TurnstileStream};
 
     /// A 2-round protocol exercising every insertion answer kind.

@@ -9,7 +9,7 @@
 //!   position sampling for `f1` (distributionally identical to a size-1
 //!   reservoir over a fixed-length pass, but O(1) per update), per-vertex
 //!   incident-edge reservoirs for relaxed `f3` (exactly uniform in a
-//!   simple graph; an SoA [`ReservoirBank`] whose acceptance scheme —
+//!   simple graph; an SoA reservoir bank whose acceptance scheme —
 //!   skip-ahead default vs the per-offer oracle — is picked by
 //!   [`PassOpts::reservoir`]), arrival-order watchers for indexed `f3`,
 //!   and counters/flags for `f2`/`f4` — the proof of Theorem 9;
@@ -19,22 +19,19 @@
 //!   queries are a protocol error in this model (Definition 10
 //!   deliberately drops them) and panic.
 //!
-//! Both streaming executors dispatch each update through one shared
-//! [`QueryRouter`]: the whole merged batch of a [`crate::Parallel`]
-//! sampler bank is bucketed into per-vertex and per-edge flat indexes at
-//! round start, so per-update work is O(1 + hits) regardless of how many
-//! trials are pending. The pre-refactor executors survive verbatim in
-//! [`crate::reference`]; seeded equivalence tests pin the two
-//! byte-identical.
+//! Both streaming executors dispatch each update through a shared
+//! [`crate::router::QueryRouter`]: the whole merged batch of a
+//! [`crate::Parallel`] sampler bank is bucketed into per-vertex and
+//! per-edge flat indexes at round start, so per-update work is
+//! O(1 + hits) regardless of how many trials are pending. The
+//! pre-refactor executors survive verbatim in [`crate::reference`];
+//! seeded equivalence tests pin the two byte-identical.
 //!
-//! `run_insertion`/`run_turnstile` are the **single-shard cases** of the
-//! sharded pipeline in [`crate::sharded`]: they partition the stream into
-//! one shard and run the same split/route/merge machinery an N-shard
-//! execution uses. The per-batch entry points
-//! [`answer_insertion_batch`] / [`answer_turnstile_batch`] keep the
-//! direct single-stream implementation — they are the seam benchmarks
-//! and sharded drivers merge through, and the baseline the sharded path
-//! is measured against.
+//! Every streaming entry point here is the **one-shard case** of the
+//! sharded pipeline in [`crate::sharded`]: the stream is partitioned
+//! into one shard and each batch runs through the same shard pass
+//! machines and split → machines → merge step an N-shard execution uses.
+//! There is no separate single-stream machine.
 //!
 //! Executors never contribute algorithm randomness: the per-pass sketch
 //! seeds only decide *which* uniform sample each query receives, mirroring
@@ -42,16 +39,19 @@
 
 use crate::accounting::ExecReport;
 use crate::arena::RouterArena;
+use crate::multiplex::RoundPlan;
 use crate::oracle::GraphOracle;
+use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
-use crate::router::{QueryRouter, RouterMode};
-use crate::sharded::run_turnstile_sharded;
-use sgs_graph::{Edge, VertexId};
-use sgs_stream::hash::{split_seed, FastRng};
-use sgs_stream::l0::{BankFeed, L0Mode, L0Sampler, BANK_SUPER_BLOCK};
-use sgs_stream::reservoir::{ReservoirBank, ReservoirMode};
-use sgs_stream::{EdgeStream, ShardedFeed, SpaceUsage};
+use crate::router::RouterMode;
+use crate::sharded::{
+    answer_insertion_batch_sharded_with_exec, answer_turnstile_batch_sharded_with_exec, begin_pass,
+    run_insertion_sharded_with_opts, run_turnstile_sharded, PassMachine,
+};
+use sgs_stream::l0::L0Mode;
+use sgs_stream::reservoir::ReservoirMode;
+use sgs_stream::{EdgeStream, ShardedFeed};
 
 /// Bytes charged per retained answer (Theorem 9's `O(q log n)` term).
 pub(crate) const ANSWER_BYTES: usize = 16;
@@ -156,42 +156,6 @@ impl PassOpts {
     }
 }
 
-/// A pass-emulation state that can absorb the stream either per update
-/// (scalar) or per block (batched probes / lane loops) — the two
-/// byte-identical feed paths [`replay_blocked`] switches between.
-pub(crate) trait BlockFeed {
-    fn feed(&mut self, u: sgs_stream::EdgeUpdate);
-    fn feed_block(&mut self, block: &[sgs_stream::EdgeUpdate]);
-}
-
-/// Drive a replayable stream through a pass state in blocks of `block`
-/// updates (remainder block included); `block <= 1` is the scalar path.
-/// Sources that expose their update buffer are chunked in place (zero
-/// copies); everything else is buffered through the replay callback.
-pub(crate) fn replay_blocked(stream: &impl EdgeStream, block: usize, pass: &mut impl BlockFeed) {
-    if block <= 1 {
-        stream.replay(&mut |u| pass.feed(u));
-        return;
-    }
-    if let Some(updates) = stream.as_updates() {
-        for chunk in updates.chunks(block) {
-            pass.feed_block(chunk);
-        }
-        return;
-    }
-    let mut buf: Vec<sgs_stream::EdgeUpdate> = Vec::with_capacity(block.min(stream.len()));
-    stream.replay(&mut |u| {
-        buf.push(u);
-        if buf.len() == block {
-            pass.feed_block(&buf);
-            buf.clear();
-        }
-    });
-    if !buf.is_empty() {
-        pass.feed_block(&buf);
-    }
-}
-
 /// Sort `f1` position targets by `(position, slot)`. Positions live in
 /// `0..stream_len`, so when a counting table is affordable a two-pass
 /// bucket sort beats the comparison sort that dominates round-1 setup at
@@ -241,135 +205,10 @@ pub fn run_on_oracle<A: RoundAdaptive>(
     (alg.output(), report)
 }
 
-/// Per-pass state for the insertion-only model: the shared router plus
-/// the model-specific `f1` position cursor and `f3` reservoirs.
-struct InsertionPass {
-    router: QueryRouter,
-    /// `f1`: (target stream position, query slot), sorted by position.
-    /// Sampling a uniform position is exactly the distribution of a
-    /// size-1 reservoir over a fixed-length pass.
-    targets: Vec<(u64, u32)>,
-    cursor: usize,
-    update_idx: u64,
-    edge_hits: Vec<(u32, Edge)>,
-    /// Relaxed `f3`: an SoA reservoir bank, one lane per pooled neighbor
-    /// slot, aligned with [`QueryRouter::neighbor_slots`]. Router
-    /// deliveries hand the bank contiguous lane ranges, so skip mode
-    /// pays a countdown compare per pooled sampler instead of an RNG
-    /// draw per offer.
-    reservoirs: ReservoirBank<Edge>,
-}
-
-impl InsertionPass {
-    fn build(batch: &[Query], stream_len: u64, pass_seed: u64, reservoir: ReservoirMode) -> Self {
-        let router = QueryRouter::build(batch, RouterMode::Insertion);
-        // f1 position draws are consumed in batch order from the pass rng
-        // (`edge_slots` preserves batch order), matching the reference
-        // executor coin-for-coin.
-        let mut rng = FastRng::seed_from_u64(pass_seed);
-        let mut targets = Vec::with_capacity(router.edge_slots().len());
-        if stream_len > 0 {
-            for &slot in router.edge_slots() {
-                targets.push((rng.gen_range(0..stream_len), slot));
-            }
-        }
-        sort_targets(&mut targets, stream_len);
-        let mut reservoirs = ReservoirBank::from_seeds(
-            router
-                .neighbor_slots()
-                .iter()
-                .map(|&slot| split_seed(pass_seed, slot as u64)),
-            reservoir,
-        );
-        // Each pooled vertex group is a cohort: its lanes always receive
-        // offers together, so a skip-mode delivery is one clock-vs-min
-        // compare instead of a per-lane plane walk.
-        reservoirs.bind_cohorts(router.neighbor_group_ranges());
-        InsertionPass {
-            router,
-            targets,
-            cursor: 0,
-            update_idx: 0,
-            edge_hits: Vec::new(),
-            reservoirs,
-        }
-    }
-
-    #[inline]
-    fn feed(&mut self, u: sgs_stream::EdgeUpdate) {
-        debug_assert!(u.is_insert(), "insertion executor fed a deletion");
-        while self.cursor < self.targets.len() && self.targets[self.cursor].0 == self.update_idx {
-            self.edge_hits.push((self.targets[self.cursor].1, u.edge));
-            self.cursor += 1;
-        }
-        self.update_idx += 1;
-        let edge = u.edge;
-        let reservoirs = &mut self.reservoirs;
-        self.router.feed(u, |s, e| {
-            reservoirs.offer_cohort(s as usize, e as usize, edge)
-        });
-    }
-
-    /// Blocked sibling of [`InsertionPass::feed`]: position targets are
-    /// matched per update (they are position-keyed, not probe-keyed),
-    /// then the whole block goes through the router's batched-probe
-    /// path. Reservoir offer sequences are unchanged — the router drains
-    /// blocks in stream order.
-    fn feed_block(&mut self, block: &[sgs_stream::EdgeUpdate]) {
-        for u in block {
-            debug_assert!(u.is_insert(), "insertion executor fed a deletion");
-            while self.cursor < self.targets.len() && self.targets[self.cursor].0 == self.update_idx
-            {
-                self.edge_hits.push((self.targets[self.cursor].1, u.edge));
-                self.cursor += 1;
-            }
-            self.update_idx += 1;
-        }
-        let reservoirs = &mut self.reservoirs;
-        self.router.feed_block(block, |j, s, e| {
-            reservoirs.offer_cohort(s as usize, e as usize, block[j].edge)
-        });
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.router.space_bytes() + self.targets.len() * 16 + self.reservoirs.space_bytes()
-    }
-}
-
-impl BlockFeed for InsertionPass {
-    fn feed(&mut self, u: sgs_stream::EdgeUpdate) {
-        InsertionPass::feed(self, u);
-    }
-
-    fn feed_block(&mut self, block: &[sgs_stream::EdgeUpdate]) {
-        InsertionPass::feed_block(self, block);
-    }
-}
-
-impl InsertionPass {
-    fn into_answers(self) -> Vec<Answer> {
-        let mut answers = vec![Answer::Edge(None); self.router.batch_len()];
-        for &(slot, e) in &self.edge_hits {
-            answers[slot as usize] = Answer::Edge(Some(e));
-        }
-        for ((&slot, v), res) in self
-            .router
-            .neighbor_slots()
-            .iter()
-            .zip(self.router.neighbor_vertices())
-            .zip(self.reservoirs.samples_iter())
-        {
-            answers[slot as usize] = Answer::Neighbor(res.map(|e| e.other(v)));
-        }
-        self.router.distribute(&mut answers);
-        answers
-    }
-}
-
 /// Answer one round's batch with one insertion-only pass (the unit step
 /// of Theorem 9). Returns the answers and the pass state's measured
-/// footprint. Exposed so benchmarks and sharded drivers can exercise the
-/// pass emulation directly.
+/// footprint. Exposed so benchmarks can exercise the pass emulation
+/// directly; the stream is partitioned into one shard per call.
 pub fn answer_insertion_batch(
     batch: &[Query],
     stream: &impl EdgeStream,
@@ -400,10 +239,10 @@ pub fn answer_insertion_batch_with_opts(
     pass_seed: u64,
     opts: PassOpts,
 ) -> (Vec<Answer>, usize) {
-    let mut pass = InsertionPass::build(batch, stream.len() as u64, pass_seed, opts.reservoir);
-    replay_blocked(stream, opts.block, &mut pass);
-    let space = pass.space_bytes();
-    (pass.into_answers(), space)
+    let feed = ShardedFeed::partition(stream, 1);
+    let mut arena = RouterArena::new();
+    let policy = ExecPolicy::serial();
+    answer_insertion_batch_sharded_with_exec(batch, &feed, pass_seed, &mut arena, opts, policy)
 }
 
 /// Diagnostic twin of [`answer_insertion_batch_with_opts`]: run the same
@@ -418,19 +257,29 @@ pub fn insertion_pass_reservoir_draws(
     pass_seed: u64,
     opts: PassOpts,
 ) -> u64 {
-    let mut pass = InsertionPass::build(batch, stream.len() as u64, pass_seed, opts.reservoir);
-    replay_blocked(stream, opts.block, &mut pass);
-    pass.reservoirs.rng_draws()
+    let feed = ShardedFeed::partition(stream, 1);
+    let mut arena = RouterArena::new();
+    let plan = RoundPlan::solo(batch.len(), pass_seed, opts.reservoir);
+    let setup = begin_pass(
+        RouterMode::Insertion,
+        batch,
+        &plan,
+        &feed,
+        &mut arena,
+        opts,
+        1,
+    );
+    let mut pass = PassMachine::new(&mut arena.slots[0], &setup);
+    pass.feed(feed.shard(0));
+    pass.reservoir_draws()
 }
 
 /// Execute as an insertion-only streaming algorithm: one pass per round
 /// (Theorem 9).
 ///
-/// Since the sharded-pipeline refactor this is the thin single-shard case
-/// of [`crate::sharded::run_insertion_sharded`]: the stream is
-/// partitioned into one shard and each round is answered through the
-/// sharded driver (which at one shard replays the feed straight through
-/// [`answer_insertion_batch`], keeping the direct per-pass cost).
+/// The thin single-shard case of
+/// [`crate::sharded::run_insertion_sharded`]: the stream is partitioned
+/// into one shard and each round is answered through the sharded step.
 ///
 /// The partition buffers the stream's updates once (driver-side harness
 /// state, like the replayable stream object itself — *not* counted in
@@ -458,158 +307,7 @@ pub fn run_insertion_with_opts<A: RoundAdaptive>(
 ) -> (A::Output, ExecReport) {
     let feed = ShardedFeed::partition(stream, 1);
     let mut arena = RouterArena::new();
-    crate::sharded::run_insertion_sharded_with_opts(alg, &feed, seed, &mut arena, opts)
-}
-
-/// Per-pass state for the turnstile model: the shared router plus one
-/// ℓ₀-sampler per `f1` slot and per pooled neighbor slot.
-struct TurnstilePass {
-    router: QueryRouter,
-    edge_samplers: Vec<L0Sampler>,
-    nbr_samplers: Vec<L0Sampler>,
-    /// The vertex each pooled neighbor sampler listens on.
-    nbr_verts: Vec<VertexId>,
-    /// Blocked-feed scratch: the current block as `(edge key, delta)`
-    /// pairs, queued on the `f1` bank feed.
-    kd_scratch: Vec<(u64, i64)>,
-    /// ℓ₀-bank feed path; bit-identical either way ([`PassOpts::l0`]).
-    l0: L0Mode,
-    /// Router probe block size ([`PassOpts::block`]).
-    block: usize,
-    /// Threads each `f1` bank sweep may use ([`BankFeed::new`]).
-    bank_threads: usize,
-}
-
-impl TurnstilePass {
-    fn build(
-        batch: &[Query],
-        n: usize,
-        pass_seed: u64,
-        opts: PassOpts,
-        bank_threads: usize,
-    ) -> Self {
-        let router = QueryRouter::build(batch, RouterMode::Turnstile);
-        let edge_samplers = router
-            .edge_slots()
-            .iter()
-            .map(|&slot| L0Sampler::for_edge_domain(n, split_seed(pass_seed, slot as u64)))
-            .collect();
-        let nbr_samplers = router
-            .neighbor_slots()
-            .iter()
-            .map(|&slot| L0Sampler::for_edge_domain(n, split_seed(pass_seed, slot as u64)))
-            .collect();
-        let nbr_verts = router.neighbor_vertices().collect();
-        TurnstilePass {
-            router,
-            edge_samplers,
-            nbr_samplers,
-            nbr_verts,
-            kd_scratch: Vec::new(),
-            l0: opts.l0,
-            block: opts.block,
-            bank_threads,
-        }
-    }
-
-    #[inline]
-    fn feed(&mut self, u: sgs_stream::EdgeUpdate) {
-        let d = u.delta as i64;
-        let key = u.edge.key();
-        let l0 = self.l0;
-        // Every f1 sampler summarizes the whole edge domain, so each one
-        // absorbs every update — inherent to ℓ₀-sampling, not routing.
-        for s in &mut self.edge_samplers {
-            s.update_with(l0, key, d);
-        }
-        let edge = u.edge;
-        let nbr_samplers = &mut self.nbr_samplers;
-        let nbr_verts = &self.nbr_verts;
-        self.router.feed(u, |s, e| {
-            for i in s as usize..e as usize {
-                nbr_samplers[i].update_with(l0, edge.other(nbr_verts[i]).0 as u64, d);
-            }
-        });
-    }
-
-    /// Blocked sibling of [`TurnstilePass::feed`], handed a run of whole
-    /// blocks ([`bank_run`]). The `f1` bank takes the run through one
-    /// bank-wide feed, which sweeps it *samplers outer, updates inner*
-    /// per super-block — each ℓ₀-bank's SoA planes stay cache-hot
-    /// instead of every bank cycling through cache per block. Detector
-    /// fields are additive, so the reordering is bit-identical, not just
-    /// distributionally so. The router drains the run block by block.
-    fn feed_block(&mut self, run: &[sgs_stream::EdgeUpdate]) {
-        let l0 = self.l0;
-        let mut f1 = BankFeed::new(&mut self.edge_samplers, l0, self.bank_threads);
-        let nbr_samplers = &mut self.nbr_samplers;
-        let nbr_verts = &self.nbr_verts;
-        for block in run.chunks(self.block) {
-            self.kd_scratch.clear();
-            self.kd_scratch
-                .extend(block.iter().map(|u| (u.edge.key(), u.delta as i64)));
-            f1.push(&self.kd_scratch);
-            self.router.feed_block(block, |j, s, e| {
-                let u = block[j];
-                for i in s as usize..e as usize {
-                    nbr_samplers[i].update_with(
-                        l0,
-                        u.edge.other(nbr_verts[i]).0 as u64,
-                        u.delta as i64,
-                    );
-                }
-            });
-        }
-        f1.finish();
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.router.space_bytes()
-            + self
-                .edge_samplers
-                .iter()
-                .chain(&self.nbr_samplers)
-                .map(|s| s.space_bytes())
-                .sum::<usize>()
-            // Blocked-feed scratch is real pass state: one (key, delta)
-            // pair per update of the current block.
-            + self.kd_scratch.capacity() * std::mem::size_of::<(u64, i64)>()
-    }
-}
-
-impl BlockFeed for TurnstilePass {
-    fn feed(&mut self, u: sgs_stream::EdgeUpdate) {
-        TurnstilePass::feed(self, u);
-    }
-
-    fn feed_block(&mut self, block: &[sgs_stream::EdgeUpdate]) {
-        TurnstilePass::feed_block(self, block);
-    }
-}
-
-impl TurnstilePass {
-    fn into_answers(self) -> Vec<Answer> {
-        let mut answers = vec![Answer::Edge(None); self.router.batch_len()];
-        for (&slot, s) in self.router.edge_slots().iter().zip(&self.edge_samplers) {
-            answers[slot as usize] = Answer::Edge(s.sample().map(Edge::from_key));
-        }
-        for (&slot, s) in self.router.neighbor_slots().iter().zip(&self.nbr_samplers) {
-            answers[slot as usize] = Answer::Neighbor(s.sample().map(|k| VertexId(k as u32)));
-        }
-        self.router.distribute(&mut answers);
-        answers
-    }
-}
-
-/// The run length a blocked turnstile pass is replayed in: the most whole
-/// `block`s that fit one ℓ₀ bank super-block, and at least one. The
-/// router still probes `block` at a time; the `f1` bank sweeps once per
-/// run instead of once per block. `block <= 1` stays the scalar path.
-fn bank_run(block: usize) -> usize {
-    if block <= 1 {
-        return block;
-    }
-    (BANK_SUPER_BLOCK / block).max(1) * block
+    run_insertion_sharded_with_opts(alg, &feed, seed, &mut arena, opts)
 }
 
 /// Answer one round's batch with one turnstile pass (the unit step of
@@ -644,24 +342,10 @@ pub fn answer_turnstile_batch_with_opts(
     pass_seed: u64,
     opts: PassOpts,
 ) -> (Vec<Answer>, usize) {
-    turnstile_batch_pass(batch, stream, pass_seed, opts, 1)
-}
-
-/// [`answer_turnstile_batch_with_opts`] with each `f1` bank sweep split
-/// over up to `bank_threads` threads; the answers and the footprint are
-/// the same for every thread count.
-pub(crate) fn turnstile_batch_pass(
-    batch: &[Query],
-    stream: &impl EdgeStream,
-    pass_seed: u64,
-    opts: PassOpts,
-    bank_threads: usize,
-) -> (Vec<Answer>, usize) {
-    let mut pass =
-        TurnstilePass::build(batch, stream.num_vertices(), pass_seed, opts, bank_threads);
-    replay_blocked(stream, bank_run(opts.block), &mut pass);
-    let space = pass.space_bytes();
-    (pass.into_answers(), space)
+    let feed = ShardedFeed::partition(stream, 1);
+    let mut arena = RouterArena::new();
+    let policy = ExecPolicy::serial();
+    answer_turnstile_batch_sharded_with_exec(batch, &feed, pass_seed, &mut arena, opts, policy)
 }
 
 /// Execute as a turnstile streaming algorithm: one pass per round
@@ -685,6 +369,7 @@ mod tests {
     use crate::oracle::ExactOracle;
     use crate::reference::{run_insertion_reference, run_turnstile_reference};
     use sgs_graph::{gen, StaticGraph};
+    use sgs_graph::{Edge, VertexId};
     use sgs_stream::{InsertionStream, TurnstileStream};
 
     /// Asks a degree, then that many adjacency checks (2 rounds).

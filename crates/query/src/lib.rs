@@ -17,26 +17,33 @@
 //! * [`arena`] — the [`arena::RouterArena`]: pooled per-shard routers and
 //!   batch scratch, built once and reset per pass (no per-round heap
 //!   growth after warm-up),
-//! * [`sharded`] — the sharded pipeline: per-shard routers over a
-//!   hash-partitioned [`sgs_stream::ShardedFeed`], merged back into
-//!   byte-identical single-stream answers; the single-stream executors
-//!   are its one-shard case,
-//! * [`broadcast`] — broadcast ingest: the same per-shard pass state
-//!   machines drawing from the cursors of one bounded
-//!   [`sgs_stream::Broadcast`] ring, with side consumers (baselines,
-//!   exact oracles, pass counters) riding the same single ingest,
+//! * [`sharded`] — the one family of per-shard pass machines
+//!   ([`sharded::PassMachine`]) and the one split → machines → merge step
+//!   every engine runs, over a hash-partitioned [`sgs_stream::ShardedFeed`]
+//!   and merged back into byte-identical single-stream answers; a solo
+//!   run is a one-job plan,
+//! * [`broadcast`] — broadcast ingest: the same shard machines drawing
+//!   from the cursors of one bounded [`sgs_stream::Broadcast`] ring (one
+//!   scoped ring driver), with side consumers (baselines, exact oracles,
+//!   pass counters) riding the same single ingest,
+//! * [`runtime`] — the [`runtime::ShardRuntime`]: persistent, optionally
+//!   pinned shard workers that run the same machines pass after pass,
 //! * [`multiplex`] — multi-query serving: a [`multiplex::QuerySet`]
 //!   admission-batches many concurrent round-adaptive jobs and serves
-//!   every round with ONE shared router pass (sharded or ring), each
-//!   job's answers byte-identical to its solo run,
+//!   every round with ONE shared pass (sharded, ring or persistent
+//!   runtime), each job's answers byte-identical to its solo run; every
+//!   solo round loop is a one-job `QuerySet` run,
 //! * [`checkpoint`] — durable executor state: a write-ahead log of the
-//!   routed stream plus block-boundary snapshots of mid-run estimator
-//!   state, with byte-identical crash recovery,
+//!   routed stream plus block-boundary snapshots of the shard machines'
+//!   mid-pass state, with byte-identical crash recovery,
+//! * [`serve`] — the [`serve::ServerNode`] behind `sgs serve`: WAL-backed
+//!   ingest, snapshots and a persistent worker pool,
 //! * [`exec`] — the three executors:
 //!   [`exec::run_on_oracle`] (query-access),
 //!   [`exec::run_insertion`] (Theorem 9: one pass per round, reservoir
 //!   samplers + counters), and
-//!   [`exec::run_turnstile`] (Theorem 11: ℓ₀-samplers),
+//!   [`exec::run_turnstile`] (Theorem 11: ℓ₀-samplers) — the streaming
+//!   two are the one-shard case of [`sharded`],
 //! * [`reference`] — the pre-router executors, frozen as the equivalence
 //!   oracle and perf baseline,
 //! * [`accounting`] — rounds / passes / queries / measured-space reports,
@@ -77,7 +84,7 @@ pub use checkpoint::{
 pub use exec::PassOpts;
 pub use multiplex::{AdmissionReport, MuxJobStats, MuxOutput, MuxRoundStats, QuerySet};
 pub use oracle::{ExactOracle, GraphOracle};
-pub use policy::{host_cores, pin_current_thread, ExecPolicy, ThreadMode};
+pub use policy::{available_memory, host_cores, pin_current_thread, ExecPolicy, ThreadMode};
 pub use query::{Answer, Query};
 pub use relaxed::RelaxedOracle;
 pub use round::{Parallel, RoundAdaptive};

@@ -1,81 +1,68 @@
 //! Multi-query multiplexing: one shared pass serves many concurrent
-//! queries.
+//! queries — and a solo run is the one-job case.
 //!
-//! Every executor so far owns its passes — N concurrent round-adaptive
-//! algorithms cost N full replays of the stream per round. But nothing a
-//! pass computes couples one query to another: the router's FlatIndex is
-//! query-agnostic, `f1` targets are drawn from per-pass coins, and every
-//! sampler lane is seeded by its own batch slot. So a [`QuerySet`]
-//! admission-batches arriving jobs (different patterns, trial counts,
-//! reservoir modes, seeds) into **rounds**, concatenates each round's
-//! per-job batches into one merged batch, builds ONE shared
-//! QueryRouter/FlatIndex pass per round, and fans each delivery out to
-//! every active job's sampler banks. N queries now cost `max_j rounds_j`
-//! shared passes instead of `Σ_j rounds_j` private ones.
+//! Nothing a pass computes couples one query to another: the router's
+//! FlatIndex is query-agnostic, `f1` targets are drawn from per-pass
+//! coins, and every sampler lane is seeded by its own batch slot. So a
+//! [`QuerySet`] admission-batches arriving jobs (different patterns,
+//! trial counts, reservoir modes, seeds) into **rounds**, concatenates
+//! each round's per-job batches into one merged batch, and answers it
+//! with ONE logical pass through the shard machines of
+//! [`crate::sharded`]. N queries cost `max_j rounds_j` shared passes
+//! instead of `Σ_j rounds_j` private ones. Every solo executor
+//! (`run_*_sharded*`, `run_*_broadcast*`) is a one-job `QuerySet` run.
 //!
 //! **Per-job answers are byte-identical to solo runs** — at any shard
-//! count, block size, and schedule — because the multiplexer replays
+//! count, block size, and schedule — because the [`RoundPlan`] replays
 //! each job's private coin chain exactly:
 //!
 //! * a job's pass seed is `split_seed(job_seed, job_passes)` where
-//!   `job_passes` counts only the rounds *this job* participates in —
-//!   the same chain [`crate::sharded::run_insertion_sharded`] walks;
+//!   `job_passes` counts only the rounds *this job* participates in;
 //! * `f1` targets are drawn per job from `FastRng(job_pass_seed)` in the
-//!   job's own batch order — the exact coin sequence of its solo pass —
-//!   then merged across jobs by position for cursor matching (hits
-//!   scatter to disjoint slots, so merge order cannot leak between
-//!   jobs);
+//!   job's own batch order, then merged across jobs by position for
+//!   cursor matching (hits scatter to disjoint slots, so merge order
+//!   cannot leak between jobs);
 //! * every sampler lane (reservoir or ℓ₀) is seeded by
 //!   `split_seed(job_pass_seed, job_slot)` with `job_slot` the query's
-//!   index in the **job's own** batch — solo seeding verbatim;
-//! * each job owns a private [`ReservoirBank`] in its own
+//!   index in the **job's own** batch;
+//! * each job owns a private reservoir bank in its own
 //!   [`ReservoirMode`]: per-lane reservoir state depends only on the
-//!   lane seed and the lane's offer sequence (never on bank-global lane
-//!   order — `reservoir.rs` pins this), and a job's lanes inside one
-//!   shared vertex group form a contiguous run (job batches are
+//!   lane seed and the lane's offer sequence, and a job's lanes inside
+//!   one shared vertex group form a contiguous run (job batches are
 //!   contiguous in the merged batch), so one `offer_cohort` per
 //!   (vertex, job) segment reproduces the solo offer sequence exactly;
 //! * turnstile ℓ₀-samplers are per-lane independent linear sketches, so
 //!   the shared pass keeps flat banks aligned with the merged slot lists
-//!   and merges across shards exactly like the solo sharded pass.
+//!   and merges across shards.
 //!
 //! `tests/multiplex_equivalence.rs` pins all of this (shards 1/2/4 ×
 //! mixed query sets × insertion/turnstile × blocked/scalar × reservoir
-//! offer/skip) against solo runs, which are themselves pinned to the
-//! frozen reference executors.
+//! offer/skip) against solo runs, which `tests/sharded_equivalence.rs`
+//! pins to the frozen reference executors.
 //!
 //! **Diagnostics.** Shared passes make one slow query everyone's
 //! problem, so every run returns an [`AdmissionReport`]: per-round
 //! participant lists and critical-path pass nanos (via the
-//! [`RouterArena`]'s existing per-shard timing), per-job accumulated
-//! pass nanos / lane counts, and — on the ring engine — the broadcast
-//! producer's [`StallEvent`]s, so a stalled round names the consumer it
-//! was blocked on.
+//! [`RouterArena`]'s per-shard timing), per-job accumulated pass nanos /
+//! lane counts, and — on the ring engine — the broadcast producer's
+//! [`StallEvent`]s, so a stalled round names the consumer it was blocked
+//! on.
 
 use crate::accounting::ExecReport;
-use crate::arena::{RouterArena, ShardSlot};
-use crate::broadcast::BroadcastOpts;
+use crate::arena::RouterArena;
+use crate::broadcast::{BroadcastOpts, SideSink};
 use crate::exec::{sort_targets, PassOpts, ANSWER_BYTES};
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
 use crate::router::RouterMode;
-use crate::sharded::{merge_answers, run_shards, split_batch, ShardOutcome};
-use sgs_graph::{Edge, VertexId};
-use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
+use crate::runtime::ShardRuntime;
+use crate::sharded::{run_pass, PassEngine};
 use sgs_stream::hash::{split_seed, FastRng};
-use sgs_stream::l0::{BankFeed, L0Mode, L0Sampler};
-use sgs_stream::reservoir::{ReservoirBank, ReservoirMode};
-use sgs_stream::sharded::{ShardUpdate, ShardedFeed};
-use sgs_stream::EdgeUpdate;
-use std::time::{Duration, Instant};
+use sgs_stream::reservoir::ReservoirMode;
+use sgs_stream::sharded::ShardedFeed;
 
 pub use sgs_stream::broadcast::StallEvent;
-
-/// Producer stalls longer than this are recorded as [`StallEvent`]s on
-/// the ring engine — long enough to ignore scheduler jitter, short
-/// enough to catch a consumer that is actually wedged.
-const MUX_STALL_THRESHOLD: Duration = Duration::from_millis(10);
 
 /// One admitted job: a round-adaptive algorithm plus the private
 /// execution knobs a solo run would have owned.
@@ -158,11 +145,19 @@ pub struct MuxOutput<O> {
     /// Per-job reports. `rounds`/`passes`/`queries`/`answer_bytes` match
     /// the job's solo run exactly; `max_pass_space_bytes` is the
     /// **shared** pass footprint of the rounds the job rode (the space
-    /// actually in play while it was served), so it is not comparable to
-    /// a solo figure.
+    /// actually in play while it was served) — the solo footprint when
+    /// the job ran alone.
     pub reports: Vec<ExecReport>,
     /// Multiplexing diagnostics for the whole run.
     pub admission: AdmissionReport,
+}
+
+impl<O> MuxOutput<O> {
+    /// The output and report of a one-job run.
+    pub(crate) fn into_solo(mut self) -> (O, ExecReport) {
+        let report = self.reports[0];
+        (self.outputs.pop().expect("a one-job run"), report)
+    }
 }
 
 /// An admission batch of concurrent round-adaptive jobs, executed with
@@ -182,6 +177,14 @@ impl<A: RoundAdaptive> QuerySet<A> {
     /// An empty admission batch.
     pub fn new() -> Self {
         QuerySet { jobs: Vec::new() }
+    }
+
+    /// The one-job set a solo run executes: `alg` with its seed and
+    /// `opts.reservoir`.
+    pub(crate) fn solo(alg: A, seed: u64, opts: PassOpts) -> Self {
+        let mut set = QuerySet::new();
+        set.admit(alg, seed, opts.reservoir);
+        set
     }
 
     /// Admit one job with its private seed and reservoir mode; returns
@@ -223,13 +226,8 @@ impl<A: RoundAdaptive> QuerySet<A> {
         opts: PassOpts,
         policy: ExecPolicy,
     ) -> MuxOutput<A::Output> {
-        self.run_inner(
-            feed,
-            arena,
-            opts,
-            MuxModel::Insertion,
-            Engine::Sharded(policy),
-        )
+        let engine = Engine::Sharded(policy);
+        self.run_with(feed, arena, opts, RouterMode::Insertion, engine, &mut [])
     }
 
     /// Turnstile sibling of [`QuerySet::run_insertion`]; `opts.l0`
@@ -241,20 +239,15 @@ impl<A: RoundAdaptive> QuerySet<A> {
         opts: PassOpts,
         policy: ExecPolicy,
     ) -> MuxOutput<A::Output> {
-        self.run_inner(
-            feed,
-            arena,
-            opts,
-            MuxModel::Turnstile,
-            Engine::Sharded(policy),
-        )
+        let engine = Engine::Sharded(policy);
+        self.run_with(feed, arena, opts, RouterMode::Turnstile, engine, &mut [])
     }
 
     /// [`QuerySet::run_insertion`] riding the broadcast ring: one
     /// producer pushes each round's routed stream once and every shard's
-    /// shared-pass machine drains it through its own cursor. Producer
-    /// stalls land in [`AdmissionReport::stalls`]. Answers are identical
-    /// to the sharded engine's.
+    /// machine drains it through its own cursor. Producer stalls land in
+    /// [`AdmissionReport::stalls`]. Answers are identical to the sharded
+    /// engine's.
     pub fn run_insertion_broadcast(
         self,
         feed: &ShardedFeed,
@@ -262,7 +255,8 @@ impl<A: RoundAdaptive> QuerySet<A> {
         opts: PassOpts,
         bcast: BroadcastOpts,
     ) -> MuxOutput<A::Output> {
-        self.run_inner(feed, arena, opts, MuxModel::Insertion, Engine::Ring(bcast))
+        let engine = Engine::Ring(bcast);
+        self.run_with(feed, arena, opts, RouterMode::Insertion, engine, &mut [])
     }
 
     /// Turnstile sibling of [`QuerySet::run_insertion_broadcast`].
@@ -273,16 +267,24 @@ impl<A: RoundAdaptive> QuerySet<A> {
         opts: PassOpts,
         bcast: BroadcastOpts,
     ) -> MuxOutput<A::Output> {
-        self.run_inner(feed, arena, opts, MuxModel::Turnstile, Engine::Ring(bcast))
+        let engine = Engine::Ring(bcast);
+        self.run_with(feed, arena, opts, RouterMode::Turnstile, engine, &mut [])
     }
 
-    fn run_inner(
+    /// The admission loop: each round, collect every active job's next
+    /// batch into one merged batch (the first participant's batch moves
+    /// in), answer it with one pass on `engine`, and hand each job its
+    /// slice (moved, not copied, when it rode alone). Side sinks ride
+    /// the first round only — they are single-pass algorithms and must
+    /// see the stream exactly once.
+    pub(crate) fn run_with(
         mut self,
         feed: &ShardedFeed,
         arena: &mut RouterArena,
         opts: PassOpts,
-        model: MuxModel,
-        engine: Engine,
+        model: RouterMode,
+        mut engine: Engine<'_>,
+        side: &mut [SideSink<'_>],
     ) -> MuxOutput<A::Output> {
         let shards = feed.num_shards();
         let mut admission = AdmissionReport {
@@ -298,9 +300,9 @@ impl<A: RoundAdaptive> QuerySet<A> {
         arena.begin_run();
         let mut round_no = 0usize;
         loop {
-            // Admission: collect each active job's next batch into one
-            // merged batch, advancing only the participants' pass chains.
             let mut plan = RoundPlan::default();
+            let mut participants: Vec<u32> = Vec::new();
+            let mut concat: Vec<Query> = Vec::new();
             for (j, job) in self.jobs.iter_mut().enumerate() {
                 if job.done {
                     continue;
@@ -316,48 +318,60 @@ impl<A: RoundAdaptive> QuerySet<A> {
                 job.report.passes += 1;
                 job.report.queries += batch.len();
                 job.report.answer_bytes += batch.len() * ANSWER_BYTES;
-                let p = plan.participants.len();
-                let pass_seed = split_seed(job.seed, job.passes);
-                plan.participants.push(j as u32);
-                plan.pass_seeds.push(pass_seed);
-                plan.modes.push(job.reservoir);
-                plan.starts.push(plan.concat.len());
                 let js = &mut admission.jobs[j];
-                for (k, q) in batch.iter().enumerate() {
-                    plan.slot_seeds.push(split_seed(pass_seed, k as u64));
-                    plan.slot_part.push(p as u32);
+                for q in &batch {
                     match q {
                         Query::RandomEdge => js.f1_targets += 1,
                         Query::RandomNeighbor(_) => js.sampler_lanes += 1,
                         _ => {}
                     }
                 }
-                plan.concat.extend(batch);
+                participants.push(j as u32);
+                plan.starts.push(concat.len());
+                plan.pass_seeds.push(split_seed(job.seed, job.passes));
+                plan.modes.push(job.reservoir);
+                if concat.is_empty() {
+                    concat = batch;
+                } else {
+                    concat.extend(batch);
+                }
             }
-            if plan.concat.is_empty() {
+            if concat.is_empty() {
                 break;
             }
-            plan.starts.push(plan.concat.len());
+            plan.starts.push(concat.len());
             round_no += 1;
-            let (answers, space) = match model {
-                MuxModel::Insertion => {
-                    mux_insertion_pass(&plan, feed, arena, opts, &engine, &mut admission.stalls)
-                }
-                MuxModel::Turnstile => {
-                    mux_turnstile_pass(&plan, feed, arena, opts, &engine, &mut admission.stalls)
-                }
+            let side_now: &mut [SideSink<'_>] = if round_no == 1 { side } else { &mut [] };
+            let pass_engine = match &mut engine {
+                Engine::Sharded(policy) => PassEngine::Sharded(*policy),
+                Engine::Ring(bcast) => PassEngine::Ring {
+                    bcast: *bcast,
+                    side: side_now,
+                    stalls: &mut admission.stalls,
+                },
+                Engine::Runtime(rt, bcast) => PassEngine::Runtime {
+                    rt,
+                    bcast: *bcast,
+                    side: side_now,
+                },
             };
+            let (mut answers, space) =
+                run_pass(model, &concat, &plan, feed, arena, opts, pass_engine);
             // Critical-path pass time via the arena's per-shard timing.
             let round_nanos = arena.slots[..shards]
                 .iter()
                 .filter_map(|s| s.pass_nanos.last().copied())
                 .max()
                 .unwrap_or(0);
-            for (p, &j) in plan.participants.iter().enumerate() {
+            for (p, &j) in participants.iter().enumerate() {
                 let (a, b) = (plan.starts[p], plan.starts[p + 1]);
                 let job = &mut self.jobs[j as usize];
-                job.answers.clear();
-                job.answers.extend_from_slice(&answers[a..b]);
+                if participants.len() == 1 {
+                    job.answers = std::mem::take(&mut answers);
+                } else {
+                    job.answers.clear();
+                    job.answers.extend_from_slice(&answers[a..b]);
+                }
                 job.report.max_pass_space_bytes = job.report.max_pass_space_bytes.max(space);
                 let js = &mut admission.jobs[j as usize];
                 js.rounds += 1;
@@ -366,8 +380,8 @@ impl<A: RoundAdaptive> QuerySet<A> {
             }
             admission.rounds.push(MuxRoundStats {
                 round: round_no,
-                participants: plan.participants,
-                batch_len: plan.concat.len(),
+                participants,
+                batch_len: concat.len(),
                 pass_nanos: round_nanos,
             });
             arena.note_round();
@@ -383,641 +397,84 @@ impl<A: RoundAdaptive> QuerySet<A> {
     }
 }
 
-/// Which transformation theorem's pass machinery a run uses.
-#[derive(Clone, Copy)]
-enum MuxModel {
-    Insertion,
-    Turnstile,
-}
-
-/// Which delivery engine drives the shared pass.
-enum Engine {
+/// Which delivery engine drives a run's passes.
+pub(crate) enum Engine<'r> {
     /// Scoped-thread shard workers over the feed's private buffers.
     Sharded(ExecPolicy),
-    /// One broadcast ring: a single producer, one cursor per shard.
+    /// One scoped broadcast ring per round: a single producer, one
+    /// cursor per shard.
     Ring(BroadcastOpts),
+    /// A persistent worker pool, fed through a fresh ring per round.
+    Runtime(&'r mut ShardRuntime, BroadcastOpts),
 }
 
-/// One shared round, planned: the merged batch plus everything needed to
-/// replay each participant's private coins.
-#[derive(Default)]
-struct RoundPlan {
-    /// The concatenation of every participant's batch, in job order.
-    concat: Vec<Query>,
-    /// Participant index → job id.
-    participants: Vec<u32>,
-    /// Participant index → start offset in `concat`; one trailing entry
-    /// holds `concat.len()`, so participant `p` owns `starts[p]..starts[p+1]`.
-    starts: Vec<usize>,
-    /// Participant index → the job's private pass seed for this round.
-    pass_seeds: Vec<u64>,
-    /// Participant index → the job's reservoir mode.
-    modes: Vec<ReservoirMode>,
-    /// Merged slot → `split_seed(owner's pass seed, job-local slot)` —
-    /// the exact lane seed the owner's solo pass would use.
-    slot_seeds: Vec<u64>,
-    /// Merged slot → owning participant index.
-    slot_part: Vec<u32>,
+/// One shared round, planned: each participant's start offset in the
+/// merged batch, private pass seed and reservoir mode — everything
+/// needed to replay its solo coins. The merged batch itself stays with
+/// the caller, and lane seeds are derived on demand.
+#[derive(Clone, Default)]
+pub(crate) struct RoundPlan {
+    /// Participant → start offset in the merged batch; one trailing
+    /// entry holds the batch length, so participant `p` owns
+    /// `starts[p]..starts[p+1]`.
+    pub(crate) starts: Vec<usize>,
+    /// Participant → the job's private pass seed for this round.
+    pub(crate) pass_seeds: Vec<u64>,
+    /// Participant → the job's reservoir mode.
+    pub(crate) modes: Vec<ReservoirMode>,
 }
 
-/// Draw every participant's `f1` targets from its own pass rng in its
-/// own batch order (the solo coin sequences), keyed by merged slot, then
-/// sort by position for cursor matching. Push order has ascending merged
-/// slots (participants are planned in job order), matching what
-/// `sort_targets` expects from the solo draw.
-fn draw_mux_targets(plan: &RoundPlan, stream_len: u64, targets: &mut Vec<(u64, u32)>) {
-    targets.clear();
-    if stream_len == 0 {
-        return;
-    }
-    for (p, &pass_seed) in plan.pass_seeds.iter().enumerate() {
-        let mut rng = FastRng::seed_from_u64(pass_seed);
-        for gs in plan.starts[p]..plan.starts[p + 1] {
-            if matches!(plan.concat[gs], Query::RandomEdge) {
-                targets.push((rng.gen_range(0..stream_len), gs as u32));
-            }
-        }
-    }
-    sort_targets(targets, stream_len);
-}
-
-/// One maximal run of same-job sampler lanes inside one shared vertex
-/// group: the fan-out unit. A delivery to the group offers `item` to
-/// bank lanes `bank_start..bank_end` of participant `part`'s private
-/// reservoir bank — one `offer_cohort` per segment, exactly the solo
-/// group offer the owner's own pass would make.
-#[derive(Clone, Copy)]
-struct MuxSegment {
-    part: u32,
-    bank_start: u32,
-    bank_end: u32,
-}
-
-/// One shard's shared insertion-model pass: the multiplexed counterpart
-/// of [`crate::sharded::InsertionShardPass`]. One router over the merged
-/// sub-batch; per-participant reservoir banks (each in its job's own
-/// mode, lanes seeded with the job's solo coins) fed through the segment
-/// table.
-struct MuxInsertionShardPass<'a> {
-    slot: &'a mut ShardSlot,
-    targets: &'a [(u64, u32)],
-    block: usize,
-    /// One private bank per participant (possibly zero lanes).
-    banks: Vec<ReservoirBank<Edge>>,
-    /// Flat segment table, grouped by shared vertex group.
-    segments: Vec<MuxSegment>,
-    /// Shared group start lane → segment range in `segments`.
-    group_segs: Vec<(u32, u32)>,
-    /// Shared lane → (participant, lane in that participant's bank).
-    lane_owner: Vec<(u32, u32)>,
-    nbr_verts: Vec<VertexId>,
-    edge_hits: Vec<(u32, Edge)>,
-    cursor: usize,
-    buf: Vec<EdgeUpdate>,
-}
-
-/// Build the per-participant lane/segment structures over the shard's
-/// rebuilt router. Within one shared vertex group, lanes ascend by local
-/// slot, local slots ascend by merged slot, and each participant's
-/// merged range is contiguous — so each participant's lanes in a group
-/// form exactly one contiguous run, and its bank ranges come out
-/// ascending and disjoint (what `bind_cohorts` requires).
-#[allow(clippy::type_complexity)] // four parallel tables, consumed as locals right at the call site
-fn build_lane_tables(
-    slot: &ShardSlot,
-    plan: &RoundPlan,
-) -> (
-    Vec<Vec<u64>>,
-    Vec<(u32, u32)>,
-    Vec<MuxSegment>,
-    Vec<(u32, u32)>,
-) {
-    let nparts = plan.participants.len();
-    let nbr_slots = slot.router.neighbor_slots();
-    let mut lane_seeds: Vec<Vec<u64>> = vec![Vec::new(); nparts];
-    let mut lane_owner: Vec<(u32, u32)> = Vec::with_capacity(nbr_slots.len());
-    for &ls in nbr_slots {
-        let gs = slot.slot_map[ls as usize] as usize;
-        let p = plan.slot_part[gs] as usize;
-        lane_owner.push((p as u32, lane_seeds[p].len() as u32));
-        lane_seeds[p].push(plan.slot_seeds[gs]);
-    }
-    let mut segments: Vec<MuxSegment> = Vec::new();
-    let mut group_segs: Vec<(u32, u32)> = vec![(0, 0); nbr_slots.len()];
-    for (s, e) in slot.router.neighbor_group_ranges() {
-        let beg = segments.len() as u32;
-        let mut li = s as usize;
-        while li < e as usize {
-            let (part, bank_start) = lane_owner[li];
-            let mut lj = li + 1;
-            while lj < e as usize && lane_owner[lj].0 == part {
-                lj += 1;
-            }
-            segments.push(MuxSegment {
-                part,
-                bank_start,
-                bank_end: bank_start + (lj - li) as u32,
-            });
-            li = lj;
-        }
-        group_segs[s as usize] = (beg, segments.len() as u32);
-    }
-    (lane_seeds, lane_owner, segments, group_segs)
-}
-
-impl<'a> MuxInsertionShardPass<'a> {
-    fn new(
-        slot: &'a mut ShardSlot,
-        targets: &'a [(u64, u32)],
-        plan: &RoundPlan,
-        opts: PassOpts,
-    ) -> Self {
-        slot.router.rebuild(&slot.sub_batch, RouterMode::Insertion);
-        let (lane_seeds, lane_owner, segments, group_segs) = build_lane_tables(slot, plan);
-        let mut banks: Vec<ReservoirBank<Edge>> = lane_seeds
-            .into_iter()
-            .zip(&plan.modes)
-            .map(|(seeds, &mode)| ReservoirBank::from_seeds(seeds, mode))
-            .collect();
-        for (pi, bank) in banks.iter_mut().enumerate() {
-            bank.bind_cohorts(
-                segments
-                    .iter()
-                    .filter(|sg| sg.part as usize == pi)
-                    .map(|sg| (sg.bank_start, sg.bank_end)),
-            );
-        }
-        let nbr_verts: Vec<VertexId> = slot.router.neighbor_vertices().collect();
-        MuxInsertionShardPass {
-            slot,
-            targets,
-            block: opts.block,
-            banks,
-            segments,
-            group_segs,
-            lane_owner,
-            nbr_verts,
-            edge_hits: Vec::new(),
-            cursor: 0,
-            buf: Vec::new(),
+impl RoundPlan {
+    /// The plan of a solo pass: one participant owning the whole batch.
+    pub(crate) fn solo(len: usize, pass_seed: u64, mode: ReservoirMode) -> Self {
+        RoundPlan {
+            starts: vec![0, len],
+            pass_seeds: vec![pass_seed],
+            modes: vec![mode],
         }
     }
 
-    /// Absorb the next run of deliveries (global stream order, possibly
-    /// a partial prefix — callable repeatedly).
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        if self.block <= 1 {
-            for su in deliveries {
-                debug_assert!(su.update.is_insert(), "insertion executor fed a deletion");
-                let pos = su.position as u64;
-                while self.cursor < self.targets.len() && self.targets[self.cursor].0 < pos {
-                    self.cursor += 1;
-                }
-                while self.cursor < self.targets.len() && self.targets[self.cursor].0 == pos {
-                    self.edge_hits
-                        .push((self.targets[self.cursor].1, su.update.edge));
-                    self.cursor += 1;
-                }
-                let edge = su.update.edge;
-                let banks = &mut self.banks;
-                let segments = &self.segments;
-                let group_segs = &self.group_segs;
-                self.slot.router.feed(su.update, |s, _e| {
-                    let (b0, b1) = group_segs[s as usize];
-                    for sg in &segments[b0 as usize..b1 as usize] {
-                        banks[sg.part as usize].offer_cohort(
-                            sg.bank_start as usize,
-                            sg.bank_end as usize,
-                            edge,
-                        );
-                    }
-                });
-            }
-        } else {
-            let mut buf = std::mem::take(&mut self.buf);
-            for chunk in deliveries.chunks(self.block) {
-                buf.clear();
-                for su in chunk {
-                    debug_assert!(su.update.is_insert(), "insertion executor fed a deletion");
-                    let pos = su.position as u64;
-                    while self.cursor < self.targets.len() && self.targets[self.cursor].0 < pos {
-                        self.cursor += 1;
-                    }
-                    while self.cursor < self.targets.len() && self.targets[self.cursor].0 == pos {
-                        self.edge_hits
-                            .push((self.targets[self.cursor].1, su.update.edge));
-                        self.cursor += 1;
-                    }
-                    buf.push(su.update);
-                }
-                let banks = &mut self.banks;
-                let segments = &self.segments;
-                let group_segs = &self.group_segs;
-                self.slot.router.feed_block(&buf, |j, s, _e| {
-                    let (b0, b1) = group_segs[s as usize];
-                    for sg in &segments[b0 as usize..b1 as usize] {
-                        banks[sg.part as usize].offer_cohort(
-                            sg.bank_start as usize,
-                            sg.bank_end as usize,
-                            buf[j].edge,
-                        );
-                    }
-                });
-            }
-            self.buf = buf;
-        }
+    /// Number of participants.
+    pub(crate) fn participants(&self) -> usize {
+        self.pass_seeds.len()
     }
 
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        self.slot.pass_nanos.push(nanos);
+    /// The participant owning merged slot `gs`.
+    pub(crate) fn owner(&self, gs: usize) -> usize {
+        self.starts.partition_point(|&s| s <= gs) - 1
     }
 
-    /// End of stream: fill shard-local answers and report the outcome.
-    fn finish(self) -> ShardOutcome {
-        let MuxInsertionShardPass {
-            slot,
-            banks,
-            lane_owner,
-            nbr_verts,
-            edge_hits,
-            ..
-        } = self;
-        let space_bytes =
-            slot.router.space_bytes() + banks.iter().map(ReservoirBank::space_bytes).sum::<usize>();
-        slot.answers.clear();
-        slot.answers
-            .resize(slot.sub_batch.len(), Answer::Edge(None));
-        for (li, &ls) in slot.router.neighbor_slots().iter().enumerate() {
-            let (p, lane) = lane_owner[li];
-            let v = nbr_verts[li];
-            slot.answers[ls as usize] =
-                Answer::Neighbor(banks[p as usize].sample(lane as usize).map(|e| e.other(v)));
-        }
-        slot.router.distribute(&mut slot.answers);
-        ShardOutcome {
-            edge_hits,
-            f1_bank: Vec::new(),
-            space_bytes,
-        }
+    /// The lane seed of merged slot `gs`, owned by participant `p`:
+    /// `split_seed(pass seed, job-local slot)` — the exact seed the
+    /// owner's solo pass would use.
+    pub(crate) fn lane_seed(&self, p: usize, gs: usize) -> u64 {
+        split_seed(self.pass_seeds[p], (gs - self.starts[p]) as u64)
     }
-}
 
-/// One shard's shared turnstile pass: the multiplexed counterpart of
-/// [`crate::sharded::TurnstileShardPass`]. ℓ₀-samplers are per-lane
-/// independent linear sketches, so the shared pass needs no per-job
-/// banks — one flat `f1` bank aligned with the merged `RandomEdge` slot
-/// list and one flat neighbor bank aligned with the shared router's
-/// lanes, every sampler seeded with its owner's solo coins.
-struct MuxTurnstileShardPass<'a> {
-    slot: &'a mut ShardSlot,
-    block: usize,
-    l0: L0Mode,
-    /// Threads each `f1` bank sweep may use ([`BankFeed::new`]).
-    bank_threads: usize,
-    f1_bank: Vec<L0Sampler>,
-    nbr_samplers: Vec<L0Sampler>,
-    nbr_verts: Vec<VertexId>,
-    buf: Vec<EdgeUpdate>,
-    owned_kd: Vec<(u64, i64)>,
-}
-
-impl<'a> MuxTurnstileShardPass<'a> {
-    fn new(
-        slot: &'a mut ShardSlot,
-        num_vertices: usize,
+    /// Draw every participant's `f1` targets from its own pass rng in
+    /// its own batch order (the solo coin sequences), keyed by merged
+    /// slot, then sort by position for cursor matching. `f1_slots` is
+    /// the ascending merged `RandomEdge` slot list, so push order has
+    /// ascending slots, as `sort_targets` expects.
+    pub(crate) fn draw_targets(
+        &self,
         f1_slots: &[u32],
-        plan: &RoundPlan,
-        opts: PassOpts,
-        bank_threads: usize,
-    ) -> Self {
-        slot.router.rebuild(&slot.sub_batch, RouterMode::Turnstile);
-        let f1_bank: Vec<L0Sampler> = f1_slots
-            .iter()
-            .map(|&gs| L0Sampler::for_edge_domain(num_vertices, plan.slot_seeds[gs as usize]))
-            .collect();
-        let nbr_samplers: Vec<L0Sampler> = slot
-            .router
-            .neighbor_slots()
-            .iter()
-            .map(|&ls| {
-                L0Sampler::for_edge_domain(
-                    num_vertices,
-                    plan.slot_seeds[slot.slot_map[ls as usize] as usize],
-                )
-            })
-            .collect();
-        let nbr_verts: Vec<VertexId> = slot.router.neighbor_vertices().collect();
-        MuxTurnstileShardPass {
-            slot,
-            block: opts.block,
-            l0: opts.l0,
-            bank_threads,
-            f1_bank,
-            nbr_samplers,
-            nbr_verts,
-            buf: Vec::new(),
-            owned_kd: Vec::new(),
+        stream_len: u64,
+        targets: &mut Vec<(u64, u32)>,
+    ) {
+        targets.clear();
+        if stream_len == 0 {
+            return;
         }
-    }
-
-    /// Absorb the next run of deliveries (callable repeatedly) — the
-    /// same delivery loop as the solo turnstile shard pass.
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        let l0 = self.l0;
-        if self.block <= 1 {
-            for su in deliveries {
-                let d = su.update.delta as i64;
-                if su.owned {
-                    let key = su.update.edge.key();
-                    for s in &mut self.f1_bank {
-                        s.update_with(l0, key, d);
-                    }
-                }
-                let edge = su.update.edge;
-                let samplers = &mut self.nbr_samplers;
-                let verts = &self.nbr_verts;
-                self.slot.router.feed(su.update, |s, e| {
-                    for i in s as usize..e as usize {
-                        samplers[i].update_with(l0, edge.other(verts[i]).0 as u64, d);
-                    }
-                });
-            }
-        } else {
-            let mut buf = std::mem::take(&mut self.buf);
-            let mut owned_kd = std::mem::take(&mut self.owned_kd);
-            let mut f1 = BankFeed::new(&mut self.f1_bank, l0, self.bank_threads);
-            for chunk in deliveries.chunks(self.block) {
-                buf.clear();
-                owned_kd.clear();
-                for su in chunk {
-                    if su.owned {
-                        owned_kd.push((su.update.edge.key(), su.update.delta as i64));
-                    }
-                    buf.push(su.update);
-                }
-                f1.push(&owned_kd);
-                let samplers = &mut self.nbr_samplers;
-                let verts = &self.nbr_verts;
-                self.slot.router.feed_block(&buf, |j, s, e| {
-                    let u = buf[j];
-                    for i in s as usize..e as usize {
-                        samplers[i].update_with(
-                            l0,
-                            u.edge.other(verts[i]).0 as u64,
-                            u.delta as i64,
-                        );
-                    }
-                });
-            }
-            f1.finish();
-            self.buf = buf;
-            self.owned_kd = owned_kd;
-        }
-    }
-
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        self.slot.pass_nanos.push(nanos);
-    }
-
-    /// End of stream: fill shard-local answers and report the outcome.
-    fn finish(self) -> ShardOutcome {
-        let MuxTurnstileShardPass {
-            slot,
-            f1_bank,
-            nbr_samplers,
-            ..
-        } = self;
-        let space_bytes = slot.router.space_bytes()
-            + f1_bank
-                .iter()
-                .chain(&nbr_samplers)
-                .map(sgs_stream::SpaceUsage::space_bytes)
-                .sum::<usize>();
-        slot.answers.clear();
-        slot.answers
-            .resize(slot.sub_batch.len(), Answer::Edge(None));
-        for (&ls, s) in slot.router.neighbor_slots().iter().zip(&nbr_samplers) {
-            slot.answers[ls as usize] = Answer::Neighbor(s.sample().map(|k| VertexId(k as u32)));
-        }
-        slot.router.distribute(&mut slot.answers);
-        ShardOutcome {
-            edge_hits: Vec::new(),
-            f1_bank,
-            space_bytes,
-        }
-    }
-}
-
-/// One shared insertion pass over the whole merged batch: split, draw
-/// merged targets, run every shard's mux machine on the chosen engine,
-/// merge back.
-fn mux_insertion_pass(
-    plan: &RoundPlan,
-    feed: &ShardedFeed,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    engine: &Engine,
-    stalls: &mut Vec<StallEvent>,
-) -> (Vec<Answer>, usize) {
-    let shards = feed.num_shards();
-    split_batch(&plan.concat, RouterMode::Insertion, feed.shard_map(), arena);
-    let mut targets = std::mem::take(&mut arena.scratch_targets);
-    draw_mux_targets(plan, feed.stream_len() as u64, &mut targets);
-    let outcomes = match engine {
-        Engine::Sharded(policy) => {
-            feed.begin_pass();
-            run_shards(&mut arena.slots[..shards], *policy, |i, slot| {
-                let t0 = Instant::now();
-                let mut pass = MuxInsertionShardPass::new(&mut *slot, &targets, plan, opts);
-                pass.feed(feed.shard(i));
-                let out = pass.finish();
-                slot.pass_nanos.push(t0.elapsed().as_nanos() as u64);
-                out
-            })
-        }
-        Engine::Ring(bcast) => {
-            let passes: Vec<MuxInsertionShardPass<'_>> = arena.slots[..shards]
-                .iter_mut()
-                .map(|slot| MuxInsertionShardPass::new(slot, &targets, plan, opts))
-                .collect();
-            drive_mux_ring(feed, passes, *bcast, stalls)
-        }
-    };
-    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>() + targets.len() * 16;
-    arena.scratch_targets = targets;
-    let answers = merge_answers(plan.concat.len(), feed, arena, shards, &outcomes);
-    (answers, space)
-}
-
-/// Turnstile sibling of [`mux_insertion_pass`]: per-shard `f1` banks fed
-/// owned deliveries, merged linearly across shards — solo sharded
-/// semantics over the merged slot list.
-fn mux_turnstile_pass(
-    plan: &RoundPlan,
-    feed: &ShardedFeed,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    engine: &Engine,
-    stalls: &mut Vec<StallEvent>,
-) -> (Vec<Answer>, usize) {
-    let shards = feed.num_shards();
-    split_batch(&plan.concat, RouterMode::Turnstile, feed.shard_map(), arena);
-    let f1_slots = std::mem::take(&mut arena.scratch_edge);
-    let n = feed.num_vertices();
-    let mut outcomes = match engine {
-        Engine::Sharded(policy) => {
-            feed.begin_pass();
-            let bank_threads = policy.bank_threads(shards);
-            run_shards(&mut arena.slots[..shards], *policy, |i, slot| {
-                let t0 = Instant::now();
-                let mut pass =
-                    MuxTurnstileShardPass::new(&mut *slot, n, &f1_slots, plan, opts, bank_threads);
-                pass.feed(feed.shard(i));
-                let out = pass.finish();
-                slot.pass_nanos.push(t0.elapsed().as_nanos() as u64);
-                out
-            })
-        }
-        Engine::Ring(bcast) => {
-            let bank_threads = bcast.policy.bank_threads(shards);
-            let passes: Vec<MuxTurnstileShardPass<'_>> = arena.slots[..shards]
-                .iter_mut()
-                .map(|slot| {
-                    MuxTurnstileShardPass::new(slot, n, &f1_slots, plan, opts, bank_threads)
-                })
-                .collect();
-            drive_mux_ring(feed, passes, *bcast, stalls)
-        }
-    };
-    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
-    let (head, rest) = outcomes.split_at_mut(1);
-    for o in rest.iter() {
-        for (a, b) in head[0].f1_bank.iter_mut().zip(&o.f1_bank) {
-            a.merge(b);
-        }
-    }
-    let mut answers = merge_answers(plan.concat.len(), feed, arena, shards, &outcomes);
-    for (&slot, s) in f1_slots.iter().zip(&outcomes[0].f1_bank) {
-        answers[slot as usize] = Answer::Edge(s.sample().map(Edge::from_key));
-    }
-    arena.scratch_edge = f1_slots;
-    (answers, space)
-}
-
-/// The shard-pass surface the mux ring driver needs (the multiplexed
-/// counterpart of the broadcast module's private RingPass).
-trait MuxRingPass: Send {
-    fn feed(&mut self, deliveries: &[ShardUpdate]);
-    fn record_pass_nanos(&mut self, nanos: u64);
-    fn finish(self) -> ShardOutcome
-    where
-        Self: Sized;
-}
-
-impl MuxRingPass for MuxInsertionShardPass<'_> {
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        MuxInsertionShardPass::feed(self, deliveries);
-    }
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        MuxInsertionShardPass::record_pass_nanos(self, nanos);
-    }
-    fn finish(self) -> ShardOutcome {
-        MuxInsertionShardPass::finish(self)
-    }
-}
-
-impl MuxRingPass for MuxTurnstileShardPass<'_> {
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        MuxTurnstileShardPass::feed(self, deliveries);
-    }
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        MuxTurnstileShardPass::record_pass_nanos(self, nanos);
-    }
-    fn finish(self) -> ShardOutcome {
-        MuxTurnstileShardPass::finish(self)
-    }
-}
-
-/// Drive one shared pass over the broadcast ring: one producer, one
-/// cursor per shard machine — threaded (blocking API, scoped threads)
-/// when the policy says so, else a deterministic cooperative round-robin
-/// on this thread. Identical answers either way. The ring is built with
-/// a stall threshold; recorded producer stalls are appended to `stalls`
-/// so the admission report can name the consumer a slow round was
-/// blocked on.
-fn drive_mux_ring<P: MuxRingPass>(
-    feed: &ShardedFeed,
-    passes: Vec<P>,
-    bcast: BroadcastOpts,
-    stalls: &mut Vec<StallEvent>,
-) -> Vec<ShardOutcome> {
-    let shards = passes.len();
-    let ring = Broadcast::with_stall_threshold(bcast.ring_capacity, MUX_STALL_THRESHOLD);
-    let shard_consumers: Vec<BroadcastConsumer> = (0..shards).map(|_| ring.subscribe()).collect();
-    let producer = RoutedProducer::new(feed, bcast.ring_block);
-    let outcomes = if bcast.policy.use_threads(shards.max(2)) {
-        let ring_ref = &ring;
-        std::thread::scope(|scope| {
-            scope.spawn(move || producer.run(ring_ref));
-            let handles: Vec<_> = passes
-                .into_iter()
-                .zip(shard_consumers)
-                .enumerate()
-                .map(|(sid, (mut pass, consumer))| {
-                    scope.spawn(move || {
-                        let t0 = Instant::now();
-                        let mut scratch: Vec<ShardUpdate> = Vec::new();
-                        for block in consumer {
-                            crate::broadcast::filter_block(&block, sid, &mut scratch);
-                            pass.feed(&scratch);
-                        }
-                        pass.record_pass_nanos(t0.elapsed().as_nanos() as u64);
-                        pass.finish()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    } else {
-        let mut producer = producer;
-        let mut workers: Vec<(P, BroadcastConsumer, bool, u64)> = passes
-            .into_iter()
-            .zip(shard_consumers)
-            .map(|(p, c)| (p, c, false, 0u64))
-            .collect();
-        let mut scratch: Vec<ShardUpdate> = Vec::new();
-        loop {
-            let produced = producer.pump(&ring);
-            let mut all_ended = true;
-            for (sid, (pass, c, ended, nanos)) in workers.iter_mut().enumerate() {
-                let t0 = Instant::now();
-                while !*ended {
-                    match c.try_next() {
-                        TryNext::Block(b) => {
-                            crate::broadcast::filter_block(&b, sid, &mut scratch);
-                            pass.feed(&scratch);
-                        }
-                        TryNext::Pending => break,
-                        TryNext::Ended => *ended = true,
-                    }
-                }
-                *nanos += t0.elapsed().as_nanos() as u64;
-                all_ended &= *ended;
-            }
-            if produced && all_ended {
-                break;
+        let mut slots = f1_slots.iter().peekable();
+        for (p, &pass_seed) in self.pass_seeds.iter().enumerate() {
+            let mut rng = FastRng::seed_from_u64(pass_seed);
+            while let Some(&gs) = slots.next_if(|&&gs| (gs as usize) < self.starts[p + 1]) {
+                targets.push((rng.gen_range(0..stream_len), gs));
             }
         }
-        workers
-            .into_iter()
-            .map(|(mut p, _, _, nanos)| {
-                p.record_pass_nanos(nanos);
-                p.finish()
-            })
-            .collect()
-    };
-    stalls.extend(ring.stall_events());
-    outcomes
+        sort_targets(targets, stream_len);
+    }
 }
 
 #[cfg(test)]
@@ -1025,7 +482,7 @@ mod tests {
     use super::*;
     use crate::sharded::{run_insertion_sharded_with_exec, run_turnstile_sharded_with_exec};
     use crate::PassOpts;
-    use sgs_graph::gen;
+    use sgs_graph::{gen, VertexId};
     use sgs_stream::{InsertionStream, TurnstileStream};
 
     /// A small round-adaptive fixture with data-dependent rounds: walks

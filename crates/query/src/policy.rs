@@ -145,6 +145,16 @@ pub fn host_cores() -> usize {
     })
 }
 
+/// The host's available memory in bytes — `MemAvailable` from
+/// `/proc/meminfo`, read afresh on every call (it changes as the process
+/// and its neighbours allocate). `None` where that cannot be read.
+pub fn available_memory() -> Option<u64> {
+    let text = std::fs::read_to_string("/proc/meminfo").ok()?;
+    let line = text.lines().find(|l| l.starts_with("MemAvailable:"))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    kib.checked_mul(1024)
+}
+
 /// Bind the calling thread to one CPU. Returns whether the kernel
 /// accepted the mask; `false` (and no effect) on non-Linux targets, on
 /// out-of-range cores, and when the syscall is refused (containers with

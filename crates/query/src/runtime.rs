@@ -1,12 +1,12 @@
 //! The **ShardRuntime**: persistent, optionally core-pinned shard
 //! workers fed pass after pass through the broadcast ring.
 //!
-//! The scoped-thread schedules in [`crate::sharded`] and
-//! [`crate::broadcast`] spawn fresh worker threads for every pass. That
-//! is correct and simple, but on the hot serving path a multi-round run
-//! pays thread spawn/join, first-touch page faults, and cold per-shard
-//! state once *per pass*. This module keeps one long-lived worker per
-//! shard for the lifetime of a run:
+//! The scoped engines in [`crate::sharded`] and [`crate::broadcast`]
+//! spawn fresh worker threads for every pass. That is correct and
+//! simple, but on the hot serving path a multi-round run pays thread
+//! spawn/join, first-touch page faults, and cold per-shard state once
+//! *per pass*. This module keeps one long-lived worker per shard for the
+//! lifetime of a run:
 //!
 //! * **Workers own their slot.** Each worker thread owns a
 //!   [`ShardSlot`] — router, sub-batch, scratch — so every rebuild and
@@ -17,24 +17,26 @@
 //! * **Ping-pong buffers, no per-pass allocation.** A pass sends each
 //!   worker its `sub_batch`/`slot_map` vectors by value and gets them
 //!   back (with the answers) in the reply, so the buffers shuttle
-//!   between driver and worker without reallocating once warm.
+//!   between driver and worker without reallocating once warm. The
+//!   pass's shared setup — the round plan's per-participant data and
+//!   the drawn `f1` targets — rides one `Arc`.
 //! * **The ring is the feed.** Every pass opens one
 //!   [`Broadcast`] session: workers drain their cursors through the
 //!   blocking iterator; the driver pumps the producer — and any
 //!   non-`'static` side sinks, which cannot cross into the persistent
 //!   workers — cooperatively through the try-APIs, so it never blocks
 //!   while a sink still needs draining.
-//! * **Byte-identical answers.** The workers run the *same*
-//!   [`InsertionShardPass`]/[`TurnstileShardPass`] state machines over
-//!   the same per-shard delivery sequences with the same global-slot
-//!   seeds; scheduling (and pinning) decides where the work runs, never
-//!   what it computes. `tests/broadcast_equivalence.rs` pins the
-//!   persistent path against the single-stream executors.
+//! * **Byte-identical answers.** The workers run the *same* shard
+//!   machines ([`PassMachine`]) over the same per-shard delivery
+//!   sequences, through the same split → machines → merge step
+//!   ([`run_pass`]); scheduling (and pinning) decides where the work
+//!   runs, never what it computes. `tests/broadcast_equivalence.rs`
+//!   pins the persistent path against the single-stream executors.
 //!
 //! [`crate::broadcast::run_insertion_broadcast_with_opts`] and its
 //! turnstile sibling construct one runtime per run whenever the
 //! injected policy threads, so round-adaptive algorithms reuse the same
-//! workers across all their rounds.
+//! workers across all their rounds; `sgs serve` keeps one per node.
 
 use crate::arena::{RouterArena, ShardSlot};
 use crate::broadcast::{filter_block, BroadcastOpts, SideSink};
@@ -42,9 +44,7 @@ use crate::exec::PassOpts;
 use crate::policy::{host_cores, pin_current_thread, ExecPolicy};
 use crate::query::{Answer, Query};
 use crate::router::RouterMode;
-use crate::sharded::{
-    draw_targets, merge_answers, split_batch, InsertionShardPass, ShardOutcome, TurnstileShardPass,
-};
+use crate::sharded::{solo_pass, PassEngine, PassMachine, PassSetup, ShardOutcome};
 use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
 use sgs_stream::sharded::{ShardUpdate, ShardedFeed};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -53,38 +53,22 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// One pass's worth of work for a worker: the ring cursor to drain plus
-/// the pass parameters. Buffers arrive by value and return in the
+/// the pass's shared setup. Buffers arrive by value and return in the
 /// [`Reply`] (ping-pong reuse).
-enum Task {
-    Insertion {
-        consumer: BroadcastConsumer,
-        sub_batch: Vec<Query>,
-        slot_map: Vec<u32>,
-        targets: Arc<[(u64, u32)]>,
-        pass_seed: u64,
-        opts: PassOpts,
-    },
-    Turnstile {
-        consumer: BroadcastConsumer,
-        sub_batch: Vec<Query>,
-        slot_map: Vec<u32>,
-        f1_slots: Arc<[u32]>,
-        num_vertices: usize,
-        pass_seed: u64,
-        opts: PassOpts,
-        bank_threads: usize,
-    },
+struct Task {
+    consumer: BroadcastConsumer,
+    sub_batch: Vec<Query>,
+    slot_map: Vec<u32>,
+    setup: Arc<PassSetup>,
 }
 
-/// A worker's pass result: the outcome for the merge step, the answer
-/// scatter buffers back for reuse, and the pass wall time for the
-/// arena's critical-path telemetry.
+/// A worker's pass result: the outcome for the merge step (its feed
+/// time included) and the answer scatter buffers back for reuse.
 struct Reply {
     outcome: ShardOutcome,
     answers: Vec<Answer>,
     sub_batch: Vec<Query>,
     slot_map: Vec<u32>,
-    nanos: u64,
 }
 
 /// The worker body: pin if asked, then serve passes until the runtime
@@ -98,66 +82,23 @@ fn worker_loop(sid: usize, pin_core: Option<usize>, tasks: Receiver<Task>, repli
     let mut slot = ShardSlot::default();
     let mut scratch: Vec<ShardUpdate> = Vec::new();
     while let Ok(task) = tasks.recv() {
-        let reply = match task {
-            Task::Insertion {
-                consumer,
-                sub_batch,
-                slot_map,
-                targets,
-                pass_seed,
-                opts,
-            } => {
-                slot.sub_batch = sub_batch;
-                slot.slot_map = slot_map;
-                let t0 = Instant::now();
-                let mut pass = InsertionShardPass::new(&mut slot, &targets, pass_seed, opts);
-                for block in consumer {
-                    filter_block(&block, sid, &mut scratch);
-                    pass.feed(&scratch);
-                }
-                let outcome = pass.finish();
-                Reply {
-                    outcome,
-                    answers: std::mem::take(&mut slot.answers),
-                    sub_batch: std::mem::take(&mut slot.sub_batch),
-                    slot_map: std::mem::take(&mut slot.slot_map),
-                    nanos: t0.elapsed().as_nanos() as u64,
-                }
-            }
-            Task::Turnstile {
-                consumer,
-                sub_batch,
-                slot_map,
-                f1_slots,
-                num_vertices,
-                pass_seed,
-                opts,
-                bank_threads,
-            } => {
-                slot.sub_batch = sub_batch;
-                slot.slot_map = slot_map;
-                let t0 = Instant::now();
-                let mut pass = TurnstileShardPass::new(
-                    &mut slot,
-                    num_vertices,
-                    &f1_slots,
-                    pass_seed,
-                    opts,
-                    bank_threads,
-                );
-                for b in consumer {
-                    filter_block(&b, sid, &mut scratch);
-                    pass.feed(&scratch);
-                }
-                let outcome = pass.finish();
-                Reply {
-                    outcome,
-                    answers: std::mem::take(&mut slot.answers),
-                    sub_batch: std::mem::take(&mut slot.sub_batch),
-                    slot_map: std::mem::take(&mut slot.slot_map),
-                    nanos: t0.elapsed().as_nanos() as u64,
-                }
-            }
+        slot.sub_batch = task.sub_batch;
+        slot.slot_map = task.slot_map;
+        let t0 = Instant::now();
+        let mut pass = PassMachine::new(&mut slot, &task.setup);
+        for block in task.consumer {
+            filter_block(&block, sid, &mut scratch);
+            pass.feed(&scratch);
+        }
+        let outcome = pass.finish(t0.elapsed().as_nanos() as u64);
+        // Release the shared setup before replying, so the driver can
+        // take its scratch back.
+        drop(task.setup);
+        let reply = Reply {
+            outcome,
+            answers: std::mem::take(&mut slot.answers),
+            sub_batch: std::mem::take(&mut slot.sub_batch),
+            slot_map: std::mem::take(&mut slot.slot_map),
         };
         if replies.send(reply).is_err() {
             break;
@@ -261,10 +202,42 @@ impl ShardRuntime {
         }
     }
 
-    /// Collect the pass replies in shard order, re-installing the
-    /// ping-pong buffers (and the pass telemetry) into the arena so the
-    /// shared [`merge_answers`] path works unchanged.
-    fn collect(&self, arena: &mut RouterArena) -> Vec<ShardOutcome> {
+    /// Run one pass's shard machines on the workers: hand each its
+    /// sub-batch and cursor, drive the ring, then collect the replies in
+    /// shard order, re-installing the ping-pong buffers into the arena
+    /// so the shared merge works unchanged. Returns the setup for the
+    /// merge step.
+    pub(crate) fn run(
+        &mut self,
+        feed: &ShardedFeed,
+        arena: &mut RouterArena,
+        setup: PassSetup,
+        bcast: BroadcastOpts,
+        side: &mut [SideSink<'_>],
+    ) -> (Vec<ShardOutcome>, PassSetup) {
+        assert_eq!(
+            feed.num_shards(),
+            self.shards,
+            "runtime sized for a different shard count"
+        );
+        let setup = Arc::new(setup);
+        let ring = Broadcast::new(bcast.ring_capacity);
+        let shard_consumers: Vec<BroadcastConsumer> =
+            (0..self.shards).map(|_| ring.subscribe()).collect();
+        let side_consumers: Vec<BroadcastConsumer> =
+            side.iter().map(|_| ring.subscribe()).collect();
+        for (sid, consumer) in shard_consumers.into_iter().enumerate() {
+            let slot = &mut arena.slots[sid];
+            self.tasks[sid]
+                .send(Task {
+                    consumer,
+                    sub_batch: std::mem::take(&mut slot.sub_batch),
+                    slot_map: std::mem::take(&mut slot.slot_map),
+                    setup: setup.clone(),
+                })
+                .expect("shard worker gone");
+        }
+        self.drive(feed, &ring, bcast.ring_block, side, side_consumers);
         let mut outcomes = Vec::with_capacity(self.shards);
         for (sid, rx) in self.replies.iter().enumerate() {
             let r = rx
@@ -274,10 +247,9 @@ impl ShardRuntime {
             slot.answers = r.answers;
             slot.sub_batch = r.sub_batch;
             slot.slot_map = r.slot_map;
-            slot.pass_nanos.push(r.nanos);
             outcomes.push(r.outcome);
         }
-        outcomes
+        (outcomes, Arc::unwrap_or_clone(setup))
     }
 
     /// One insertion-model broadcast pass over the persistent workers —
@@ -296,40 +268,20 @@ impl ShardRuntime {
         bcast: BroadcastOpts,
         side: &mut [SideSink<'_>],
     ) -> (Vec<Answer>, usize) {
-        assert_eq!(
-            feed.num_shards(),
-            self.shards,
-            "runtime sized for a different shard count"
-        );
-        let shards = self.shards;
-        split_batch(batch, RouterMode::Insertion, feed.shard_map(), arena);
-        let mut targets = std::mem::take(&mut arena.scratch_targets);
-        draw_targets(batch, feed.stream_len() as u64, pass_seed, &mut targets);
-        let shared_targets: Arc<[(u64, u32)]> = targets.as_slice().into();
-        let ring = Broadcast::new(bcast.ring_capacity);
-        let shard_consumers: Vec<BroadcastConsumer> =
-            (0..shards).map(|_| ring.subscribe()).collect();
-        let side_consumers: Vec<BroadcastConsumer> =
-            side.iter().map(|_| ring.subscribe()).collect();
-        for (sid, consumer) in shard_consumers.into_iter().enumerate() {
-            let slot = &mut arena.slots[sid];
-            self.tasks[sid]
-                .send(Task::Insertion {
-                    consumer,
-                    sub_batch: std::mem::take(&mut slot.sub_batch),
-                    slot_map: std::mem::take(&mut slot.slot_map),
-                    targets: shared_targets.clone(),
-                    pass_seed,
-                    opts,
-                })
-                .expect("shard worker gone");
-        }
-        self.drive(feed, &ring, bcast.ring_block, side, side_consumers);
-        let outcomes = self.collect(arena);
-        let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>() + targets.len() * 16;
-        arena.scratch_targets = targets;
-        let answers = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-        (answers, space)
+        let engine = PassEngine::Runtime {
+            rt: self,
+            bcast,
+            side,
+        };
+        solo_pass(
+            RouterMode::Insertion,
+            batch,
+            feed,
+            pass_seed,
+            arena,
+            opts,
+            engine,
+        )
     }
 
     /// One turnstile-model broadcast pass over the persistent workers —
@@ -346,53 +298,20 @@ impl ShardRuntime {
         bcast: BroadcastOpts,
         side: &mut [SideSink<'_>],
     ) -> (Vec<Answer>, usize) {
-        assert_eq!(
-            feed.num_shards(),
-            self.shards,
-            "runtime sized for a different shard count"
-        );
-        let shards = self.shards;
-        let bank_threads = bcast.policy.bank_threads(shards);
-        split_batch(batch, RouterMode::Turnstile, feed.shard_map(), arena);
-        let f1_slots = std::mem::take(&mut arena.scratch_edge);
-        let shared_f1: Arc<[u32]> = f1_slots.as_slice().into();
-        let ring = Broadcast::new(bcast.ring_capacity);
-        let shard_consumers: Vec<BroadcastConsumer> =
-            (0..shards).map(|_| ring.subscribe()).collect();
-        let side_consumers: Vec<BroadcastConsumer> =
-            side.iter().map(|_| ring.subscribe()).collect();
-        for (sid, consumer) in shard_consumers.into_iter().enumerate() {
-            let slot = &mut arena.slots[sid];
-            self.tasks[sid]
-                .send(Task::Turnstile {
-                    consumer,
-                    sub_batch: std::mem::take(&mut slot.sub_batch),
-                    slot_map: std::mem::take(&mut slot.slot_map),
-                    f1_slots: shared_f1.clone(),
-                    num_vertices: feed.num_vertices(),
-                    pass_seed,
-                    opts,
-                    bank_threads,
-                })
-                .expect("shard worker gone");
-        }
-        self.drive(feed, &ring, bcast.ring_block, side, side_consumers);
-        let mut outcomes = self.collect(arena);
-        let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
-        // Merge the per-shard f1 banks into shard 0's (linear sketches):
-        // the result is the exact single-stream sketch state.
-        let (head, rest) = outcomes.split_at_mut(1);
-        for o in rest.iter() {
-            for (a, b) in head[0].f1_bank.iter_mut().zip(&o.f1_bank) {
-                a.merge(b);
-            }
-        }
-        let mut answers = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-        for (&slot, s) in f1_slots.iter().zip(&outcomes[0].f1_bank) {
-            answers[slot as usize] = Answer::Edge(s.sample().map(sgs_graph::Edge::from_key));
-        }
-        arena.scratch_edge = f1_slots;
-        (answers, space)
+        let engine = PassEngine::Runtime {
+            rt: self,
+            bcast,
+            side,
+        };
+        solo_pass(
+            RouterMode::Turnstile,
+            batch,
+            feed,
+            pass_seed,
+            arena,
+            opts,
+            engine,
+        )
     }
 }
 

@@ -4,27 +4,22 @@
 //! passes, print one answer, exit. [`ServerNode`] is the long-lived
 //! composition of the same pieces:
 //!
-//! * a **continuously-fed broadcast ring** in
-//!   [`sgs_stream::Broadcast::open_ingest`] mode: ingest never seals the
-//!   consumer set, so query sessions can subscribe at any time and join
-//!   at a block boundary;
 //! * the **WAL** ([`sgs_stream::persist::WalWriter`]) written block by
 //!   block as updates arrive — the node's durable history, reopened
 //!   (not recreated) across restarts so the block sequence is one
 //!   unbroken log;
-//! * periodic **snapshots** checkpointing the ring's resident consumer
-//!   cursor and the serving counters, published through the same
-//!   `MANIFEST` protocol the batch checkpoints use.
+//! * periodic **snapshots** checkpointing the WAL position and the
+//!   serving counters, published through the same `MANIFEST` protocol
+//!   the batch checkpoints use;
+//! * a persistent [`ShardRuntime`] worker pool that answers lone COUNTs.
 //!
 //! Answers stay **byte-identical** to batch runs: a query cuts the
 //! ingested history at a block boundary, rebuilds the exact
 //! [`ShardedFeed`] that `sgs count` would build over the same prefix
 //! (same routing, same positions), and runs the same deterministic
-//! passes. A kill -9 loses at most the un-flushed partial block; restart
-//! rebuilds the ring at the WAL's block count
-//! ([`sgs_stream::Broadcast::open_ingest_at`]) so checkpointed cursors
-//! stay meaningful, and every answer over the recovered prefix matches
-//! the pre-crash node bit for bit.
+//! passes. A kill -9 loses at most the un-flushed partial block, and
+//! every answer over the recovered prefix matches the pre-crash node bit
+//! for bit.
 
 use crate::policy::ExecPolicy;
 use crate::runtime::ShardRuntime;
@@ -36,12 +31,11 @@ use sgs_stream::persist::{
 };
 use sgs_stream::sharded::{RoutedUpdate, ShardMap, ShardedFeed};
 use sgs_stream::update::EdgeUpdate;
-use sgs_stream::{Broadcast, BroadcastConsumer, TryNext};
 use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Default updates per WAL block / ring block for a serving node — the
+/// Default updates per WAL block for a serving node — the
 /// durability granularity: a kill -9 loses at most this many un-flushed
 /// updates (they were never acknowledged as durable).
 pub const DEFAULT_SERVE_BLOCK: usize = 256;
@@ -57,11 +51,13 @@ pub const SERVE_CONFIG_TAG: u8 = 2;
 pub struct ServeConfig {
     /// Shard count every feed cut is routed for.
     pub shards: usize,
-    /// Updates per WAL/ring block (the durability granularity).
+    /// Updates per WAL block (the durability granularity).
     pub wal_block: usize,
     /// Snapshot cadence in flushed blocks.
     pub snapshot_every: u64,
-    /// Broadcast ring capacity in blocks.
+    /// Broadcast ring capacity in blocks. Recorded in CONFIG and
+    /// validated; the node keeps no ring of its own, and COUNT passes use
+    /// the default ring geometry.
     pub ring_capacity: usize,
     /// WAL segment roll threshold in bytes.
     pub segment_bytes: usize,
@@ -134,22 +130,14 @@ pub fn decode_serve_config(payload: &[u8]) -> PersistResult<ServeConfig> {
     })
 }
 
-/// What a serve snapshot records: the WAL position, the resident ring
-/// cursor (the checkpointed consumer state), and the serving counters.
+/// What a serve snapshot records: the WAL position and the serving
+/// counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeSnapshot {
     /// Updates flushed to the WAL.
     pub updates: u64,
-    /// Blocks flushed to the WAL (== ring blocks published).
+    /// Blocks flushed to the WAL.
     pub blocks: u64,
-    /// The resident consumer's ring cursor (blocks consumed). Equal to
-    /// `blocks` at every snapshot point — the node drains its own ring
-    /// tail on flush — and proven so on restore.
-    pub cursor_blocks: u64,
-    /// Updates the resident cursor has consumed since the ring was
-    /// (re)built. Resets with the ring on restart; `updates` is the
-    /// whole-history count.
-    pub cursor_updates: u64,
     /// COUNT queries answered over the node's lifetime.
     pub served: u64,
     /// Snapshots published over the node's lifetime (including this one).
@@ -160,13 +148,15 @@ pub struct ServeSnapshot {
     pub num_vertices: u64,
 }
 
+/// The serve snapshot layout this node writes. Layout 1 also carried
+/// two ring-cursor words after `blocks`; they are skipped on read.
+const SERVE_SNAPSHOT_LAYOUT: u8 = 2;
+
 fn encode_serve_snapshot(s: &ServeSnapshot) -> Vec<u8> {
     let mut enc = Encoder::new();
-    enc.u8(1); // serve snapshot layout version
+    enc.u8(SERVE_SNAPSHOT_LAYOUT);
     enc.u64(s.updates);
     enc.u64(s.blocks);
-    enc.u64(s.cursor_blocks);
-    enc.u64(s.cursor_updates);
     enc.u64(s.served);
     enc.u64(s.snapshots);
     enc.u64(s.deletions);
@@ -177,14 +167,18 @@ fn encode_serve_snapshot(s: &ServeSnapshot) -> Vec<u8> {
 fn decode_serve_snapshot(payload: &[u8]) -> PersistResult<ServeSnapshot> {
     let mut dec = Decoder::new(payload);
     let ver = dec.u8("serve snapshot version")?;
-    if ver != 1 {
+    if ver != 1 && ver != SERVE_SNAPSHOT_LAYOUT {
         return Err(dec.corrupt(format!("unknown serve snapshot layout {ver}")));
     }
+    let updates = dec.u64("updates")?;
+    let blocks = dec.u64("blocks")?;
+    if ver == 1 {
+        dec.u64("ring cursor blocks")?;
+        dec.u64("ring cursor updates")?;
+    }
     let s = ServeSnapshot {
-        updates: dec.u64("updates")?,
-        blocks: dec.u64("blocks")?,
-        cursor_blocks: dec.u64("cursor_blocks")?,
-        cursor_updates: dec.u64("cursor_updates")?,
+        updates,
+        blocks,
         served: dec.u64("served")?,
         snapshots: dec.u64("snapshots")?,
         deletions: dec.u64("deletions")?,
@@ -249,10 +243,6 @@ pub struct ServeStats {
     pub edges: usize,
     /// Deletions ingested.
     pub deletions: u64,
-    /// Ring blocks published since the ring was (re)built.
-    pub ring_produced: u64,
-    /// Resident cursor position (blocks consumed).
-    pub ring_consumed: u64,
     /// COUNT queries answered over the node's lifetime.
     pub served: u64,
     /// Snapshots published over the node's lifetime.
@@ -261,18 +251,14 @@ pub struct ServeStats {
     pub shards: usize,
 }
 
-/// The long-lived serving node: continuous WAL-backed ingest through an
-/// open broadcast ring, a persistent [`ShardRuntime`] worker pool, and
-/// periodic cursor checkpoints. See the module docs for the layout.
+/// The long-lived serving node: continuous WAL-backed ingest, a
+/// persistent [`ShardRuntime`] worker pool, and periodic snapshots. See
+/// the module docs for the layout.
 pub struct ServerNode {
     dir: PathBuf,
     cfg: ServeConfig,
     map: ShardMap,
     wal: WalWriter,
-    ring: Broadcast,
-    /// The node's resident ring consumer: its cursor is the checkpointed
-    /// "ring consumer cursor", drained at every flush.
-    tail: BroadcastConsumer,
     /// Every flushed routed update, in order — the in-memory mirror of
     /// the WAL that feed cuts are built from.
     history: Vec<RoutedUpdate>,
@@ -296,15 +282,11 @@ impl ServerNode {
     pub fn create(dir: &Path, cfg: ServeConfig, policy: ExecPolicy) -> PersistResult<Self> {
         let wal = WalWriter::create(dir, cfg.segment_bytes)?;
         write_config(dir, &encode_serve_config(&cfg))?;
-        let ring = Broadcast::open_ingest(cfg.ring_capacity);
-        let tail = ring.subscribe();
         Ok(ServerNode {
             dir: dir.to_path_buf(),
             cfg,
             map: ShardMap::uniform(cfg.shards),
             wal,
-            ring,
-            tail,
             history: Vec::new(),
             pending: Vec::new(),
             live: HashSet::new(),
@@ -321,10 +303,8 @@ impl ServerNode {
 
     /// Reopen a node from `dir`'s WAL — the restart path, graceful or
     /// not. Replays every intact block (re-validating the strict
-    /// turnstile invariants), truncates any torn tail in place, restores
-    /// the lifetime counters from the latest snapshot, and rebuilds the
-    /// ring at the WAL's block count so the checkpointed consumer
-    /// cursors resume exactly where they left off.
+    /// turnstile invariants), truncates any torn tail in place, and
+    /// restores the lifetime counters from the latest snapshot.
     pub fn resume(dir: &Path, cfg: ServeConfig, policy: ExecPolicy) -> PersistResult<Self> {
         let (wal, recovered) = WalWriter::reopen(dir, cfg.segment_bytes)?;
         if let Some(meta) = &recovered.meta {
@@ -395,18 +375,11 @@ impl ServerNode {
             served = snap.served;
             snapshots = snap.snapshots;
         }
-        // The ring resumes the WAL's sequence numbering: the next block
-        // flushed publishes as sequence `blocks`, and the resident tail
-        // re-subscribes at exactly its checkpointed cursor.
-        let ring = Broadcast::open_ingest_at(cfg.ring_capacity, blocks);
-        let tail = ring.subscribe();
         Ok(ServerNode {
             dir: dir.to_path_buf(),
             cfg,
             map,
             wal,
-            ring,
-            tail,
             history,
             pending: Vec::new(),
             live,
@@ -442,8 +415,8 @@ impl ServerNode {
     /// Ingest one edge update. Routes it exactly as
     /// [`ShardedFeed::partition_with_map`] would (same owner/other, same
     /// position), so every later feed cut is field-identical to a batch
-    /// partition of the same update sequence. Flushes a full WAL/ring
-    /// block automatically. Returns the update's stream position.
+    /// partition of the same update sequence. Flushes a full WAL block
+    /// automatically. Returns the update's stream position.
     pub fn ingest(&mut self, u: u32, v: u32, delta: i8) -> Result<u64, ServeError> {
         if u == v {
             return Err(ServeError::Reject(format!("self-loop on vertex {u}")));
@@ -487,29 +460,19 @@ impl ServerNode {
         Ok(position as u64)
     }
 
-    /// Flush the pending updates as one WAL block + ring block, drain
-    /// the resident cursor, and auto-snapshot on cadence. No-op when
-    /// nothing is pending.
+    /// Flush the pending updates as one WAL block and auto-snapshot on
+    /// cadence. No-op when nothing is pending.
     pub fn flush_block(&mut self) -> PersistResult<()> {
         if self.pending.is_empty() {
             return Ok(());
         }
         let block = std::mem::take(&mut self.pending);
         self.wal.append_block(&block)?;
-        self.ring.push(&block);
         self.history.extend_from_slice(&block);
-        self.drain_tail();
         if self.wal.blocks() - self.last_snapshot_block >= self.cfg.snapshot_every {
             self.snapshot()?;
         }
         Ok(())
-    }
-
-    /// Advance the resident cursor past every published block. The node
-    /// flushes and drains in the same thread, so this always catches up
-    /// to the producer — the resident cursor never stalls ingest.
-    fn drain_tail(&mut self) {
-        while let TryNext::Block(_) = self.tail.try_next() {}
     }
 
     /// Cut the stream for a query: flush any partial block (a cut is a
@@ -525,16 +488,13 @@ impl ServerNode {
         )
     }
 
-    /// Publish a snapshot now: WAL position, resident ring cursor, and
-    /// lifetime counters, swung through `MANIFEST` atomically.
+    /// Publish a snapshot now: WAL position and lifetime counters, swung
+    /// through `MANIFEST` atomically.
     pub fn snapshot(&mut self) -> PersistResult<ServeSnapshot> {
-        self.drain_tail();
         self.snapshots += 1;
         let snap = ServeSnapshot {
             updates: self.wal.updates(),
             blocks: self.wal.blocks(),
-            cursor_blocks: self.tail.blocks_consumed(),
-            cursor_updates: self.tail.updates_consumed(),
             served: self.served,
             snapshots: self.snapshots,
             deletions: self.deletions,
@@ -545,21 +505,13 @@ impl ServerNode {
         Ok(snap)
     }
 
-    /// Graceful shutdown: flush the partial block, finish + drain the
-    /// ring, publish a final snapshot, seal the WAL (whole-history
-    /// totals + placement), and fsync the directory. The sealed
-    /// directory recovers through `sgs recover` and reopens with
-    /// [`ServerNode::resume`] (the seal is stripped for new ingest).
+    /// Graceful shutdown: flush the partial block, publish a final
+    /// snapshot, seal the WAL (whole-history totals + placement), and
+    /// fsync the directory. The sealed directory recovers through
+    /// `sgs recover` and reopens with [`ServerNode::resume`] (the seal
+    /// is stripped for new ingest).
     pub fn shutdown(mut self) -> PersistResult<ServeSnapshot> {
         self.flush_block()?;
-        self.ring.finish();
-        loop {
-            match self.tail.try_next() {
-                TryNext::Block(_) => {}
-                TryNext::Ended => break,
-                TryNext::Pending => std::thread::yield_now(),
-            }
-        }
         let snap = self.snapshot()?;
         let ServerNode {
             dir,
@@ -590,8 +542,6 @@ impl ServerNode {
             num_vertices: self.num_vertices,
             edges: self.live.len(),
             deletions: self.deletions,
-            ring_produced: self.ring.produced_blocks(),
-            ring_consumed: self.tail.blocks_consumed(),
             served: self.served,
             snapshots: self.snapshots,
             shards: self.cfg.shards,
@@ -636,11 +586,6 @@ impl ServerNode {
     /// The persistent worker pool for solo COUNT passes.
     pub fn runtime_mut(&mut self) -> &mut ShardRuntime {
         &mut self.runtime
-    }
-
-    /// The open-ingest ring (e.g. to subscribe a session-side consumer).
-    pub fn ring(&self) -> &Broadcast {
-        &self.ring
     }
 }
 
@@ -776,8 +721,6 @@ mod tests {
         assert_eq!(b.stats().updates, flushed, "flushed prefix survives");
         assert_eq!(b.recovered_blocks(), 5);
         assert_eq!(b.history, pre_cut, "byte-identical routed history");
-        assert_eq!(b.stats().ring_produced, 5, "ring resumes the sequence");
-        assert_eq!(b.stats().ring_consumed, 5, "cursor resumes checkpointed");
         // Ingest continues; positions carry on from the recovered prefix.
         let pos = b.ingest(100, 101, 1).unwrap();
         assert_eq!(pos, flushed);
@@ -800,7 +743,6 @@ mod tests {
         a.note_served();
         let snap = a.shutdown().unwrap();
         assert_eq!(snap.updates, 50, "partial block flushed at shutdown");
-        assert_eq!(snap.cursor_blocks, snap.blocks, "cursor fully drained");
         assert_eq!(snap.served, 1);
         // The sealed WAL is a consistent batch checkpoint...
         let rec = sgs_stream::persist::read_wal(&dir).unwrap();
@@ -813,5 +755,28 @@ mod tests {
         let snap2 = b.shutdown().unwrap();
         assert_eq!(snap2.updates, 51);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn layout_1_snapshot_decodes_without_its_ring_cursor_words() {
+        let mut enc = Encoder::new();
+        enc.u8(1);
+        for w in [80u64, 5, 5, 80, 3, 2, 1, 21] {
+            enc.u64(w); // updates, blocks, 2 cursor words, served, snapshots, deletions, n
+        }
+        let snap = decode_serve_snapshot(&enc.into_bytes()).unwrap();
+        let want = ServeSnapshot {
+            updates: 80,
+            blocks: 5,
+            served: 3,
+            snapshots: 2,
+            deletions: 1,
+            num_vertices: 21,
+        };
+        assert_eq!(snap, want);
+        // Layout 2 round-trips without the cursor words.
+        let bytes = encode_serve_snapshot(&want);
+        assert_eq!(bytes.len(), 1 + 6 * 8);
+        assert_eq!(decode_serve_snapshot(&bytes).unwrap(), want);
     }
 }

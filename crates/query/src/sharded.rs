@@ -1,5 +1,5 @@
-//! Sharded pass emulation: per-shard QueryRouters over a hash-partitioned
-//! feed, merged back into single-stream answers — *exactly*.
+//! Sharded pass emulation: the one family of per-shard pass machines,
+//! and the one split → machines → merge step every engine runs.
 //!
 //! One round's merged batch is split by routing key with the same hash
 //! the [`ShardedFeed`] partitions updates with: vertex-keyed queries
@@ -8,25 +8,42 @@
 //! stay with the driver (`EdgeCount` is answered from the feed's net
 //! delta; `f1` position targets are drawn centrally and matched against
 //! the global positions each delivery carries). Each shard then rebuilds
-//! its pooled router from the [`crate::arena::RouterArena`] and replays
-//! only its own buffer.
+//! its pooled router from the [`crate::arena::RouterArena`] and runs one
+//! pass machine — [`InsertionMachine`] or [`TurnstileMachine`] —
+//! over its own deliveries.
+//!
+//! **A solo run is a one-job plan.** A machine serves a
+//! [`RoundPlan`]: the round's participants, each with its start offset
+//! in the merged batch, its private pass seed and its reservoir mode.
+//! The multiplexer ([`crate::multiplex::QuerySet`]) plans many
+//! participants; every solo entry point here plans one. With one
+//! participant every lane seed is `split_seed(pass_seed, slot)` and
+//! every `f1` target comes from `FastRng(pass_seed)` in batch order —
+//! the solo coins — so there is no separate solo machine.
+//!
+//! **Engines.** [`run_pass`] is the step: split, draw targets (or take
+//! the `f1` slots), run the machines on the chosen [`PassEngine`], and
+//! finish ([`end_pass`]: merge the answers, merge the per-shard `f1`
+//! ℓ₀ banks, fill the `f1` answers). The engines differ only in where
+//! deliveries come from: scoped shard threads over the feed's buffers
+//! ([`run_shards`]), one scoped broadcast ring
+//! ([`crate::broadcast::run_ring`]), or the persistent
+//! [`crate::runtime::ShardRuntime`]. The checkpoint driver keeps its
+//! own resumable chunk loop around [`begin_pass`] / [`end_pass`].
 //!
 //! **Equivalence, not approximation.** The sharded pass produces answers
-//! byte-identical to the single-stream executors (and therefore to the
-//! frozen `crate::reference` oracle) for every fixed seed and any shard
-//! count, because nothing about a query's answer depends on updates its
-//! shard doesn't see:
+//! byte-identical to the frozen `crate::reference` oracle for every
+//! fixed seed and any shard count, because nothing about a query's
+//! answer depends on updates its shard doesn't see:
 //!
 //! * a shard receives every update incident to a vertex it owns, in
 //!   stream order, so degree counts, watcher arrivals, and neighbor
 //!   sampler offer sequences are unchanged;
-//! * samplers are seeded by their **global** batch slot
-//!   (`split_seed(pass_seed, slot)`), the same coins the single-stream
-//!   executors hand out;
-//! * `f1` targets are drawn from the pass rng in batch order before any
-//!   shard runs — the same draw sequence as a single-stream pass — and
-//!   matched by global position (duplicate deliveries record identical
-//!   hits);
+//! * samplers are seeded by their owner's pass seed and **job-local**
+//!   batch slot, the coins a one-shard pass hands out;
+//! * `f1` targets are drawn from each owner's pass rng in batch order
+//!   before any shard runs, and matched by global position (duplicate
+//!   deliveries record identical hits);
 //! * turnstile `f1` ℓ₀-banks are linear sketches: every shard feeds an
 //!   identically-seeded bank with its *owned* deliveries only, and
 //!   [`L0Sampler::merge`] reassembles the exact single-stream state.
@@ -44,23 +61,25 @@
 
 use crate::accounting::ExecReport;
 use crate::arena::{RouterArena, ShardSlot};
-use crate::exec::{sort_targets, PassOpts, ANSWER_BYTES};
+use crate::broadcast::{run_ring, BroadcastOpts, SideSink};
+use crate::exec::PassOpts;
+use crate::multiplex::{QuerySet, RoundPlan, StallEvent};
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
 use crate::router::RouterMode;
+use crate::runtime::ShardRuntime;
 use sgs_graph::{Edge, VertexId};
-use sgs_stream::hash::{split_seed, FastRng};
 use sgs_stream::l0::{BankFeed, L0Sampler};
 use sgs_stream::persist::{frame, read_frame_of, Decoder, Encoder, PersistResult, KIND_PASS_STATE};
 use sgs_stream::reservoir::ReservoirBank;
 use sgs_stream::sharded::{ShardMap, ShardUpdate, ShardedFeed};
-use sgs_stream::EdgeUpdate;
+use sgs_stream::{EdgeUpdate, SpaceUsage};
 use std::time::Instant;
 
 /// What one shard reports back to the merge step.
 pub(crate) struct ShardOutcome {
-    /// `f1` position hits, keyed by **global** slot. Duplicated across
+    /// `f1` position hits, keyed by **merged** slot. Duplicated across
     /// shards when an update was delivered to both endpoints' shards —
     /// duplicates carry identical edges, so merge order is irrelevant.
     pub(crate) edge_hits: Vec<(u32, Edge)>,
@@ -69,6 +88,8 @@ pub(crate) struct ShardOutcome {
     pub(crate) f1_bank: Vec<L0Sampler>,
     /// Measured sketch/router footprint of this shard's pass state.
     pub(crate) space_bytes: usize,
+    /// The shard's feed time for this pass, recorded into its arena slot.
+    pub(crate) nanos: u64,
 }
 
 /// Split a batch into per-shard sub-batches (vertex/edge-keyed kinds) and
@@ -120,73 +141,224 @@ pub(crate) fn split_batch(
     }
 }
 
-/// Draw the pass's `f1` position targets centrally, in batch order — the
-/// exact coin sequence a single-stream pass consumes — then sort by
-/// position for cursor matching.
-pub(crate) fn draw_targets(
+/// What every shard machine of one pass shares: the model, the plan, the
+/// feed options and the driver-drawn `f1` state.
+#[derive(Clone)]
+pub(crate) struct PassSetup {
+    model: RouterMode,
+    plan: RoundPlan,
+    opts: PassOpts,
+    num_vertices: usize,
+    /// Threads each `f1` bank sweep may use ([`BankFeed::new`]).
+    bank_threads: usize,
+    /// Insertion: `(position, merged slot)` targets, sorted by position.
+    targets: Vec<(u64, u32)>,
+    /// The merged `RandomEdge` slots, ascending.
+    f1_slots: Vec<u32>,
+}
+
+/// Start one pass: split the batch and draw the `f1` targets
+/// (insertion) or keep the `f1` slot list (turnstile, whose every shard
+/// holds the full `f1` ℓ₀-bank).
+pub(crate) fn begin_pass(
+    model: RouterMode,
     batch: &[Query],
-    stream_len: u64,
-    pass_seed: u64,
-    targets: &mut Vec<(u64, u32)>,
-) {
+    plan: &RoundPlan,
+    feed: &ShardedFeed,
+    arena: &mut RouterArena,
+    opts: PassOpts,
+    bank_threads: usize,
+) -> PassSetup {
+    split_batch(batch, model, feed.shard_map(), arena);
+    let f1_slots = std::mem::take(&mut arena.scratch_edge);
+    let mut targets = std::mem::take(&mut arena.scratch_targets);
     targets.clear();
-    if stream_len == 0 {
-        return;
+    if model == RouterMode::Insertion {
+        plan.draw_targets(&f1_slots, feed.stream_len() as u64, &mut targets);
     }
-    let mut rng = FastRng::seed_from_u64(pass_seed);
-    for (i, q) in batch.iter().enumerate() {
-        if matches!(q, Query::RandomEdge) {
-            targets.push((rng.gen_range(0..stream_len), i as u32));
+    PassSetup {
+        model,
+        plan: plan.clone(),
+        opts,
+        num_vertices: feed.num_vertices(),
+        bank_threads,
+        targets,
+        f1_slots,
+    }
+}
+
+/// Finish one pass: record each shard's feed time, merge shard-local
+/// answers, position hits and `EdgeCount`, and — turnstile — merge the
+/// per-shard `f1` banks into shard 0's (linear sketches: the result is
+/// the exact single-stream sketch state) and answer the `f1` slots from
+/// it. Returns the merged answers and the pass footprint.
+pub(crate) fn end_pass(
+    setup: PassSetup,
+    batch_len: usize,
+    feed: &ShardedFeed,
+    arena: &mut RouterArena,
+    mut outcomes: Vec<ShardOutcome>,
+) -> (Vec<Answer>, usize) {
+    let shards = outcomes.len();
+    for (slot, o) in arena.slots.iter_mut().zip(&outcomes) {
+        slot.pass_nanos.push(o.nanos);
+    }
+    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>() + setup.targets.len() * 16;
+    let mut answers = vec![Answer::Edge(None); batch_len];
+    let m = feed.final_edge_count().max(0) as usize;
+    for &s in &arena.scratch_count {
+        answers[s as usize] = Answer::EdgeCount(m);
+    }
+    for slot in &arena.slots[..shards] {
+        for (local, &global) in slot.slot_map.iter().enumerate() {
+            answers[global as usize] = slot.answers[local];
         }
     }
-    sort_targets(targets, stream_len);
+    for o in &outcomes {
+        for &(slot, e) in &o.edge_hits {
+            answers[slot as usize] = Answer::Edge(Some(e));
+        }
+    }
+    if setup.model == RouterMode::Turnstile {
+        let (head, rest) = outcomes.split_at_mut(1);
+        for o in rest.iter() {
+            for (a, b) in head[0].f1_bank.iter_mut().zip(&o.f1_bank) {
+                a.merge(b);
+            }
+        }
+        for (&slot, s) in setup.f1_slots.iter().zip(&outcomes[0].f1_bank) {
+            answers[slot as usize] = Answer::Edge(s.sample().map(Edge::from_key));
+        }
+    }
+    arena.scratch_targets = setup.targets;
+    arena.scratch_edge = setup.f1_slots;
+    (answers, space)
+}
+
+/// Match `f1` position targets against one delivery: skip targets whose
+/// position lives in another shard's buffer, then record every hit at
+/// this global position.
+#[inline]
+fn match_targets(
+    targets: &[(u64, u32)],
+    cursor: &mut usize,
+    hits: &mut Vec<(u32, Edge)>,
+    su: &ShardUpdate,
+) {
+    let pos = su.position as u64;
+    while *cursor < targets.len() && targets[*cursor].0 < pos {
+        *cursor += 1;
+    }
+    while *cursor < targets.len() && targets[*cursor].0 == pos {
+        hits.push((targets[*cursor].1, su.update.edge));
+        *cursor += 1;
+    }
+}
+
+/// One maximal run of same-participant sampler lanes inside one vertex
+/// group: the fan-out unit. A delivery to the group offers its edge to
+/// lanes `bank_start..bank_end` of participant `part`'s private
+/// reservoir bank — one `offer_cohort` per segment, exactly the group
+/// offer the participant's solo pass would make.
+#[derive(Clone, Copy)]
+struct Segment {
+    part: u32,
+    bank_start: u32,
+    bank_end: u32,
 }
 
 /// One shard's insertion-model pass as a **resumable state machine**:
 /// the per-delivery work, decoupled from where deliveries come from.
-/// The scoped-thread path feeds it the shard buffer in one call; the
-/// broadcast path feeds it ring blocks filtered down to this shard's
-/// deliveries as they arrive at the cursor. Delivery *chunking* differs
-/// between the two, but chunk boundaries never change an answer (the
-/// block-equivalence property), so both paths stay byte-identical to
-/// the single-stream executor.
-pub(crate) struct InsertionShardPass<'a> {
+/// One router over the shard's sub-batch; one private reservoir bank per
+/// participant (each in its job's own mode, lanes seeded with the job's
+/// solo coins) fed through the segment table. Delivery *chunking*
+/// differs between engines, but chunk boundaries never change an answer
+/// (the block-equivalence property), so every engine is byte-identical.
+pub(crate) struct InsertionMachine<'a> {
     slot: &'a mut ShardSlot,
     targets: &'a [(u64, u32)],
-    opts: PassOpts,
-    reservoirs: ReservoirBank<Edge>,
+    block: usize,
+    /// One private bank per participant (possibly zero lanes).
+    banks: Vec<ReservoirBank<Edge>>,
+    /// Flat segment table, grouped by vertex group.
+    segments: Vec<Segment>,
+    /// Group start lane → segment range in `segments`.
+    group_segs: Vec<(u32, u32)>,
+    /// Router lane → (participant, lane in that participant's bank).
+    lane_owner: Vec<(u32, u32)>,
+    nbr_verts: Vec<VertexId>,
     edge_hits: Vec<(u32, Edge)>,
     cursor: usize,
     buf: Vec<EdgeUpdate>,
 }
 
-impl<'a> InsertionShardPass<'a> {
-    /// Rebuild the pooled router and seed the pass state. The
-    /// relaxed-f3 reservoir bank is aligned with the shard router's
-    /// pooled slots and seeded by *global* batch slot — the
-    /// single-stream coins. A neighbor sampler's vertex lives entirely
-    /// in this shard, so its offer (and therefore draw) sequence is
-    /// exactly the single-stream one in either reservoir mode.
-    pub(crate) fn new(
-        slot: &'a mut ShardSlot,
-        targets: &'a [(u64, u32)],
-        pass_seed: u64,
-        opts: PassOpts,
-    ) -> Self {
+impl<'a> InsertionMachine<'a> {
+    /// Rebuild the pooled router and seed the banks. Within one vertex
+    /// group, lanes ascend by local slot, local slots ascend by merged
+    /// slot, and each participant's merged range is contiguous — so each
+    /// participant's lanes in a group form exactly one contiguous run,
+    /// and its bank ranges come out ascending and disjoint (what
+    /// `bind_cohorts` requires). A neighbor sampler's vertex lives
+    /// entirely in this shard, so its offer (and therefore draw)
+    /// sequence is exactly the solo one in either reservoir mode.
+    fn new(slot: &'a mut ShardSlot, setup: &'a PassSetup) -> Self {
         slot.router.rebuild(&slot.sub_batch, RouterMode::Insertion);
-        let mut reservoirs: ReservoirBank<Edge> = ReservoirBank::from_seeds(
-            slot.router
-                .neighbor_slots()
-                .iter()
-                .map(|&ls| split_seed(pass_seed, slot.slot_map[ls as usize] as u64)),
-            opts.reservoir,
-        );
-        reservoirs.bind_cohorts(slot.router.neighbor_group_ranges());
-        InsertionShardPass {
+        let plan = &setup.plan;
+        let nbr_slots = slot.router.neighbor_slots();
+        let mut lane_seeds: Vec<Vec<u64>> = vec![Vec::new(); plan.participants()];
+        let mut lane_owner: Vec<(u32, u32)> = Vec::with_capacity(nbr_slots.len());
+        for &ls in nbr_slots {
+            let gs = slot.slot_map[ls as usize] as usize;
+            let p = plan.owner(gs);
+            lane_owner.push((p as u32, lane_seeds[p].len() as u32));
+            lane_seeds[p].push(plan.lane_seed(p, gs));
+        }
+        let mut segments: Vec<Segment> = Vec::new();
+        let mut group_segs: Vec<(u32, u32)> = vec![(0, 0); nbr_slots.len()];
+        for (s, e) in slot.router.neighbor_group_ranges() {
+            let beg = segments.len() as u32;
+            let mut li = s as usize;
+            while li < e as usize {
+                let (part, bank_start) = lane_owner[li];
+                let mut lj = li + 1;
+                while lj < e as usize && lane_owner[lj].0 == part {
+                    lj += 1;
+                }
+                segments.push(Segment {
+                    part,
+                    bank_start,
+                    bank_end: bank_start + (lj - li) as u32,
+                });
+                li = lj;
+            }
+            group_segs[s as usize] = (beg, segments.len() as u32);
+        }
+        let mut banks: Vec<ReservoirBank<Edge>> = lane_seeds
+            .into_iter()
+            .zip(&plan.modes)
+            .map(|(seeds, &mode)| ReservoirBank::from_seeds(seeds, mode))
+            .collect();
+        // Each (group, participant) segment is a cohort: its lanes always
+        // receive offers together, so a skip-mode delivery is one
+        // clock-vs-min compare instead of a per-lane plane walk.
+        for (pi, bank) in banks.iter_mut().enumerate() {
+            bank.bind_cohorts(
+                segments
+                    .iter()
+                    .filter(|sg| sg.part as usize == pi)
+                    .map(|sg| (sg.bank_start, sg.bank_end)),
+            );
+        }
+        let nbr_verts: Vec<VertexId> = slot.router.neighbor_vertices().collect();
+        InsertionMachine {
             slot,
-            targets,
-            opts,
-            reservoirs,
+            targets: &setup.targets,
+            block: setup.opts.block,
+            banks,
+            segments,
+            group_segs,
+            lane_owner,
+            nbr_verts,
             edge_hits: Vec::new(),
             cursor: 0,
             buf: Vec::new(),
@@ -194,72 +366,50 @@ impl<'a> InsertionShardPass<'a> {
     }
 
     /// Absorb the next run of deliveries (global stream order, possibly
-    /// a partial prefix — callable repeatedly).
-    pub(crate) fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        let block = self.opts.block;
-        if block <= 1 {
+    /// a partial prefix — callable repeatedly). `block <= 1` is the
+    /// scalar per-update path; otherwise position targets are matched
+    /// per delivery and each block goes through the router's
+    /// batched-probe drain.
+    fn feed(&mut self, deliveries: &[ShardUpdate]) {
+        if self.block <= 1 {
             for su in deliveries {
                 debug_assert!(su.update.is_insert(), "insertion executor fed a deletion");
-                let pos = su.position as u64;
-                // Skip targets whose position lives in another shard's
-                // buffer, then record hits at this global position.
-                while self.cursor < self.targets.len() && self.targets[self.cursor].0 < pos {
-                    self.cursor += 1;
-                }
-                while self.cursor < self.targets.len() && self.targets[self.cursor].0 == pos {
-                    self.edge_hits
-                        .push((self.targets[self.cursor].1, su.update.edge));
-                    self.cursor += 1;
-                }
+                match_targets(self.targets, &mut self.cursor, &mut self.edge_hits, su);
                 let edge = su.update.edge;
-                let res = &mut self.reservoirs;
-                self.slot.router.feed(su.update, |s, e| {
-                    res.offer_cohort(s as usize, e as usize, edge)
+                let (banks, segments, group_segs) =
+                    (&mut self.banks, &self.segments, &self.group_segs);
+                self.slot.router.feed(su.update, |s, _e| {
+                    offer_group(banks, segments, group_segs[s as usize], edge)
                 });
             }
         } else {
-            // Blocked path: position targets are matched per delivery
-            // (they carry global positions), then each block goes
-            // through the router's batched-probe drain.
             let mut buf = std::mem::take(&mut self.buf);
-            for chunk in deliveries.chunks(block) {
+            for chunk in deliveries.chunks(self.block) {
                 buf.clear();
                 for su in chunk {
                     debug_assert!(su.update.is_insert(), "insertion executor fed a deletion");
-                    let pos = su.position as u64;
-                    while self.cursor < self.targets.len() && self.targets[self.cursor].0 < pos {
-                        self.cursor += 1;
-                    }
-                    while self.cursor < self.targets.len() && self.targets[self.cursor].0 == pos {
-                        self.edge_hits
-                            .push((self.targets[self.cursor].1, su.update.edge));
-                        self.cursor += 1;
-                    }
+                    match_targets(self.targets, &mut self.cursor, &mut self.edge_hits, su);
                     buf.push(su.update);
                 }
-                let res = &mut self.reservoirs;
-                self.slot.router.feed_block(&buf, |j, s, e| {
-                    res.offer_cohort(s as usize, e as usize, buf[j].edge)
+                let (banks, segments, group_segs) =
+                    (&mut self.banks, &self.segments, &self.group_segs);
+                self.slot.router.feed_block(&buf, |j, s, _e| {
+                    offer_group(banks, segments, group_segs[s as usize], buf[j].edge)
                 });
             }
             self.buf = buf;
         }
     }
 
-    /// Record this pass's feed duration into the arena slot (the same
-    /// telemetry the scoped-thread wrappers record around their one
-    /// `feed` call; the broadcast drivers call this before `finish`).
-    pub(crate) fn record_pass_nanos(&mut self, nanos: u64) {
-        self.slot.pass_nanos.push(nanos);
-    }
-
-    /// Serialize the mutable mid-pass state: the reservoir bank (RNG
-    /// words included), the `f1` position hits recorded so far, and the
-    /// target cursor. The router, targets, and batch are *not* included
-    /// — they are rebuilt deterministically by [`InsertionShardPass::new`]
-    /// from the round's batch and pass seed, so a restored pass resumes
-    /// byte-identically from the snapshot's delivery boundary.
-    pub(crate) fn snapshot_state(&self) -> Vec<u8> {
+    /// Serialize the mutable mid-pass state: the router's feed state,
+    /// the target cursor, the `f1` position hits recorded so far, and
+    /// one reservoir-bank blob per participant in participant order (no
+    /// count prefix). The router, targets, and segment tables are *not*
+    /// included — they are rebuilt deterministically by
+    /// [`InsertionMachine::new`] from the round's batch and plan, so a
+    /// restored pass resumes byte-identically from the snapshot's
+    /// delivery boundary.
+    fn snapshot_state(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.u8(0); // model tag: insertion
         self.slot.router.encode_feed_state(&mut enc);
@@ -269,14 +419,17 @@ impl<'a> InsertionShardPass<'a> {
             enc.u32(slot);
             enc.edge(e);
         }
-        enc.blob(&self.reservoirs.to_persist_bytes());
+        for bank in &self.banks {
+            enc.blob(&bank.to_persist_bytes());
+        }
         frame(KIND_PASS_STATE, &enc.into_bytes())
     }
 
     /// Restore mid-pass state captured by
-    /// [`InsertionShardPass::snapshot_state`] into a freshly built pass
-    /// over the same batch, targets, pass seed, and options.
-    pub(crate) fn restore_state(&mut self, bytes: &[u8]) -> PersistResult<()> {
+    /// [`InsertionMachine::snapshot_state`] into a freshly built pass
+    /// over the same batch, plan, and options: one bank blob per
+    /// participant of the rebuilt pass.
+    fn restore_state(&mut self, bytes: &[u8]) -> PersistResult<()> {
         let f = read_frame_of(bytes, 0, KIND_PASS_STATE)?;
         let mut dec = Decoder::new(f.payload);
         if dec.u8("pass model")? != 0 {
@@ -297,64 +450,69 @@ impl<'a> InsertionShardPass<'a> {
             let e = dec.edge("hit edge")?;
             edge_hits.push((slot, e));
         }
-        let res = dec.blob("reservoir bank")?;
+        let blobs = (0..self.banks.len())
+            .map(|_| dec.blob("reservoir bank"))
+            .collect::<PersistResult<Vec<&[u8]>>>()?;
         dec.finish()?;
-        self.reservoirs.restore_from_persist_bytes(res)?;
+        for (bank, blob) in self.banks.iter_mut().zip(blobs) {
+            bank.restore_from_persist_bytes(blob)?;
+        }
         self.edge_hits = edge_hits;
         self.cursor = cursor;
         Ok(())
     }
 
     /// End of stream: fill shard-local answers and report the outcome.
-    pub(crate) fn finish(self) -> ShardOutcome {
-        let InsertionShardPass {
+    fn finish(self) -> ShardOutcome {
+        let InsertionMachine {
             slot,
-            reservoirs,
+            banks,
+            lane_owner,
+            nbr_verts,
             edge_hits,
             ..
         } = self;
-        let space_bytes = slot.router.space_bytes() + reservoirs.space_bytes();
+        let space_bytes =
+            slot.router.space_bytes() + banks.iter().map(ReservoirBank::space_bytes).sum::<usize>();
         slot.answers.clear();
         slot.answers
             .resize(slot.sub_batch.len(), Answer::Edge(None));
-        for ((&ls, v), res) in slot
-            .router
-            .neighbor_slots()
-            .iter()
-            .zip(slot.router.neighbor_vertices())
-            .zip(reservoirs.samples_iter())
-        {
-            slot.answers[ls as usize] = Answer::Neighbor(res.map(|e| e.other(v)));
+        for (li, &ls) in slot.router.neighbor_slots().iter().enumerate() {
+            let (p, lane) = lane_owner[li];
+            let v = nbr_verts[li];
+            slot.answers[ls as usize] =
+                Answer::Neighbor(banks[p as usize].sample(lane as usize).map(|e| e.other(v)));
         }
         slot.router.distribute(&mut slot.answers);
         ShardOutcome {
             edge_hits,
             f1_bank: Vec::new(),
             space_bytes,
+            nanos: 0,
         }
     }
 }
 
-/// One shard's insertion-model pass over its scoped-thread buffer.
-fn run_insertion_shard(
-    slot: &mut ShardSlot,
-    feed: &ShardedFeed,
-    shard_id: usize,
-    targets: &[(u64, u32)],
-    pass_seed: u64,
-    opts: PassOpts,
-) -> ShardOutcome {
-    let t0 = Instant::now();
-    let mut pass = InsertionShardPass::new(&mut *slot, targets, pass_seed, opts);
-    pass.feed(feed.shard(shard_id));
-    let out = pass.finish();
-    slot.pass_nanos.push(t0.elapsed().as_nanos() as u64);
-    out
+/// Offer `edge` to every participant segment of one vertex group.
+#[inline]
+fn offer_group(
+    banks: &mut [ReservoirBank<Edge>],
+    segments: &[Segment],
+    (b0, b1): (u32, u32),
+    edge: Edge,
+) {
+    for sg in &segments[b0 as usize..b1 as usize] {
+        banks[sg.part as usize].offer_cohort(sg.bank_start as usize, sg.bank_end as usize, edge);
+    }
 }
 
 /// One shard's turnstile-model pass as a resumable state machine (see
-/// [`InsertionShardPass`]).
-pub(crate) struct TurnstileShardPass<'a> {
+/// [`InsertionMachine`]). ℓ₀-samplers are per-lane independent linear
+/// sketches, so the pass needs no per-participant banks — one flat `f1`
+/// bank aligned with the merged `RandomEdge` slot list and one flat
+/// neighbor bank aligned with the router's lanes, every sampler seeded
+/// with its owner's solo coins.
+pub(crate) struct TurnstileMachine<'a> {
     slot: &'a mut ShardSlot,
     opts: PassOpts,
     /// Threads each `f1` bank sweep may use ([`BankFeed::new`]).
@@ -366,42 +524,34 @@ pub(crate) struct TurnstileShardPass<'a> {
     owned_kd: Vec<(u64, i64)>,
 }
 
-impl<'a> TurnstileShardPass<'a> {
+impl<'a> TurnstileMachine<'a> {
     /// Rebuild the pooled router and seed the sketch banks. Every shard
-    /// keeps the full `f1` bank, identically seeded by global slot, and
-    /// feeds it *owned* deliveries only: merging the banks across
-    /// shards reassembles the exact single-stream sketch state
-    /// (ℓ₀-samplers are linear). Each bank sweep may be split over up
-    /// to `bank_threads` threads, with the same planes for every count.
-    pub(crate) fn new(
-        slot: &'a mut ShardSlot,
-        num_vertices: usize,
-        f1_slots: &[u32],
-        pass_seed: u64,
-        opts: PassOpts,
-        bank_threads: usize,
-    ) -> Self {
+    /// keeps the full `f1` bank, identically seeded, and feeds it
+    /// *owned* deliveries only: merging the banks across shards
+    /// reassembles the exact single-stream sketch state (ℓ₀-samplers are
+    /// linear). Each bank sweep may be split over up to `bank_threads`
+    /// threads, with the same planes for every count.
+    fn new(slot: &'a mut ShardSlot, setup: &PassSetup) -> Self {
         slot.router.rebuild(&slot.sub_batch, RouterMode::Turnstile);
-        let f1_bank: Vec<L0Sampler> = f1_slots
+        let plan = &setup.plan;
+        let n = setup.num_vertices;
+        let sampler = |gs: usize| L0Sampler::for_edge_domain(n, plan.lane_seed(plan.owner(gs), gs));
+        let f1_bank: Vec<L0Sampler> = setup
+            .f1_slots
             .iter()
-            .map(|&gs| L0Sampler::for_edge_domain(num_vertices, split_seed(pass_seed, gs as u64)))
+            .map(|&gs| sampler(gs as usize))
             .collect();
         let nbr_samplers: Vec<L0Sampler> = slot
             .router
             .neighbor_slots()
             .iter()
-            .map(|&ls| {
-                L0Sampler::for_edge_domain(
-                    num_vertices,
-                    split_seed(pass_seed, slot.slot_map[ls as usize] as u64),
-                )
-            })
+            .map(|&ls| sampler(slot.slot_map[ls as usize] as usize))
             .collect();
         let nbr_verts: Vec<VertexId> = slot.router.neighbor_vertices().collect();
-        TurnstileShardPass {
+        TurnstileMachine {
             slot,
-            opts,
-            bank_threads,
+            opts: setup.opts,
+            bank_threads: setup.bank_threads,
             f1_bank,
             nbr_samplers,
             nbr_verts,
@@ -411,7 +561,7 @@ impl<'a> TurnstileShardPass<'a> {
     }
 
     /// Absorb the next run of deliveries (callable repeatedly).
-    pub(crate) fn feed(&mut self, deliveries: &[ShardUpdate]) {
+    fn feed(&mut self, deliveries: &[ShardUpdate]) {
         let l0 = self.opts.l0;
         if self.opts.block <= 1 {
             for su in deliveries {
@@ -470,15 +620,10 @@ impl<'a> TurnstileShardPass<'a> {
         }
     }
 
-    /// See [`InsertionShardPass::record_pass_nanos`].
-    pub(crate) fn record_pass_nanos(&mut self, nanos: u64) {
-        self.slot.pass_nanos.push(nanos);
-    }
-
     /// Serialize the mutable mid-pass state: every ℓ₀-sampler of the
     /// `f1` bank and the neighbor bank, counters and all. Router and
-    /// vertex lists are rebuilt by [`TurnstileShardPass::new`].
-    pub(crate) fn snapshot_state(&self) -> Vec<u8> {
+    /// vertex lists are rebuilt by [`TurnstileMachine::new`].
+    fn snapshot_state(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.u8(1); // model tag: turnstile
         self.slot.router.encode_feed_state(&mut enc);
@@ -494,39 +639,17 @@ impl<'a> TurnstileShardPass<'a> {
     }
 
     /// Restore mid-pass state captured by
-    /// [`TurnstileShardPass::snapshot_state`] into a freshly built pass
-    /// over the same batch, `f1` slots, and pass seed.
-    pub(crate) fn restore_state(&mut self, bytes: &[u8]) -> PersistResult<()> {
+    /// [`TurnstileMachine::snapshot_state`] into a freshly built pass
+    /// over the same batch, `f1` slots, and plan.
+    fn restore_state(&mut self, bytes: &[u8]) -> PersistResult<()> {
         let f = read_frame_of(bytes, 0, KIND_PASS_STATE)?;
         let mut dec = Decoder::new(f.payload);
         if dec.u8("pass model")? != 1 {
             return Err(dec.corrupt("pass state is not a turnstile pass"));
         }
         self.slot.router.restore_feed_state(&mut dec)?;
-        let f1 = dec.count(8, "f1 bank")?;
-        if f1 != self.f1_bank.len() {
-            return Err(dec.corrupt(format!(
-                "snapshot has {f1} f1 samplers, pass expects {}",
-                self.f1_bank.len()
-            )));
-        }
-        let mut f1_bank = Vec::with_capacity(f1);
-        for _ in 0..f1 {
-            f1_bank.push(L0Sampler::from_persist_bytes(dec.blob("f1 sampler")?)?);
-        }
-        let nbr = dec.count(8, "neighbor bank")?;
-        if nbr != self.nbr_samplers.len() {
-            return Err(dec.corrupt(format!(
-                "snapshot has {nbr} neighbor samplers, pass expects {}",
-                self.nbr_samplers.len()
-            )));
-        }
-        let mut nbr_samplers = Vec::with_capacity(nbr);
-        for _ in 0..nbr {
-            nbr_samplers.push(L0Sampler::from_persist_bytes(
-                dec.blob("neighbor sampler")?,
-            )?);
-        }
+        let f1_bank = decode_bank(&mut dec, self.f1_bank.len(), "f1")?;
+        let nbr_samplers = decode_bank(&mut dec, self.nbr_samplers.len(), "neighbor")?;
         dec.finish()?;
         self.f1_bank = f1_bank;
         self.nbr_samplers = nbr_samplers;
@@ -534,8 +657,8 @@ impl<'a> TurnstileShardPass<'a> {
     }
 
     /// End of stream: fill shard-local answers and report the outcome.
-    pub(crate) fn finish(self) -> ShardOutcome {
-        let TurnstileShardPass {
+    fn finish(self) -> ShardOutcome {
+        let TurnstileMachine {
             slot,
             f1_bank,
             nbr_samplers,
@@ -545,7 +668,7 @@ impl<'a> TurnstileShardPass<'a> {
             + f1_bank
                 .iter()
                 .chain(&nbr_samplers)
-                .map(sgs_stream::SpaceUsage::space_bytes)
+                .map(SpaceUsage::space_bytes)
                 .sum::<usize>();
         slot.answers.clear();
         slot.answers
@@ -558,38 +681,180 @@ impl<'a> TurnstileShardPass<'a> {
             edge_hits: Vec::new(),
             f1_bank,
             space_bytes,
+            nanos: 0,
         }
     }
 }
 
-/// One shard's turnstile-model pass over its scoped-thread buffer.
-fn run_turnstile_shard(
-    slot: &mut ShardSlot,
+/// Decode one counted ℓ₀ bank of a turnstile pass snapshot, checking its
+/// length against the rebuilt pass.
+fn decode_bank(dec: &mut Decoder, expect: usize, what: &str) -> PersistResult<Vec<L0Sampler>> {
+    let n = dec.count(8, what)?;
+    if n != expect {
+        return Err(dec.corrupt(format!(
+            "snapshot has {n} {what} samplers, pass expects {expect}"
+        )));
+    }
+    (0..n)
+        .map(|_| L0Sampler::from_persist_bytes(dec.blob(what)?))
+        .collect()
+}
+
+/// One shard's pass machine, of either model: what every engine builds
+/// per shard, feeds, and finishes.
+pub(crate) enum PassMachine<'a> {
+    Insertion(InsertionMachine<'a>),
+    Turnstile(TurnstileMachine<'a>),
+}
+
+impl<'a> PassMachine<'a> {
+    /// Build the machine `setup.model` asks for over one shard slot.
+    pub(crate) fn new(slot: &'a mut ShardSlot, setup: &'a PassSetup) -> Self {
+        match setup.model {
+            RouterMode::Insertion => PassMachine::Insertion(InsertionMachine::new(slot, setup)),
+            RouterMode::Turnstile => PassMachine::Turnstile(TurnstileMachine::new(slot, setup)),
+        }
+    }
+
+    /// Absorb the next run of this shard's deliveries.
+    pub(crate) fn feed(&mut self, deliveries: &[ShardUpdate]) {
+        match self {
+            PassMachine::Insertion(p) => p.feed(deliveries),
+            PassMachine::Turnstile(p) => p.feed(deliveries),
+        }
+    }
+
+    /// Serialize the mid-pass state (see the machines' docs).
+    pub(crate) fn snapshot_state(&self) -> Vec<u8> {
+        match self {
+            PassMachine::Insertion(p) => p.snapshot_state(),
+            PassMachine::Turnstile(p) => p.snapshot_state(),
+        }
+    }
+
+    /// Restore mid-pass state into a freshly built machine.
+    pub(crate) fn restore_state(&mut self, bytes: &[u8]) -> PersistResult<()> {
+        match self {
+            PassMachine::Insertion(p) => p.restore_state(bytes),
+            PassMachine::Turnstile(p) => p.restore_state(bytes),
+        }
+    }
+
+    /// RNG draws the relaxed-`f3` reservoir banks consumed (0 for a
+    /// turnstile pass, which has none).
+    pub(crate) fn reservoir_draws(&self) -> u64 {
+        match self {
+            PassMachine::Insertion(p) => p.banks.iter().map(ReservoirBank::rng_draws).sum(),
+            PassMachine::Turnstile(_) => 0,
+        }
+    }
+
+    /// End of stream: fill shard-local answers; `nanos` is the shard's
+    /// feed time, recorded into its arena slot by [`end_pass`].
+    pub(crate) fn finish(self, nanos: u64) -> ShardOutcome {
+        let mut out = match self {
+            PassMachine::Insertion(p) => p.finish(),
+            PassMachine::Turnstile(p) => p.finish(),
+        };
+        out.nanos = nanos;
+        out
+    }
+}
+
+/// Which engine delivers one pass's updates to the shard machines.
+pub(crate) enum PassEngine<'e, 's> {
+    /// Scoped shard threads (or the inline loop) over the feed's own
+    /// per-shard buffers.
+    Sharded(ExecPolicy),
+    /// One scoped broadcast ring; side sinks ride it, and producer
+    /// stalls past the threshold are appended to `stalls`.
+    Ring {
+        bcast: BroadcastOpts,
+        side: &'e mut [SideSink<'s>],
+        stalls: &'e mut Vec<StallEvent>,
+    },
+    /// The persistent worker pool, fed through a fresh ring per pass.
+    Runtime {
+        rt: &'e mut ShardRuntime,
+        bcast: BroadcastOpts,
+        side: &'e mut [SideSink<'s>],
+    },
+}
+
+/// The step: answer one round's merged `batch` under `plan` with one
+/// logical pass on the chosen engine — split, draw, run every shard's
+/// machine, merge. Returns the answers and the pass footprint.
+pub(crate) fn run_pass(
+    model: RouterMode,
+    batch: &[Query],
+    plan: &RoundPlan,
     feed: &ShardedFeed,
-    shard_id: usize,
-    f1_slots: &[u32],
-    pass_seed: u64,
+    arena: &mut RouterArena,
     opts: PassOpts,
-    bank_threads: usize,
-) -> ShardOutcome {
-    let t0 = Instant::now();
-    let mut pass = TurnstileShardPass::new(
-        &mut *slot,
-        feed.num_vertices(),
-        f1_slots,
-        pass_seed,
+    engine: PassEngine<'_, '_>,
+) -> (Vec<Answer>, usize) {
+    let shards = feed.num_shards();
+    let policy = match &engine {
+        PassEngine::Sharded(policy) => *policy,
+        PassEngine::Ring { bcast, .. } | PassEngine::Runtime { bcast, .. } => bcast.policy,
+    };
+    let setup = begin_pass(
+        model,
+        batch,
+        plan,
+        feed,
+        arena,
         opts,
-        bank_threads,
+        policy.bank_threads(shards),
     );
-    pass.feed(feed.shard(shard_id));
-    let out = pass.finish();
-    slot.pass_nanos.push(t0.elapsed().as_nanos() as u64);
-    out
+    let (outcomes, setup) = match engine {
+        PassEngine::Sharded(policy) => {
+            feed.begin_pass();
+            let outcomes = run_shards(&mut arena.slots[..shards], policy, |i, slot| {
+                let t0 = Instant::now();
+                let mut pass = PassMachine::new(slot, &setup);
+                pass.feed(feed.shard(i));
+                pass.finish(t0.elapsed().as_nanos() as u64)
+            });
+            (outcomes, setup)
+        }
+        PassEngine::Ring {
+            bcast,
+            side,
+            stalls,
+        } => {
+            let outcomes = run_ring(
+                feed,
+                &mut arena.slots[..shards],
+                &setup,
+                bcast,
+                side,
+                stalls,
+            );
+            (outcomes, setup)
+        }
+        PassEngine::Runtime { rt, bcast, side } => rt.run(feed, arena, setup, bcast, side),
+    };
+    end_pass(setup, batch.len(), feed, arena, outcomes)
+}
+
+/// One solo pass: `batch` as a one-participant plan with `pass_seed`
+/// (and `opts.reservoir`), through [`run_pass`].
+pub(crate) fn solo_pass(
+    model: RouterMode,
+    batch: &[Query],
+    feed: &ShardedFeed,
+    pass_seed: u64,
+    arena: &mut RouterArena,
+    opts: PassOpts,
+    engine: PassEngine<'_, '_>,
+) -> (Vec<Answer>, usize) {
+    let plan = RoundPlan::solo(batch.len(), pass_seed, opts.reservoir);
+    run_pass(model, batch, &plan, feed, arena, opts, engine)
 }
 
 /// Run every shard worker, threaded or inline per the injected
-/// [`ExecPolicy`], collecting outcomes in shard order. Shared with the
-/// multiplexer, whose shared-pass workers have the same shape.
+/// [`ExecPolicy`], collecting outcomes in shard order.
 pub(crate) fn run_shards<F>(
     slots: &mut [ShardSlot],
     policy: ExecPolicy,
@@ -619,37 +884,10 @@ where
     }
 }
 
-/// Merge shard-local answers and driver-kept state into the batch-wide
-/// answer vector.
-pub(crate) fn merge_answers(
-    batch_len: usize,
-    feed: &ShardedFeed,
-    arena: &RouterArena,
-    shards: usize,
-    outcomes: &[ShardOutcome],
-) -> Vec<Answer> {
-    let mut answers = vec![Answer::Edge(None); batch_len];
-    let m = feed.final_edge_count().max(0) as usize;
-    for &s in &arena.scratch_count {
-        answers[s as usize] = Answer::EdgeCount(m);
-    }
-    for slot in &arena.slots[..shards] {
-        for (local, &global) in slot.slot_map.iter().enumerate() {
-            answers[global as usize] = slot.answers[local];
-        }
-    }
-    for o in outcomes {
-        for &(slot, e) in &o.edge_hits {
-            answers[slot as usize] = Answer::Edge(Some(e));
-        }
-    }
-    answers
-}
-
-/// Answer one round's batch with one **sharded** insertion-only pass:
-/// the N-shard generalization of [`crate::exec::answer_insertion_batch`],
-/// byte-identical to it (and to the reference executor) for every shard
-/// count. Returns the merged answers and the measured pass footprint.
+/// Answer one round's batch with one **sharded** insertion-only pass,
+/// byte-identical to the single-stream pass (and to the reference
+/// executor) for every shard count. Returns the merged answers and the
+/// measured pass footprint.
 pub fn answer_insertion_batch_sharded(
     batch: &[Query],
     feed: &ShardedFeed,
@@ -711,36 +949,20 @@ pub fn answer_insertion_batch_sharded_with_exec(
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> (Vec<Answer>, usize) {
-    let shards = feed.num_shards();
-    if shards == 1 {
-        // Single shard: skip the split/scatter machinery and run the
-        // direct pass emulation over the feed (its `EdgeStream` replay
-        // reconstructs the source order and counts the logical pass) —
-        // existing single-stream callers keep the PR-1 per-pass cost.
-        arena.ensure_shards(1);
-        let t0 = Instant::now();
-        let out = crate::exec::answer_insertion_batch_with_opts(batch, feed, pass_seed, opts);
-        arena.slots[0]
-            .pass_nanos
-            .push(t0.elapsed().as_nanos() as u64);
-        return out;
-    }
-    feed.begin_pass();
-    split_batch(batch, RouterMode::Insertion, feed.shard_map(), arena);
-    let mut targets = std::mem::take(&mut arena.scratch_targets);
-    draw_targets(batch, feed.stream_len() as u64, pass_seed, &mut targets);
-    let outcomes = run_shards(&mut arena.slots[..shards], policy, |i, slot| {
-        run_insertion_shard(slot, feed, i, &targets, pass_seed, opts)
-    });
-    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>() + targets.len() * 16;
-    arena.scratch_targets = targets;
-    let answers = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-    (answers, space)
+    let engine = PassEngine::Sharded(policy);
+    solo_pass(
+        RouterMode::Insertion,
+        batch,
+        feed,
+        pass_seed,
+        arena,
+        opts,
+        engine,
+    )
 }
 
-/// Answer one round's batch with one **sharded** turnstile pass: the
-/// N-shard generalization of [`crate::exec::answer_turnstile_batch`],
-/// byte-identical to it for every shard count.
+/// Answer one round's batch with one **sharded** turnstile pass,
+/// byte-identical to the single-stream pass for every shard count.
 pub fn answer_turnstile_batch_sharded(
     batch: &[Query],
     feed: &ShardedFeed,
@@ -799,39 +1021,16 @@ pub fn answer_turnstile_batch_sharded_with_exec(
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> (Vec<Answer>, usize) {
-    let shards = feed.num_shards();
-    let bank_threads = policy.bank_threads(shards);
-    if shards == 1 {
-        // See answer_insertion_batch_sharded: direct pass over the feed.
-        arena.ensure_shards(1);
-        let t0 = Instant::now();
-        let out = crate::exec::turnstile_batch_pass(batch, feed, pass_seed, opts, bank_threads);
-        arena.slots[0]
-            .pass_nanos
-            .push(t0.elapsed().as_nanos() as u64);
-        return out;
-    }
-    feed.begin_pass();
-    split_batch(batch, RouterMode::Turnstile, feed.shard_map(), arena);
-    let f1_slots = std::mem::take(&mut arena.scratch_edge);
-    let mut outcomes = run_shards(&mut arena.slots[..shards], policy, |i, slot| {
-        run_turnstile_shard(slot, feed, i, &f1_slots, pass_seed, opts, bank_threads)
-    });
-    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
-    // Merge the per-shard f1 banks into shard 0's (linear sketches):
-    // the result is the exact single-stream sketch state.
-    let (head, rest) = outcomes.split_at_mut(1);
-    for o in rest.iter() {
-        for (a, b) in head[0].f1_bank.iter_mut().zip(&o.f1_bank) {
-            a.merge(b);
-        }
-    }
-    let mut answers = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-    for (&slot, s) in f1_slots.iter().zip(&outcomes[0].f1_bank) {
-        answers[slot as usize] = Answer::Edge(s.sample().map(Edge::from_key));
-    }
-    arena.scratch_edge = f1_slots;
-    (answers, space)
+    let engine = PassEngine::Sharded(policy);
+    solo_pass(
+        RouterMode::Turnstile,
+        batch,
+        feed,
+        pass_seed,
+        arena,
+        opts,
+        engine,
+    )
 }
 
 /// Execute a round-adaptive algorithm as a sharded insertion-only
@@ -871,40 +1070,19 @@ pub fn run_insertion_sharded_with_opts<A: RoundAdaptive>(
 
 /// [`run_insertion_sharded_with_opts`] with an explicit execution policy
 /// governing the shard workers (serial / threaded / auto, core pinning).
+/// A one-job [`QuerySet`] run: round `r` rides pass seed
+/// `split_seed(seed, r)`.
 pub fn run_insertion_sharded_with_exec<A: RoundAdaptive>(
-    mut alg: A,
+    alg: A,
     feed: &ShardedFeed,
     seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> (A::Output, ExecReport) {
-    let mut report = ExecReport::default();
-    arena.begin_run();
-    let mut answers: Vec<Answer> = Vec::new();
-    loop {
-        let batch = alg.next_round(&answers);
-        if batch.is_empty() {
-            break;
-        }
-        report.rounds += 1;
-        report.passes += 1;
-        report.queries += batch.len();
-        report.answer_bytes += batch.len() * ANSWER_BYTES;
-        let (a, space) = answer_insertion_batch_sharded_with_exec(
-            &batch,
-            feed,
-            split_seed(seed, report.passes as u64),
-            arena,
-            opts,
-            policy,
-        );
-        report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
-        answers = a;
-        arena.note_round();
-    }
-    arena.end_run();
-    (alg.output(), report)
+    QuerySet::solo(alg, seed, opts)
+        .run_insertion(feed, arena, opts, policy)
+        .into_solo()
 }
 
 /// Execute a round-adaptive algorithm as a sharded turnstile streaming
@@ -942,41 +1120,18 @@ pub fn run_turnstile_sharded_with_opts<A: RoundAdaptive>(
 }
 
 /// [`run_turnstile_sharded_with_opts`] with an explicit execution
-/// policy governing the shard workers.
+/// policy governing the shard workers: a one-job [`QuerySet`] run.
 pub fn run_turnstile_sharded_with_exec<A: RoundAdaptive>(
-    mut alg: A,
+    alg: A,
     feed: &ShardedFeed,
     seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> (A::Output, ExecReport) {
-    let mut report = ExecReport::default();
-    arena.begin_run();
-    let mut answers: Vec<Answer> = Vec::new();
-    loop {
-        let batch = alg.next_round(&answers);
-        if batch.is_empty() {
-            break;
-        }
-        report.rounds += 1;
-        report.passes += 1;
-        report.queries += batch.len();
-        report.answer_bytes += batch.len() * ANSWER_BYTES;
-        let (a, space) = answer_turnstile_batch_sharded_with_exec(
-            &batch,
-            feed,
-            split_seed(seed, report.passes as u64),
-            arena,
-            opts,
-            policy,
-        );
-        report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
-        answers = a;
-        arena.note_round();
-    }
-    arena.end_run();
-    (alg.output(), report)
+    QuerySet::solo(alg, seed, opts)
+        .run_turnstile(feed, arena, opts, policy)
+        .into_solo()
 }
 
 #[cfg(test)]

@@ -46,17 +46,10 @@
 //!   [`RoutedUpdate`]s; memory is bounded by `capacity × block_len`
 //!   regardless of stream length.
 //! * **Per-consumer cursors.** Every consumer sees every block, in
-//!   order, exactly once. In the default **pass mode** consumers
-//!   subscribe before production starts (the ring seals on the first
-//!   push), so each one observes the whole stream — that is what makes
-//!   a broadcast pass *equivalent* to a private replay, not just
-//!   similar. A ring built with [`Broadcast::open_ingest`] instead runs
-//!   in **open-ingest mode** for long-lived serving: production never
-//!   seals the consumer set, and a late subscriber joins at the
-//!   published tail (a block boundary), observing every block from its
-//!   join point on. Open-mode producers scan the live registry (under
-//!   its lock) when the cached minimum reports the ring full — a cold
-//!   path — so the lock-free hot path is unchanged.
+//!   order, exactly once. Consumers subscribe before production starts
+//!   (the ring seals on the first push), so each one observes the whole
+//!   stream — that is what makes a broadcast pass *equivalent* to a
+//!   private replay, not just similar.
 //! * **Backpressure.** The producer can run at most `capacity` blocks
 //!   ahead of the slowest **active** consumer; past that it blocks (or
 //!   reports no-space through [`Broadcast::try_push`]).
@@ -211,12 +204,6 @@ struct Shared {
     /// Set on the first push (under the registry lock): no further
     /// subscriptions.
     sealed: AtomicBool,
-    /// Open-ingest mode ([`Broadcast::open_ingest`]): production never
-    /// seals the consumer set and late subscribers join at the
-    /// published tail. The producer's minimum refresh scans the live
-    /// registry under its lock instead of the frozen snapshot — a cold
-    /// path reached only when the cached bound reports the ring full.
-    open: bool,
     /// Cached lower bound on the minimum active cursor — the producer's
     /// fast-path space check. Refreshed by a full scan only when the
     /// bound reports the ring full.
@@ -248,26 +235,15 @@ impl Shared {
     /// Recompute the minimum active cursor (acquire loads — a cursor
     /// bump must order the consumer's slot read before our overwrite).
     /// With no active consumers everything is reclaimable: the bound is
-    /// `at_least`, so production never blocks. In open-ingest mode the
-    /// scan runs over the live registry under its lock (serializing
-    /// with late subscribes, which join at the published tail — so the
-    /// cached bound can only ever be stale-*low*, never unsafe).
+    /// `at_least`, so production never blocks.
     fn refresh_min(&self, at_least: u64) -> u64 {
-        let min = if self.open {
-            let reg = self.registry.lock().unwrap();
-            reg.iter()
-                .filter(|c| c.active.load(Ordering::Acquire))
-                .map(|c| c.cursor.load(Ordering::Acquire))
-                .min()
-                .unwrap_or(at_least)
-        } else {
-            self.consumers()
-                .iter()
-                .filter(|c| c.active.load(Ordering::Acquire))
-                .map(|c| c.cursor.load(Ordering::Acquire))
-                .min()
-                .unwrap_or(at_least)
-        };
+        let min = self
+            .consumers()
+            .iter()
+            .filter(|c| c.active.load(Ordering::Acquire))
+            .map(|c| c.cursor.load(Ordering::Acquire))
+            .min()
+            .unwrap_or(at_least);
         self.cached_min.store(min, Ordering::Relaxed);
         min
     }
@@ -284,15 +260,6 @@ impl Shared {
     /// The consumer the producer is blocked on: the slowest active
     /// cursor (minimum cursor; lowest id breaks ties).
     fn slowest_active(&self) -> Option<usize> {
-        if self.open {
-            let reg = self.registry.lock().unwrap();
-            return reg
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.active.load(Ordering::Acquire))
-                .min_by_key(|(_, c)| c.cursor.load(Ordering::Acquire))
-                .map(|(i, _)| i);
-        }
         self.consumers()
             .iter()
             .enumerate()
@@ -302,13 +269,8 @@ impl Shared {
     }
 
     /// Seal the ring on the first push: freeze the consumer set. Runs
-    /// under the registry lock so it cannot race a subscribe. A no-op
-    /// in open-ingest mode, whose whole point is that production never
-    /// closes the door on late subscribers.
+    /// under the registry lock so it cannot race a subscribe.
     fn seal(&self) {
-        if self.open {
-            return;
-        }
         if !self.sealed.load(Ordering::Acquire) {
             let reg = self.registry.lock().unwrap();
             if !self.sealed.swap(true, Ordering::AcqRel) {
@@ -356,38 +318,7 @@ impl Broadcast {
         Self::build(capacity, Some(threshold))
     }
 
-    /// A ring in **open-ingest mode**: production never seals the
-    /// consumer set, so a query session may subscribe at any time and
-    /// joins at the published tail — a block boundary, observing every
-    /// block from its join point on. Backpressure still caps the
-    /// producer at `capacity` blocks ahead of the slowest active
-    /// consumer; with no consumers attached, ingest runs unbounded
-    /// (the serving node keeps its own durable history).
-    pub fn open_ingest(capacity: usize) -> Self {
-        Self::build_at(capacity, None, true, 0)
-    }
-
-    /// [`Broadcast::open_ingest`] resuming an earlier ring's sequence
-    /// numbering: the next pushed block publishes as sequence
-    /// `start_seq`, and [`Broadcast::produced_blocks`] starts there. A
-    /// restarted server rebuilds its ring at the WAL's block count so
-    /// checkpointed consumer cursors stay meaningful across restarts.
-    /// (`produced_updates` restarts at zero — updates before
-    /// `start_seq` live in the WAL, not the ring.)
-    pub fn open_ingest_at(capacity: usize, start_seq: u64) -> Self {
-        Self::build_at(capacity, None, true, start_seq)
-    }
-
     fn build(capacity: usize, stall_threshold: Option<Duration>) -> Self {
-        Self::build_at(capacity, stall_threshold, false, 0)
-    }
-
-    fn build_at(
-        capacity: usize,
-        stall_threshold: Option<Duration>,
-        open: bool,
-        start_seq: u64,
-    ) -> Self {
         assert!(capacity >= 1, "ring needs at least one block slot");
         let slots: Box<[Slot]> = (0..capacity)
             .map(|_| Slot {
@@ -399,13 +330,12 @@ impl Broadcast {
             shared: Arc::new(Shared {
                 slots,
                 capacity,
-                claim: AtomicU64::new(start_seq),
-                produced_seq: AtomicU64::new(start_seq),
+                claim: AtomicU64::new(0),
+                produced_seq: AtomicU64::new(0),
                 produced_updates: AtomicU64::new(0),
                 finished: AtomicBool::new(false),
                 sealed: AtomicBool::new(false),
-                open,
-                cached_min: AtomicU64::new(start_seq),
+                cached_min: AtomicU64::new(0),
                 registry: Mutex::new(Vec::new()),
                 frozen: OnceLock::new(),
                 space: Doorbell::new(),
@@ -416,32 +346,18 @@ impl Broadcast {
         }
     }
 
-    /// Register a consumer cursor. In pass mode the cursor starts at
-    /// the head of the (not yet started) stream and panics once
-    /// production has begun — a late subscriber could not see the whole
-    /// stream, which would silently break the equivalence contract. In
-    /// open-ingest mode subscription is always allowed: the cursor
-    /// joins at the published tail (a block boundary; the registry lock
-    /// serializes the join against the producer's minimum refresh, and
-    /// a concurrently-publishing block lands exactly at the join
-    /// point). [`BroadcastConsumer::joined_at`] reports the boundary.
+    /// Register a consumer cursor. The cursor starts at the head of the
+    /// (not yet started) stream; subscribing panics once production has
+    /// begun — a late subscriber could not see the whole stream, which
+    /// would silently break the equivalence contract.
     pub fn subscribe(&self) -> BroadcastConsumer {
         let mut reg = self.shared.registry.lock().unwrap();
-        let start = if self.shared.open {
-            // Cold path: reclaim registrations of dropped consumers so
-            // a long-lived server's registry stays proportional to the
-            // live session count.
-            reg.retain(|c| c.active.load(Ordering::Acquire));
-            self.shared.produced_seq.load(Ordering::Acquire)
-        } else {
-            assert!(
-                !self.shared.sealed.load(Ordering::Acquire),
-                "broadcast consumers must subscribe before production starts"
-            );
-            0
-        };
+        assert!(
+            !self.shared.sealed.load(Ordering::Acquire),
+            "broadcast consumers must subscribe before production starts"
+        );
         let slot = Arc::new(ConsumerSlot {
-            cursor: AtomicU64::new(start),
+            cursor: AtomicU64::new(0),
             updates: AtomicU64::new(0),
             active: AtomicBool::new(true),
         });
@@ -449,7 +365,6 @@ impl Broadcast {
         BroadcastConsumer {
             shared: self.shared.clone(),
             slot,
-            joined_at: start,
         }
     }
 
@@ -584,12 +499,6 @@ impl Broadcast {
         self.shared.finished.load(Ordering::Acquire)
     }
 
-    /// Whether this ring runs in open-ingest mode
-    /// ([`Broadcast::open_ingest`]).
-    pub fn is_open(&self) -> bool {
-        self.shared.open
-    }
-
     /// Blocks produced so far.
     pub fn produced_blocks(&self) -> u64 {
         self.shared.produced_seq.load(Ordering::Acquire)
@@ -630,7 +539,6 @@ impl Broadcast {
 pub struct BroadcastConsumer {
     shared: Arc<Shared>,
     slot: Arc<ConsumerSlot>,
-    joined_at: u64,
 }
 
 impl BroadcastConsumer {
@@ -685,12 +593,6 @@ impl BroadcastConsumer {
     /// Updates consumed so far.
     pub fn updates_consumed(&self) -> u64 {
         self.slot.updates.load(Ordering::Acquire)
-    }
-
-    /// The sequence this cursor started at: `0` in pass mode, the
-    /// published tail at subscription time in open-ingest mode.
-    pub fn joined_at(&self) -> u64 {
-        self.joined_at
     }
 }
 
@@ -948,70 +850,6 @@ mod tests {
         let ring = Broadcast::new(2);
         ring.push(&f.routed()[..1]);
         let _ = ring.subscribe();
-    }
-
-    #[test]
-    fn open_ingest_late_subscriber_joins_at_block_boundary() {
-        let f = feed(1);
-        let routed = f.routed();
-        let ring = Broadcast::open_ingest(4);
-        // Three blocks land before anyone subscribes — legal in open
-        // mode, and with no consumers production never blocks.
-        for chunk in routed[..12].chunks(4) {
-            ring.push(chunk);
-        }
-        let late = ring.subscribe();
-        assert_eq!(late.joined_at(), 3);
-        for chunk in routed[12..20].chunks(4) {
-            ring.push(chunk);
-        }
-        ring.finish();
-        // The late cursor sees exactly the blocks published after its
-        // join point, in order.
-        assert_eq!(drain(late), routed[12..20].to_vec());
-    }
-
-    #[test]
-    fn open_ingest_at_resumes_sequence_numbering() {
-        let f = feed(1);
-        let routed = f.routed();
-        let ring = Broadcast::open_ingest_at(2, 10);
-        assert!(ring.is_open());
-        assert_eq!(ring.produced_blocks(), 10);
-        let mut c = ring.subscribe();
-        assert_eq!(c.joined_at(), 10);
-        ring.push(&routed[..4]);
-        assert_eq!(ring.produced_blocks(), 11);
-        match c.try_next() {
-            TryNext::Block(b) => assert_eq!(&b[..], &routed[..4]),
-            other => panic!("expected the resumed block, got {other:?}"),
-        }
-        assert_eq!(c.blocks_consumed(), 11);
-        assert_eq!(ring.produced_updates(), 4);
-    }
-
-    #[test]
-    fn open_ingest_backpressure_respects_late_consumer() {
-        let f = feed(1);
-        let routed = f.routed();
-        let ring = Broadcast::open_ingest(2);
-        // Five unconsumed blocks: the ring recycles slots freely while
-        // nobody is subscribed.
-        for chunk in routed[..20].chunks(4) {
-            ring.push(chunk);
-        }
-        let mut c = ring.subscribe();
-        assert_eq!(c.joined_at(), 5);
-        // Once a consumer is attached, the producer is capped at
-        // `capacity` blocks ahead of it again.
-        assert!(ring.try_push(&routed[20..24]));
-        assert!(ring.try_push(&routed[24..28]));
-        assert!(!ring.try_push(&routed[28..32]), "late cursor caps ingest");
-        match c.try_next() {
-            TryNext::Block(b) => assert_eq!(&b[..], &routed[20..24]),
-            other => panic!("expected first post-join block, got {other:?}"),
-        }
-        assert!(ring.try_push(&routed[28..32]), "each read frees one slot");
     }
 
     #[test]

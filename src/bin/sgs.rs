@@ -255,6 +255,9 @@ fn read_updates_file(path: &Path) -> Result<(usize, Vec<EdgeUpdate>), PersistErr
     let text = std::fs::read_to_string(path).map_err(|e| PersistError::io(path, e))?;
     let mut updates = Vec::new();
     let mut n = 0usize;
+    // INGEST's rules: an insertion needs an absent edge, a deletion a
+    // live one.
+    let mut live: std::collections::HashSet<u64> = std::collections::HashSet::new();
     for (i, raw) in text.lines().enumerate() {
         let line_no = (i + 1) as u64;
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -287,11 +290,26 @@ fn read_updates_file(path: &Path) -> Result<(usize, Vec<EdgeUpdate>), PersistErr
         if delta != 1 && delta != -1 {
             return Err(bad("delta must be +1 or -1"));
         }
+        let edge = Edge::new(VertexId(u), VertexId(v));
+        let applied = if delta == 1 {
+            live.insert(edge.key())
+        } else {
+            live.remove(&edge.key())
+        };
+        if !applied {
+            let state = if delta == 1 {
+                "already present"
+            } else {
+                "not present"
+            };
+            return Err(PersistError::corrupt(
+                line_no,
+                format!("updates line {line_no}: edge {u} {v} {state}"),
+            )
+            .located(path));
+        }
         n = n.max(u.max(v) as usize + 1);
-        updates.push(EdgeUpdate {
-            edge: Edge::new(VertexId(u), VertexId(v)),
-            delta,
-        });
+        updates.push(EdgeUpdate { edge, delta });
     }
     Ok((n.max(1), updates))
 }
@@ -511,6 +529,14 @@ fn run_multi_count(args: &Args, queries_path: &str, seed: u64) {
             spec.trials = sgs_core::fgp::practical_trials(m, plan.rho(), eps, 1.0).min(2_000_000);
         }
     }
+    // Every query's trials are resident at once in the shared passes.
+    let total = specs
+        .iter()
+        .try_fold(0u64, |acc, s| acc.checked_add(s.trials as u64))
+        .unwrap_or(u64::MAX);
+    if let Err(e) = sgs_core::fgp::admit_trials(total, turnstile, sgs_query::available_memory()) {
+        fail_usage(&format!("{queries_path}: {e}"));
+    }
     let policy = {
         let p = sgs_query::ExecPolicy::from_env();
         if args.has("pin") {
@@ -714,6 +740,15 @@ fn main() {
                     p
                 }
             };
+            // Every trial's bank is resident at once: refuse a count the
+            // host cannot hold before anything is allocated.
+            if let Err(e) = sgs_core::fgp::admit_trials(
+                trials as u64,
+                args.has("turnstile"),
+                sgs_query::available_memory(),
+            ) {
+                fail_usage(&format!("--trials: {e}"));
+            }
             // --broadcast runs the serving path: ONE ingest per logical
             // pass fans out over a bounded ring to the shard routers
             // plus side consumers (TRIÈST baseline, exact CSR oracle, a
@@ -1135,9 +1170,8 @@ fn main() {
                 );
                 match sgs_query::read_serve_snapshot(&dir) {
                     Ok(Some((seq, snap))) => println!(
-                        "latest snapshot at block {seq}: ring cursor {}/{} blocks, \
+                        "latest snapshot at block {seq}: {} blocks, \
                          {} quer{} served, {} deletion{}",
-                        snap.cursor_blocks,
                         snap.blocks,
                         snap.served,
                         if snap.served == 1 { "y" } else { "ies" },
@@ -1373,6 +1407,22 @@ mod tests {
         assert!(read_updates_file(&path).is_err());
         std::fs::write(&path, "0 1\n").unwrap();
         assert!(read_updates_file(&path).is_err());
+        // INGEST's rules: no second insertion of a live edge (either
+        // orientation), no deletion of an absent one.
+        std::fs::write(&path, "0 1 1\n0 1 1\n1 2 1\n0 2 1\n").unwrap();
+        let err = read_updates_file(&path).unwrap_err().to_string();
+        assert!(
+            err.contains("updates line 2: edge 0 1 already present"),
+            "{err}"
+        );
+        std::fs::write(&path, "0 1 1\n1 2 1\n0 2 1\n3 4 -1\n").unwrap();
+        let err = read_updates_file(&path).unwrap_err().to_string();
+        assert!(
+            err.contains("updates line 4: edge 3 4 not present"),
+            "{err}"
+        );
+        std::fs::write(&path, "0 1 1\n1 0 -1\n0 1 1\n").unwrap();
+        assert_eq!(read_updates_file(&path).unwrap().1.len(), 3);
     }
 
     fn args_of(argv: &[&str]) -> Args {

@@ -432,3 +432,46 @@ fn placement_overrides_survive_checkpoint_recovery() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// Checkpoint directories written by an earlier `sgs` (see
+/// `tests/fixtures/checkpoints/README.md`) still recover to the bits of
+/// their plain runs: the snapshot layout did not change. Each snapshot
+/// sits mid-pass, so recovery restores shard pass state — reservoir
+/// banks for the relaxed insertion run, ℓ₀ banks for the turnstile run.
+#[test]
+fn checked_in_checkpoints_recover_to_their_plain_run_bits() {
+    let fixtures =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoints");
+    for (name, resumed_at, bits) in [
+        ("insertion-relaxed", 10, "404c2ca92ea8ee22"),
+        ("turnstile", 8, "4053a4c99b6c6988"),
+    ] {
+        let dir = std::env::temp_dir().join(format!("sgs-fixture-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in std::fs::read_dir(fixtures.join(name)).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+        }
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sgs"))
+            .arg("recover")
+            .arg(&dir)
+            .arg("--bits")
+            .output()
+            .expect("run sgs recover");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{name}: {stdout} {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains(&format!(
+                "resuming from snapshot: {resumed_at} delivery blocks"
+            )),
+            "{name}: {stdout}"
+        );
+        assert!(stdout.contains(&format!("bits={bits}")), "{name}: {stdout}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
