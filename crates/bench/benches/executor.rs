@@ -19,13 +19,14 @@
 //!   to routing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use sgs_bench::one_shard_pass;
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::{answer_insertion_batch, run_insertion, run_turnstile};
+use sgs_query::exec::run_on_stream;
 use sgs_query::reference::{
     answer_insertion_batch_reference, run_insertion_reference, run_turnstile_reference,
 };
-use sgs_query::{Parallel, Query, RoundAdaptive};
+use sgs_query::{Parallel, PassOpts, Query, RoundAdaptive, RouterMode};
 use sgs_stream::hash::split_seed;
 use sgs_stream::{EdgeStream, InsertionStream, TurnstileStream};
 use std::hint::black_box;
@@ -77,7 +78,13 @@ fn capture_batches(
         }
         pass += 1;
         let pass_seed = split_seed(exec_seed, pass);
-        let (a, _) = answer_insertion_batch(&batch, stream, pass_seed);
+        let (a, _) = one_shard_pass(
+            RouterMode::Insertion,
+            &batch,
+            stream,
+            pass_seed,
+            PassOpts::default(),
+        );
         batches.push((batch, pass_seed));
         answers = a;
     }
@@ -103,7 +110,13 @@ fn bench_insertion_pass(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("router", k), &batches, |b, batches| {
             b.iter(|| {
                 for (batch, seed) in batches {
-                    black_box(answer_insertion_batch(batch, &stream, *seed));
+                    black_box(one_shard_pass(
+                        RouterMode::Insertion,
+                        batch,
+                        &stream,
+                        *seed,
+                        PassOpts::default(),
+                    ));
                 }
             });
         });
@@ -140,7 +153,13 @@ fn bench_insertion_pass_relaxed(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("router", k), &batches, |b, batches| {
             b.iter(|| {
                 for (batch, seed) in batches {
-                    black_box(answer_insertion_batch(batch, &stream, *seed));
+                    black_box(one_shard_pass(
+                        RouterMode::Insertion,
+                        batch,
+                        &stream,
+                        *seed,
+                        PassOpts::default(),
+                    ));
                 }
             });
         });
@@ -166,7 +185,7 @@ fn bench_insertion_full(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("router", k), &k, |b, &k| {
             b.iter(|| {
                 let par = bank(&Pattern::triangle(), SamplerMode::Indexed, k, 7);
-                black_box(run_insertion(par, &stream, 5))
+                black_box(run_on_stream(RouterMode::Insertion, par, &stream, 5))
             });
         });
         group.bench_with_input(BenchmarkId::new("reference", k), &k, |b, &k| {
@@ -190,7 +209,7 @@ fn bench_turnstile_full(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("router", k), &k, |b, &k| {
             b.iter(|| {
                 let par = bank(&Pattern::triangle(), SamplerMode::Relaxed, k, 17);
-                black_box(run_turnstile(par, &stream, 15))
+                black_box(run_on_stream(RouterMode::Turnstile, par, &stream, 15))
             });
         });
         group.bench_with_input(BenchmarkId::new("reference", k), &k, |b, &k| {

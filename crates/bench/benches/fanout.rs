@@ -19,7 +19,7 @@
 //!   realistic heavyweight consumer, where per-consumer work dilutes
 //!   the transport saving.
 //!
-//! Plus one end-to-end row: the `estimate_insertion_broadcast` bundle
+//! Plus one end-to-end row: the `estimate_broadcast` bundle
 //! (estimator + TRIÈST + exact CSR oracle + raw counter from one
 //! ingest) vs the same four answers computed the private way (estimator
 //! run + 3 private replays).
@@ -33,12 +33,10 @@
 
 use sgs_core::baselines::exact_stream::count_exact;
 use sgs_core::baselines::triest::{estimate_triest, TriestStream};
-use sgs_core::fgp::{
-    estimate_insertion_broadcast_with_opts, estimate_insertion_on_feed, triest_seed, ConsumerSet,
-};
+use sgs_core::fgp::{estimate, estimate_broadcast, triest_seed, ConsumerSet, MultiQuerySpec};
 use sgs_graph::{gen, Pattern};
 use sgs_query::exec::PassOpts;
-use sgs_query::RouterArena;
+use sgs_query::{BroadcastOpts, Engine, ExecPolicy, RouterArena, RouterMode};
 use sgs_stream::broadcast::{Broadcast, RoutedProducer, TryNext};
 use sgs_stream::{EdgeStream, InsertionStream, ShardedFeed};
 use std::hint::black_box;
@@ -258,7 +256,19 @@ fn main() {
     let pattern = Pattern::triangle();
     let bundle_private_ns = time(samples.min(7), || {
         let mut arena = RouterArena::new();
-        let est = estimate_insertion_on_feed(&pattern, &feed, trials, 9, &mut arena).unwrap();
+        let specs = [MultiQuerySpec::new(pattern.clone(), trials, 9)];
+        let engine = Engine::Sharded(ExecPolicy::default());
+        let model = RouterMode::Insertion;
+        let (ests, _) = estimate(
+            &specs,
+            model,
+            &feed,
+            &mut arena,
+            PassOpts::default(),
+            engine,
+        )
+        .unwrap();
+        let est = &ests[0];
         let t = estimate_triest(&feed, 256, triest_seed(9));
         let x = count_exact(&pattern, &feed);
         let mut raw = 0u64;
@@ -267,19 +277,18 @@ fn main() {
     });
     let bundle_broadcast_ns = time(samples.min(7), || {
         let mut arena = RouterArena::new();
-        let b = estimate_insertion_broadcast_with_opts(
-            &pattern,
+        let b = estimate_broadcast(
+            &MultiQuerySpec::new(pattern.clone(), trials, 9),
+            RouterMode::Insertion,
             &feed,
-            trials,
-            9,
             &mut arena,
             PassOpts::default(),
-            sgs_core::SamplerMode::Indexed,
             ConsumerSet {
                 triest_capacity: Some(256),
                 exact: true,
                 extra_raw: 0,
             },
+            BroadcastOpts::default(),
         )
         .unwrap();
         (
@@ -317,7 +326,7 @@ fn main() {
         body.pop();
         body.pop();
         let json = format!(
-            "{{\n  \"description\": \"Broadcast fan-out (one RoutedProducer ingest over a bounded Broadcast ring, cooperative single-core schedule) vs N private EdgeStream::replay passes, identical consumer answers asserted in-bench. groups: counter = ingest-bound tally consumer (the total-feed-cost criterion), triest = heavyweight TRIEST baseline consumer, bundle = estimate_insertion_broadcast (estimator + TRIEST + exact CSR + raw counter from one ingest) vs the private pipeline. Regenerate: SGS_BENCH_JSON=<path> cargo bench -p sgs-bench --bench fanout\",\n  \"workload\": \"gnm({n_v}, {m}), {updates} updates, ring capacity 8, ring block {ring_block}, triest capacity 256, bundle trials {trials}\",\n  \"host_cores\": {cores},\n  \"samples\": {samples}, \"statistic\": \"min over samples\",\n  \"fanout\": [\n{body}\n  ]\n}}\n",
+            "{{\n  \"description\": \"Broadcast fan-out (one RoutedProducer ingest over a bounded Broadcast ring, cooperative single-core schedule) vs N private EdgeStream::replay passes, identical consumer answers asserted in-bench. groups: counter = ingest-bound tally consumer (the total-feed-cost criterion), triest = heavyweight TRIEST baseline consumer, bundle = estimate_broadcast (estimator + TRIEST + exact CSR + raw counter from one ingest) vs the private pipeline. Regenerate: SGS_BENCH_JSON=<path> cargo bench -p sgs-bench --bench fanout\",\n  \"workload\": \"gnm({n_v}, {m}), {updates} updates, ring capacity 8, ring block {ring_block}, triest capacity 256, bundle trials {trials}\",\n  \"host_cores\": {cores},\n  \"samples\": {samples}, \"statistic\": \"min over samples\",\n  \"fanout\": [\n{body}\n  ]\n}}\n",
             n_v = n_v,
             m = m,
             updates = feed.stream_len(),

@@ -13,7 +13,7 @@
 //!   mixed hit/miss key stream (the `f4` adjacency path of insertion
 //!   passes).
 //! * **Router passes** — whole captured estimator rounds answered
-//!   through `answer_{insertion,turnstile}_batch_with_block` at block 0
+//!   through the one-shard pass (`sgs_bench::one_shard_pass`) at block 0
 //!   (scalar) and several block sizes: the end-to-end per-update cost.
 //! * **Sharded composition** — the blocked path under 1 and 4 feed
 //!   shards (critical-path pass latency, per-shard isolated timing),
@@ -23,11 +23,13 @@
 //! CI-sized configuration). Set `SGS_BENCH_JSON=<path>` to write the
 //! machine-readable record committed as `BENCH_feedpath.json`.
 
+use sgs_bench::one_shard_pass;
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::{answer_insertion_batch_with_block, answer_turnstile_batch_with_block};
-use sgs_query::sharded::answer_insertion_batch_sharded_with_exec;
-use sgs_query::{ExecPolicy, Parallel, PassOpts, Query, RoundAdaptive, RouterArena};
+use sgs_query::{
+    answer_batch, Engine, ExecPolicy, Parallel, PassOpts, Query, RoundAdaptive, RouterArena,
+    RouterMode,
+};
 use sgs_stream::flat::{FlatIndex, ABSENT};
 use sgs_stream::hash::{split_seed, splitmix64, FastRng, SeededHash};
 use sgs_stream::l0::L0Sampler;
@@ -285,9 +287,21 @@ fn capture_batches(
         pass += 1;
         let pass_seed = split_seed(exec_seed, pass);
         let (a, _) = if turnstile {
-            answer_turnstile_batch_with_block(&batch, stream, pass_seed, 0)
+            one_shard_pass(
+                RouterMode::Turnstile,
+                &batch,
+                stream,
+                pass_seed,
+                PassOpts::with_block(0),
+            )
         } else {
-            answer_insertion_batch_with_block(&batch, stream, pass_seed, 0)
+            one_shard_pass(
+                RouterMode::Insertion,
+                &batch,
+                stream,
+                pass_seed,
+                PassOpts::with_block(0),
+            )
         };
         batches.push((batch, pass_seed));
         answers = a;
@@ -312,12 +326,20 @@ fn bench_pass(
     let run_set = |block: usize| {
         for (batch, seed) in batches {
             if turnstile {
-                black_box(answer_turnstile_batch_with_block(
-                    batch, stream, *seed, block,
+                black_box(one_shard_pass(
+                    RouterMode::Turnstile,
+                    batch,
+                    stream,
+                    *seed,
+                    PassOpts::with_block(block),
                 ));
             } else {
-                black_box(answer_insertion_batch_with_block(
-                    batch, stream, *seed, block,
+                black_box(one_shard_pass(
+                    RouterMode::Insertion,
+                    batch,
+                    stream,
+                    *seed,
+                    PassOpts::with_block(block),
                 ));
             }
         }
@@ -368,16 +390,28 @@ fn bench_sharded_composition(
             let mut arena = RouterArena::new();
             for _ in 0..2 {
                 for (batch, seed) in batches {
-                    black_box(answer_insertion_batch_sharded_with_exec(
-                        batch, &feed, *seed, &mut arena, opts, policy,
+                    black_box(answer_batch(
+                        RouterMode::Insertion,
+                        batch,
+                        &feed,
+                        *seed,
+                        &mut arena,
+                        opts,
+                        Engine::Sharded(policy),
                     ));
                 }
             }
             let _ = arena.take_shard_pass_nanos();
             for _ in 0..samples {
                 for (batch, seed) in batches {
-                    black_box(answer_insertion_batch_sharded_with_exec(
-                        batch, &feed, *seed, &mut arena, opts, policy,
+                    black_box(answer_batch(
+                        RouterMode::Insertion,
+                        batch,
+                        &feed,
+                        *seed,
+                        &mut arena,
+                        opts,
+                        Engine::Sharded(policy),
                     ));
                 }
             }
@@ -469,13 +503,37 @@ fn main() {
     // scalar one (the test suites prove this exhaustively; keep the bench
     // honest about what it measured).
     for (batch, seed) in &ins_batches {
-        let (a, _) = answer_insertion_batch_with_block(batch, &ins, *seed, 0);
-        let (b, _) = answer_insertion_batch_with_block(batch, &ins, *seed, 64);
+        let (a, _) = one_shard_pass(
+            RouterMode::Insertion,
+            batch,
+            &ins,
+            *seed,
+            PassOpts::with_block(0),
+        );
+        let (b, _) = one_shard_pass(
+            RouterMode::Insertion,
+            batch,
+            &ins,
+            *seed,
+            PassOpts::with_block(64),
+        );
         assert_eq!(a, b, "blocked insertion answers diverged from scalar");
     }
     for (batch, seed) in &tst_batches {
-        let (a, _) = answer_turnstile_batch_with_block(batch, &tst, *seed, 0);
-        let (b, _) = answer_turnstile_batch_with_block(batch, &tst, *seed, 64);
+        let (a, _) = one_shard_pass(
+            RouterMode::Turnstile,
+            batch,
+            &tst,
+            *seed,
+            PassOpts::with_block(0),
+        );
+        let (b, _) = one_shard_pass(
+            RouterMode::Turnstile,
+            batch,
+            &tst,
+            *seed,
+            PassOpts::with_block(64),
+        );
         assert_eq!(a, b, "blocked turnstile answers diverged from scalar");
     }
     println!("\nequivalence check: blocked answers identical to scalar ✓");

@@ -2,8 +2,9 @@
 //! estimator at varying trial counts, per pattern.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sgs_core::fgp::estimate_insertion;
+use sgs_core::fgp::estimate_stream;
 use sgs_graph::{gen, Pattern, StaticGraph};
+use sgs_query::RouterMode;
 use sgs_stream::{EdgeStream, InsertionStream};
 use std::hint::black_box;
 
@@ -16,7 +17,12 @@ fn bench_estimator_trials(c: &mut Criterion) {
         // 3 passes over the stream per run.
         group.throughput(Throughput::Elements(3 * stream.len() as u64));
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            b.iter(|| black_box(estimate_insertion(&Pattern::triangle(), &stream, k, 5).unwrap()));
+            b.iter(|| {
+                black_box(
+                    estimate_stream(&Pattern::triangle(), RouterMode::Insertion, &stream, k, 5)
+                        .unwrap(),
+                )
+            });
         });
     }
     group.finish();
@@ -37,7 +43,11 @@ fn bench_estimator_patterns(c: &mut Criterion) {
             BenchmarkId::from_parameter(p.name().to_string()),
             &p,
             |b, p| {
-                b.iter(|| black_box(estimate_insertion(p, &stream, 10_000, 9).unwrap()));
+                b.iter(|| {
+                    black_box(
+                        estimate_stream(p, RouterMode::Insertion, &stream, 10_000, 9).unwrap(),
+                    )
+                });
             },
         );
     }
@@ -45,7 +55,6 @@ fn bench_estimator_patterns(c: &mut Criterion) {
 }
 
 fn bench_turnstile_pass_cost(c: &mut Criterion) {
-    use sgs_core::fgp::estimate_turnstile;
     use sgs_stream::TurnstileStream;
     let g = gen::gnm(150, 900, 11);
     let stream = TurnstileStream::from_graph_with_churn(&g, 1.0, 12);
@@ -53,7 +62,12 @@ fn bench_turnstile_pass_cost(c: &mut Criterion) {
     group.sample_size(10);
     for &k in &[200usize, 1_000] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            b.iter(|| black_box(estimate_turnstile(&Pattern::triangle(), &stream, k, 13).unwrap()));
+            b.iter(|| {
+                black_box(
+                    estimate_stream(&Pattern::triangle(), RouterMode::Turnstile, &stream, k, 13)
+                        .unwrap(),
+                )
+            });
         });
     }
     group.finish();

@@ -12,7 +12,7 @@
 //!   baseline; a key survives to level ℓ with probability 2^-ℓ, so
 //!   dispatch touches E ≈ 2 of the L+1 rows the predicated path scans.
 //! * **Turnstile pass** — whole captured estimator rounds answered via
-//!   `answer_turnstile_batch_with_opts` under both ℓ₀ modes at block 0
+//!   the one-shard pass (`sgs_bench::one_shard_pass`) under both ℓ₀ modes at block 0
 //!   and blocked sizes: end-to-end ns per stream update. The acceptance
 //!   bar is ≥ 2× dispatch-vs-predicated at the blocked settings.
 //!
@@ -22,10 +22,10 @@
 //! `SGS_BENCH_JSON=<path>` to write the machine-readable record
 //! committed as `BENCH_l0fast.json`.
 
+use sgs_bench::one_shard_pass;
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::answer_turnstile_batch_with_opts;
-use sgs_query::{L0Mode, Parallel, PassOpts, Query, RoundAdaptive};
+use sgs_query::{L0Mode, Parallel, PassOpts, Query, RoundAdaptive, RouterMode};
 use sgs_stream::hash::{split_seed, FastRng};
 use sgs_stream::l0::L0Sampler;
 use sgs_stream::{EdgeStream, TurnstileStream};
@@ -158,8 +158,13 @@ fn capture_batches(trials: usize, stream: &TurnstileStream) -> Vec<(Vec<Query>, 
         }
         pass += 1;
         let pass_seed = split_seed(9, pass);
-        let (a, _) =
-            answer_turnstile_batch_with_opts(&batch, stream, pass_seed, PassOpts::oracle());
+        let (a, _) = one_shard_pass(
+            RouterMode::Turnstile,
+            &batch,
+            stream,
+            pass_seed,
+            PassOpts::oracle(),
+        );
         batches.push((batch, pass_seed));
         answers = a;
     }
@@ -186,7 +191,13 @@ fn bench_pass(
             let opts = PassOpts::with_block(block).l0(mode);
             let run_set = || {
                 for (batch, seed) in batches {
-                    black_box(answer_turnstile_batch_with_opts(batch, stream, *seed, opts));
+                    black_box(one_shard_pass(
+                        RouterMode::Turnstile,
+                        batch,
+                        stream,
+                        *seed,
+                        opts,
+                    ));
                 }
             };
             run_set(); // warm-up
@@ -241,11 +252,18 @@ fn main() {
     // Equivalence first: every answer set must be identical across the
     // four mode × block settings before any timing is trusted.
     for (batch, seed) in &batches {
-        let oracle = answer_turnstile_batch_with_opts(batch, &tst, *seed, PassOpts::oracle()).0;
+        let oracle = one_shard_pass(
+            RouterMode::Turnstile,
+            batch,
+            &tst,
+            *seed,
+            PassOpts::oracle(),
+        )
+        .0;
         for &mode in &[L0Mode::Predicated, L0Mode::Dispatch] {
             for &block in pass_blocks {
                 let opts = PassOpts::with_block(block).l0(mode);
-                let got = answer_turnstile_batch_with_opts(batch, &tst, *seed, opts).0;
+                let got = one_shard_pass(RouterMode::Turnstile, batch, &tst, *seed, opts).0;
                 assert_eq!(got, oracle, "{mode:?}/{block} answers diverged");
             }
         }

@@ -20,13 +20,11 @@
 //! for CI size); `SGS_BENCH_JSON=<path>` writes the record committed as
 //! `BENCH_multiplex.json`.
 
-use sgs_core::fgp::{
-    estimate_insertion_on_feed_with_exec, estimate_multi_insertion, MultiQuerySpec,
-};
+use sgs_core::fgp::{estimate, MultiQuerySpec};
 use sgs_core::{CountEstimate, SamplerMode};
 use sgs_graph::{gen, Pattern};
 use sgs_query::exec::PassOpts;
-use sgs_query::{ExecPolicy, ReservoirMode, RouterArena};
+use sgs_query::{Engine, ExecPolicy, ReservoirMode, RouterArena, RouterMode};
 use sgs_stream::{InsertionStream, ShardedFeed};
 use std::hint::black_box;
 use std::time::Instant;
@@ -92,17 +90,12 @@ fn solo_estimates(
     specs
         .iter()
         .map(|spec| {
-            estimate_insertion_on_feed_with_exec(
-                &spec.pattern,
-                feed,
-                spec.trials,
-                spec.seed,
-                arena,
-                PassOpts::with_block(block).reservoir(spec.reservoir),
-                spec.sampler,
-                ExecPolicy::serial(),
-            )
-            .unwrap()
+            let engine = Engine::Sharded(ExecPolicy::serial());
+            let specs = std::slice::from_ref(spec);
+            let opts = PassOpts::with_block(block);
+            let (mut ests, _) =
+                estimate(specs, RouterMode::Insertion, feed, arena, opts, engine).unwrap();
+            ests.pop().unwrap()
         })
         .collect()
 }
@@ -150,12 +143,13 @@ fn main() {
         // Byte-identity guard BEFORE timing: every multiplexed estimate
         // equals its solo run bit for bit.
         let mut mux_arena = RouterArena::new();
-        let (mux_ests, admission) = estimate_multi_insertion(
+        let (mux_ests, admission) = estimate(
             &specs,
+            RouterMode::Insertion,
             &feed,
             &mut mux_arena,
             PassOpts::with_block(block),
-            ExecPolicy::serial(),
+            Engine::Sharded(ExecPolicy::serial()),
         )
         .unwrap();
         let mut solo_arena = RouterArena::new();
@@ -179,12 +173,13 @@ fn main() {
             solo_estimates(&specs, &feed, &mut solo_arena, block)
         });
         let mux_ns = time(samples, || {
-            estimate_multi_insertion(
+            estimate(
                 &specs,
+                RouterMode::Insertion,
                 &feed,
                 &mut mux_arena,
                 PassOpts::with_block(block),
-                ExecPolicy::serial(),
+                Engine::Sharded(ExecPolicy::serial()),
             )
             .unwrap()
         });

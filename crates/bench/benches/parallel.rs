@@ -28,12 +28,13 @@
 //! CI-sized configuration). Set `SGS_BENCH_JSON=<path>` to write the
 //! machine-readable record committed as `BENCH_parallel.json`.
 
+use sgs_bench::one_shard_pass;
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::broadcast::{answer_insertion_batch_broadcast_with_opts, BroadcastOpts};
-use sgs_query::exec::answer_insertion_batch;
-use sgs_query::sharded::answer_insertion_batch_sharded_with_exec;
-use sgs_query::{ExecPolicy, Parallel, PassOpts, Query, RoundAdaptive, RouterArena, ShardRuntime};
+use sgs_query::{
+    answer_batch, BroadcastOpts, Engine, ExecPolicy, Parallel, PassOpts, Query, RoundAdaptive,
+    RouterArena, RouterMode, ShardRuntime,
+};
 use sgs_stream::broadcast::{Broadcast, RoutedProducer, TryNext};
 use sgs_stream::{InsertionStream, MutexBroadcast, ShardMap, ShardedFeed};
 use std::hint::black_box;
@@ -184,7 +185,13 @@ fn capture_batches(
         }
         pass += 1;
         let pass_seed = sgs_stream::hash::split_seed(exec_seed, pass);
-        let (a, _) = answer_insertion_batch(&batch, stream, pass_seed);
+        let (a, _) = one_shard_pass(
+            RouterMode::Insertion,
+            &batch,
+            stream,
+            pass_seed,
+            PassOpts::default(),
+        );
         batches.push((batch, pass_seed));
         answers = a;
     }
@@ -202,14 +209,14 @@ fn run_spawn_per_pass(
     let mut arena = RouterArena::new();
     time(samples, || {
         for (batch, seed) in batches {
-            black_box(answer_insertion_batch_broadcast_with_opts(
+            black_box(answer_batch(
+                RouterMode::Insertion,
                 batch,
                 feed,
                 *seed,
                 &mut arena,
                 PassOpts::default(),
-                bcast,
-                &mut [],
+                Engine::Ring(bcast, &mut []),
             ));
         }
     })
@@ -226,14 +233,14 @@ fn run_persistent(
     let mut rt = ShardRuntime::new(feed.num_shards(), bcast.policy);
     time(samples, || {
         for (batch, seed) in batches {
-            black_box(rt.insertion_pass(
+            black_box(answer_batch(
+                RouterMode::Insertion,
                 batch,
                 feed,
                 *seed,
                 &mut arena,
                 PassOpts::default(),
-                bcast,
-                &mut [],
+                Engine::Runtime(&mut rt, bcast),
             ));
         }
     })
@@ -251,13 +258,14 @@ fn run_serial_critical(
     let opts = PassOpts::default();
     for _ in 0..2 {
         for (batch, seed) in batches {
-            black_box(answer_insertion_batch_sharded_with_exec(
+            black_box(answer_batch(
+                RouterMode::Insertion,
                 batch,
                 feed,
                 *seed,
                 &mut arena,
                 opts,
-                ExecPolicy::serial(),
+                Engine::Sharded(ExecPolicy::serial()),
             ));
         }
     }
@@ -266,13 +274,14 @@ fn run_serial_critical(
     for _ in 0..samples {
         let t0 = Instant::now();
         for (batch, seed) in batches {
-            black_box(answer_insertion_batch_sharded_with_exec(
+            black_box(answer_batch(
+                RouterMode::Insertion,
                 batch,
                 feed,
                 *seed,
                 &mut arena,
                 opts,
-                ExecPolicy::serial(),
+                Engine::Sharded(ExecPolicy::serial()),
             ));
         }
         walls.push(t0.elapsed().as_nanos() as u64);
@@ -345,24 +354,30 @@ fn main() {
         let mut arena = RouterArena::new();
         let mut rt = ShardRuntime::new(shards, ExecPolicy::threaded());
         for (batch, seed) in &batches {
-            let (want, _) = answer_insertion_batch(batch, &stream2, *seed);
-            let (a, _) = answer_insertion_batch_broadcast_with_opts(
+            let (want, _) = one_shard_pass(
+                RouterMode::Insertion,
                 batch,
-                &feed2,
+                &stream2,
                 *seed,
-                &mut arena,
                 PassOpts::default(),
-                BroadcastOpts::with_policy(ExecPolicy::threaded()),
-                &mut [],
             );
-            let (b, _) = rt.insertion_pass(
+            let (a, _) = answer_batch(
+                RouterMode::Insertion,
                 batch,
                 &feed2,
                 *seed,
                 &mut arena,
                 PassOpts::default(),
-                BroadcastOpts::with_policy(ExecPolicy::threaded()),
-                &mut [],
+                Engine::Ring(BroadcastOpts::with_policy(ExecPolicy::threaded()), &mut []),
+            );
+            let (b, _) = answer_batch(
+                RouterMode::Insertion,
+                batch,
+                &feed2,
+                *seed,
+                &mut arena,
+                PassOpts::default(),
+                Engine::Runtime(&mut rt, BroadcastOpts::with_policy(ExecPolicy::threaded())),
             );
             assert_eq!(a, want, "spawn-per-pass diverged from single stream");
             assert_eq!(b, want, "persistent runtime diverged from single stream");
@@ -400,21 +415,23 @@ fn main() {
         let mut ua = RouterArena::new();
         let mut ba = RouterArena::new();
         for (batch, seed) in &hub_batches {
-            let (a, _) = answer_insertion_batch_sharded_with_exec(
+            let (a, _) = answer_batch(
+                RouterMode::Insertion,
                 batch,
                 &uniform,
                 *seed,
                 &mut ua,
                 PassOpts::default(),
-                ExecPolicy::serial(),
+                Engine::Sharded(ExecPolicy::serial()),
             );
-            let (b, _) = answer_insertion_batch_sharded_with_exec(
+            let (b, _) = answer_batch(
+                RouterMode::Insertion,
                 batch,
                 &balanced,
                 *seed,
                 &mut ba,
                 PassOpts::default(),
-                ExecPolicy::serial(),
+                Engine::Sharded(ExecPolicy::serial()),
             );
             assert_eq!(a, b, "placement changed an answer");
         }

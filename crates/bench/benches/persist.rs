@@ -17,14 +17,11 @@
 //! size); `SGS_BENCH_JSON=<path>` writes the record committed as
 //! `BENCH_persist.json`.
 
-use sgs_core::fgp::{
-    estimate_insertion_checkpointed, estimate_insertion_on_feed_with_opts,
-    estimate_turnstile_checkpointed, estimate_turnstile_on_feed_with_block,
-};
-use sgs_core::{CountEstimate, SamplerMode};
+use sgs_core::fgp::{estimate, estimate_checkpointed, MultiQuerySpec};
+use sgs_core::CountEstimate;
 use sgs_graph::{gen, Pattern};
 use sgs_query::exec::PassOpts;
-use sgs_query::{CheckpointSession, RouterArena};
+use sgs_query::{CheckpointSession, Engine, ExecPolicy, RouterArena, RouterMode};
 use sgs_stream::{InsertionStream, ShardedFeed, TurnstileStream};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -91,29 +88,32 @@ fn make_feed(cfg: Cfg, n_v: usize, m: usize) -> ShardedFeed {
     }
 }
 
+fn model_of(cfg: Cfg) -> RouterMode {
+    if cfg.model == "turnstile" {
+        RouterMode::Turnstile
+    } else {
+        RouterMode::Insertion
+    }
+}
+
+fn spec(cfg: Cfg) -> MultiQuerySpec {
+    MultiQuerySpec::new(Pattern::triangle(), cfg.trials, SEED)
+}
+
 fn run_plain(cfg: Cfg, feed: &ShardedFeed) -> CountEstimate {
     let mut arena = RouterArena::new();
-    if cfg.model == "turnstile" {
-        estimate_turnstile_on_feed_with_block(
-            &Pattern::triangle(),
-            feed,
-            cfg.trials,
-            SEED,
-            &mut arena,
-            PassOpts::default().block,
-        )
-    } else {
-        estimate_insertion_on_feed_with_opts(
-            &Pattern::triangle(),
-            feed,
-            cfg.trials,
-            SEED,
-            &mut arena,
-            PassOpts::default(),
-            SamplerMode::Indexed,
-        )
-    }
-    .unwrap()
+    let engine = Engine::Sharded(ExecPolicy::default());
+    let specs = [spec(cfg)];
+    let (mut ests, _) = estimate(
+        &specs,
+        model_of(cfg),
+        feed,
+        &mut arena,
+        PassOpts::default(),
+        engine,
+    )
+    .unwrap();
+    ests.pop().unwrap()
 }
 
 fn run_checkpointed(
@@ -127,28 +127,15 @@ fn run_checkpointed(
         session.set_crash_after(c);
     }
     let mut arena = RouterArena::new();
-    let est = if cfg.model == "turnstile" {
-        estimate_turnstile_checkpointed(
-            &Pattern::triangle(),
-            feed,
-            cfg.trials,
-            SEED,
-            &mut arena,
-            PassOpts::default(),
-            &mut session,
-        )
-    } else {
-        estimate_insertion_checkpointed(
-            &Pattern::triangle(),
-            feed,
-            cfg.trials,
-            SEED,
-            &mut arena,
-            PassOpts::default(),
-            SamplerMode::Indexed,
-            &mut session,
-        )
-    }
+    let opts = PassOpts::default();
+    let est = estimate_checkpointed(
+        &spec(cfg),
+        model_of(cfg),
+        feed,
+        &mut arena,
+        opts,
+        &mut session,
+    )
     .unwrap();
     (est, session.blocks_processed())
 }
@@ -156,28 +143,15 @@ fn run_checkpointed(
 fn resume_run(cfg: Cfg, dir: &Path) -> CountEstimate {
     let (mut session, feed) = CheckpointSession::resume(dir, SNAP_EVERY).unwrap();
     let mut arena = RouterArena::new();
-    let est = if cfg.model == "turnstile" {
-        estimate_turnstile_checkpointed(
-            &Pattern::triangle(),
-            &feed,
-            cfg.trials,
-            SEED,
-            &mut arena,
-            PassOpts::default(),
-            &mut session,
-        )
-    } else {
-        estimate_insertion_checkpointed(
-            &Pattern::triangle(),
-            &feed,
-            cfg.trials,
-            SEED,
-            &mut arena,
-            PassOpts::default(),
-            SamplerMode::Indexed,
-            &mut session,
-        )
-    }
+    let opts = PassOpts::default();
+    let est = estimate_checkpointed(
+        &spec(cfg),
+        model_of(cfg),
+        &feed,
+        &mut arena,
+        opts,
+        &mut session,
+    )
     .unwrap();
     est.expect("recovered run completes")
 }

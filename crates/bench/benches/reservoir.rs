@@ -13,7 +13,7 @@
 //!   (`rng_draws()`): the acceptance bar is draws dropping from exactly
 //!   `k·m` to `O(k·log m)`.
 //! * **Router-fed passes** — whole captured relaxed-f3 insertion rounds
-//!   answered through `answer_insertion_batch_with_opts` at
+//!   answered through the one-shard pass (`sgs_bench::one_shard_pass`) at
 //!   k = 1k/8k/32k trials, per-offer vs skip-ahead (both on the default
 //!   blocked feed path; the knob is orthogonal to blocking). The
 //!   acceptance bar is ≥ 2× whole-pass speedup on the reservoir-bound
@@ -26,10 +26,11 @@
 //! (recorded with `RUSTFLAGS="-C target-cpu=native"`, like
 //! `BENCH_feedpath.json`).
 
+use sgs_bench::one_shard_pass;
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::{answer_insertion_batch_with_opts, insertion_pass_reservoir_draws, PassOpts};
-use sgs_query::{Parallel, Query, ReservoirMode, RoundAdaptive};
+use sgs_query::exec::{insertion_pass_reservoir_draws, PassOpts};
+use sgs_query::{Parallel, Query, ReservoirMode, RoundAdaptive, RouterMode};
 use sgs_stream::hash::{split_seed, FastRng};
 use sgs_stream::reservoir::ReservoirBank;
 use sgs_stream::{EdgeStream, InsertionStream};
@@ -170,8 +171,13 @@ fn capture_batches(
         }
         pass += 1;
         let pass_seed = split_seed(exec_seed, pass);
-        let (a, _) =
-            answer_insertion_batch_with_opts(&batch, stream, pass_seed, PassOpts::default());
+        let (a, _) = one_shard_pass(
+            RouterMode::Insertion,
+            &batch,
+            stream,
+            pass_seed,
+            PassOpts::default(),
+        );
         batches.push((batch, pass_seed));
         answers = a;
     }
@@ -201,9 +207,21 @@ fn bench_router_fed(ks: &[usize], stream: &InsertionStream, samples: usize) -> V
             let run = |mode: ReservoirMode| {
                 let opts = PassOpts::with_reservoir(mode);
                 // Warm-up, then timed.
-                black_box(answer_insertion_batch_with_opts(batch, stream, *seed, opts));
+                black_box(one_shard_pass(
+                    RouterMode::Insertion,
+                    batch,
+                    stream,
+                    *seed,
+                    opts,
+                ));
                 let ns = time(samples, || {
-                    black_box(answer_insertion_batch_with_opts(batch, stream, *seed, opts));
+                    black_box(one_shard_pass(
+                        RouterMode::Insertion,
+                        batch,
+                        stream,
+                        *seed,
+                        opts,
+                    ));
                 });
                 let draws = insertion_pass_reservoir_draws(batch, stream, *seed, opts);
                 (ns, draws)
@@ -282,13 +300,15 @@ fn main() {
         );
         for (batch, seed) in &batches {
             for mode in [ReservoirMode::Offer, ReservoirMode::Skip] {
-                let (a, _) = answer_insertion_batch_with_opts(
+                let (a, _) = one_shard_pass(
+                    RouterMode::Insertion,
                     batch,
                     &ins,
                     *seed,
                     PassOpts::with_block(0).reservoir(mode),
                 );
-                let (b, _) = answer_insertion_batch_with_opts(
+                let (b, _) = one_shard_pass(
+                    RouterMode::Insertion,
                     batch,
                     &ins,
                     *seed,

@@ -27,13 +27,13 @@
 //! CI-sized configuration). Set `SGS_BENCH_JSON=<path>` to write the
 //! machine-readable record committed as `BENCH_sharded.json`.
 
+use sgs_bench::one_shard_pass;
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::answer_insertion_batch;
-use sgs_query::sharded::{
-    answer_insertion_batch_sharded, answer_insertion_batch_sharded_with_exec,
+use sgs_query::{
+    answer_batch, Engine, ExecPolicy, Parallel, PassOpts, Query, RoundAdaptive, RouterArena,
+    RouterMode,
 };
-use sgs_query::{ExecPolicy, Parallel, PassOpts, Query, RoundAdaptive, RouterArena};
 use sgs_stream::hash::split_seed;
 use sgs_stream::{EdgeStream, InsertionStream, ShardedFeed};
 use std::hint::black_box;
@@ -69,7 +69,13 @@ fn capture_batches(
         }
         pass += 1;
         let pass_seed = split_seed(exec_seed, pass);
-        let (a, _) = answer_insertion_batch(&batch, stream, pass_seed);
+        let (a, _) = one_shard_pass(
+            RouterMode::Insertion,
+            &batch,
+            stream,
+            pass_seed,
+            PassOpts::default(),
+        );
         batches.push((batch, pass_seed));
         answers = a;
     }
@@ -117,8 +123,14 @@ fn run_sharded(
     // Warm-up: allocator growth and page faults land here.
     for _ in 0..2 {
         for (batch, seed) in batches {
-            black_box(answer_insertion_batch_sharded_with_exec(
-                batch, feed, *seed, &mut arena, opts, policy,
+            black_box(answer_batch(
+                RouterMode::Insertion,
+                batch,
+                feed,
+                *seed,
+                &mut arena,
+                opts,
+                Engine::Sharded(policy),
             ));
         }
     }
@@ -127,8 +139,14 @@ fn run_sharded(
     for _ in 0..samples {
         let t0 = Instant::now();
         for (batch, seed) in batches {
-            black_box(answer_insertion_batch_sharded_with_exec(
-                batch, feed, *seed, &mut arena, opts, policy,
+            black_box(answer_batch(
+                RouterMode::Insertion,
+                batch,
+                feed,
+                *seed,
+                &mut arena,
+                opts,
+                Engine::Sharded(policy),
             ));
         }
         walls.push(t0.elapsed().as_nanos() as u64);
@@ -178,13 +196,25 @@ fn main() {
     let mut base_samples = Vec::with_capacity(samples);
     for _ in 0..2 {
         for (batch, seed) in &batches {
-            black_box(answer_insertion_batch(batch, &stream, *seed));
+            black_box(one_shard_pass(
+                RouterMode::Insertion,
+                batch,
+                &stream,
+                *seed,
+                PassOpts::default(),
+            ));
         }
     }
     for _ in 0..samples {
         let t0 = Instant::now();
         for (batch, seed) in &batches {
-            black_box(answer_insertion_batch(batch, &stream, *seed));
+            black_box(one_shard_pass(
+                RouterMode::Insertion,
+                batch,
+                &stream,
+                *seed,
+                PassOpts::default(),
+            ));
         }
         base_samples.push(t0.elapsed().as_nanos() as u64);
     }
@@ -227,8 +257,22 @@ fn main() {
         let feed = ShardedFeed::partition(&stream, *shard_counts.last().unwrap());
         let mut arena = RouterArena::new();
         for (batch, seed) in &batches {
-            let (a, _) = answer_insertion_batch(batch, &stream, *seed);
-            let (b, _) = answer_insertion_batch_sharded(batch, &feed, *seed, &mut arena);
+            let (a, _) = one_shard_pass(
+                RouterMode::Insertion,
+                batch,
+                &stream,
+                *seed,
+                PassOpts::default(),
+            );
+            let (b, _) = answer_batch(
+                RouterMode::Insertion,
+                batch,
+                &feed,
+                *seed,
+                &mut arena,
+                PassOpts::default(),
+                Engine::Sharded(ExecPolicy::default()),
+            );
             assert_eq!(a, b, "sharded answers diverged from baseline");
         }
         println!("equivalence check: sharded answers identical to baseline ✓");

@@ -3,11 +3,12 @@
 //!
 //! Usage: `cargo run --release -p sgs-bench --bin profile_executor [trials]`
 
+use sgs_bench::one_shard_pass;
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::{answer_insertion_batch, run_insertion};
+use sgs_query::exec::run_on_stream;
 use sgs_query::reference::{answer_insertion_batch_reference, run_insertion_reference};
-use sgs_query::{Parallel, QueryRouter, RoundAdaptive, RouterMode};
+use sgs_query::{Parallel, PassOpts, QueryRouter, RoundAdaptive, RouterMode};
 use sgs_stream::hash::split_seed;
 use sgs_stream::{EdgeStream, InsertionStream};
 use std::hint::black_box;
@@ -69,7 +70,13 @@ fn main() {
         let mut whole_time = Duration::MAX;
         for _ in 0..REPS {
             let t = Instant::now();
-            black_box(answer_insertion_batch(&batch, &stream, pass_seed));
+            black_box(one_shard_pass(
+                RouterMode::Insertion,
+                &batch,
+                &stream,
+                pass_seed,
+                PassOpts::default(),
+            ));
             whole_time = whole_time.min(t.elapsed());
         }
         let mut ref_time = Duration::MAX;
@@ -83,13 +90,24 @@ fn main() {
              whole={whole_time:?} reference={ref_time:?}",
             batch.len()
         );
-        let (real, _) = answer_insertion_batch(&batch, &stream, pass_seed);
+        let (real, _) = one_shard_pass(
+            RouterMode::Insertion,
+            &batch,
+            &stream,
+            pass_seed,
+            PassOpts::default(),
+        );
         answers = real;
     }
 
     for _ in 0..3 {
         let t0 = Instant::now();
-        black_box(run_insertion(bank(trials, 7), &stream, 5));
+        black_box(run_on_stream(
+            RouterMode::Insertion,
+            bank(trials, 7),
+            &stream,
+            5,
+        ));
         let a = t0.elapsed();
         let t0 = Instant::now();
         black_box(run_insertion_reference(bank(trials, 7), &stream, 5));

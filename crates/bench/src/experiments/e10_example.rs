@@ -6,9 +6,10 @@
 
 use crate::table::{pct, Table};
 use sgs_graph::{exact, gen, StaticGraph};
-use sgs_query::exec::{run_insertion, run_on_oracle, run_turnstile};
+use sgs_query::exec::{run_on_oracle, run_on_stream};
 use sgs_query::triangle_finder::{NeighborMode, TriangleFinder};
 use sgs_query::ExactOracle;
+use sgs_query::RouterMode;
 use sgs_stream::hash::split_seed;
 use sgs_stream::{InsertionStream, TurnstileStream};
 
@@ -57,7 +58,8 @@ pub fn run(quick: bool) -> Table {
     let mut ins_hits = 0u64;
     let mut passes = 0;
     for s in 0..trials {
-        let (out, rep) = run_insertion(
+        let (out, rep) = run_on_stream(
+            RouterMode::Insertion,
             TriangleFinder::new(split_seed(0xb10, s), NeighborMode::Indexed),
             &ins,
             split_seed(0xc10, s),
@@ -77,7 +79,8 @@ pub fn run(quick: bool) -> Table {
 
     let mut tst_hits = 0u64;
     for s in 0..trials {
-        let (out, rep) = run_turnstile(
+        let (out, rep) = run_on_stream(
+            RouterMode::Turnstile,
             TriangleFinder::new(split_seed(0xb10, s), NeighborMode::Relaxed),
             &tst,
             split_seed(0xd10, s),

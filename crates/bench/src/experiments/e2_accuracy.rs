@@ -5,8 +5,9 @@
 //! target `ε` is shown for reference.
 
 use crate::table::{f, pct, Table};
-use sgs_core::fgp::{estimate_insertion, practical_trials};
+use sgs_core::fgp::{estimate_stream, practical_trials};
 use sgs_graph::{exact, gen, Pattern, StaticGraph};
+use sgs_query::RouterMode;
 use sgs_stream::hash::split_seed;
 use sgs_stream::InsertionStream;
 
@@ -31,8 +32,14 @@ pub fn run(quick: bool) -> Table {
         let mut errs = Vec::new();
         let mut passes = 0;
         for s in 0..seeds {
-            let est =
-                estimate_insertion(&Pattern::triangle(), &stream, k, split_seed(0xe2, s)).unwrap();
+            let est = estimate_stream(
+                &Pattern::triangle(),
+                RouterMode::Insertion,
+                &stream,
+                k,
+                split_seed(0xe2, s),
+            )
+            .unwrap();
             errs.push(est.relative_error(exact_t));
             passes = est.report.passes;
         }

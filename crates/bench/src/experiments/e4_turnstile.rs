@@ -4,8 +4,9 @@
 //! estimator on the same final graph.
 
 use crate::table::{f, pct, Table};
-use sgs_core::fgp::{estimate_insertion, estimate_turnstile};
+use sgs_core::fgp::estimate_stream;
 use sgs_graph::{exact, gen, Pattern, StaticGraph};
+use sgs_query::RouterMode;
 use sgs_stream::hash::split_seed;
 use sgs_stream::{EdgeStream, InsertionStream, TurnstileStream};
 
@@ -34,8 +35,14 @@ pub fn run(quick: bool) -> Table {
         let mut sum = 0.0;
         let mut passes = 0;
         for s in 0..seeds {
-            let est = estimate_insertion(&Pattern::triangle(), &ins, trials, split_seed(0xe4, s))
-                .unwrap();
+            let est = estimate_stream(
+                &Pattern::triangle(),
+                RouterMode::Insertion,
+                &ins,
+                trials,
+                split_seed(0xe4, s),
+            )
+            .unwrap();
             sum += est.estimate;
             passes = est.report.passes;
         }
@@ -55,8 +62,9 @@ pub fn run(quick: bool) -> Table {
         let mut sum = 0.0;
         let mut passes = 0;
         for s in 0..seeds {
-            let est = estimate_turnstile(
+            let est = estimate_stream(
                 &Pattern::triangle(),
+                RouterMode::Turnstile,
                 &tst,
                 trials,
                 split_seed(0xe4 + churn as u64 + 1, s),

@@ -4,8 +4,9 @@
 
 use crate::table::Table;
 use sgs_core::ers::{count_cliques_insertion, ErsParams};
-use sgs_core::fgp::estimate_insertion;
+use sgs_core::fgp::estimate_stream;
 use sgs_graph::{exact, gen, Pattern};
+use sgs_query::RouterMode;
 use sgs_stream::InsertionStream;
 
 pub fn run(_quick: bool) -> Table {
@@ -41,7 +42,7 @@ pub fn run(_quick: bool) -> Table {
         } else {
             "3 (2: star-only decomposition)"
         };
-        let est = estimate_insertion(&pattern, &ins, 200, 43).unwrap();
+        let est = estimate_stream(&pattern, RouterMode::Insertion, &ins, 200, 43).unwrap();
         t.row(vec![
             "FGP (Thm 1/17)".into(),
             pattern.name().to_string(),

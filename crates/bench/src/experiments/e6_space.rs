@@ -6,8 +6,9 @@
 //! `k ∝ m^{3/2}/#T ∝ m^{1/2}`: the fitted log-log slope should be ≈ 0.5.
 
 use crate::table::{f, Table};
-use sgs_core::fgp::{estimate_insertion, practical_trials};
+use sgs_core::fgp::{estimate_stream, practical_trials};
 use sgs_graph::{exact, gen, Pattern, Rho, StaticGraph};
+use sgs_query::RouterMode;
 use sgs_stream::InsertionStream;
 
 pub fn run(quick: bool) -> Table {
@@ -41,7 +42,8 @@ pub fn run(quick: bool) -> Table {
         let exact_t = exact::triangles::count_triangles(&g).max(1);
         let k = practical_trials(m, rho, 0.2, exact_t as f64);
         let stream = InsertionStream::from_graph(&g, 53);
-        let est = estimate_insertion(&Pattern::triangle(), &stream, k, 54).unwrap();
+        let est =
+            estimate_stream(&Pattern::triangle(), RouterMode::Insertion, &stream, k, 54).unwrap();
         let theory = (2.0 * m as f64).powf(1.5) / exact_t as f64;
         t.row(vec![
             n.to_string(),

@@ -7,8 +7,9 @@
 
 use crate::table::{f, pct, Table};
 use sgs_core::baselines::{doulion, exact_stream, triest};
-use sgs_core::fgp::estimate_insertion;
+use sgs_core::fgp::estimate_stream;
 use sgs_graph::{exact, gen, Pattern, StaticGraph};
+use sgs_query::RouterMode;
 use sgs_stream::hash::split_seed;
 use sgs_stream::InsertionStream;
 
@@ -54,9 +55,14 @@ pub fn run(quick: bool) -> Table {
         let mut errs = Vec::new();
         let mut space = 0;
         for s in 0..runs {
-            let est =
-                estimate_insertion(&Pattern::triangle(), &stream, trials, split_seed(0xe9, s))
-                    .unwrap();
+            let est = estimate_stream(
+                &Pattern::triangle(),
+                RouterMode::Insertion,
+                &stream,
+                trials,
+                split_seed(0xe9, s),
+            )
+            .unwrap();
             errs.push(est.relative_error(exact_t));
             space = est.report.total_space_bytes();
         }

@@ -19,6 +19,34 @@ pub mod table;
 
 pub use table::Table;
 
+use sgs_query::{
+    answer_batch, Answer, Engine, ExecPolicy, PassOpts, Query, RouterArena, RouterMode,
+};
+use sgs_stream::{EdgeStream, ShardedFeed};
+
+/// One serial pass over `stream` partitioned into one shard, on a fresh
+/// arena: the single-stream pass the benches time and hold every other
+/// engine and shard count to. Returns the answers and the pass footprint.
+pub fn one_shard_pass(
+    model: RouterMode,
+    batch: &[Query],
+    stream: &impl EdgeStream,
+    pass_seed: u64,
+    opts: PassOpts,
+) -> (Vec<Answer>, usize) {
+    let feed = ShardedFeed::partition(stream, 1);
+    let engine = Engine::Sharded(ExecPolicy::serial());
+    answer_batch(
+        model,
+        batch,
+        &feed,
+        pass_seed,
+        &mut RouterArena::new(),
+        opts,
+        engine,
+    )
+}
+
 /// An experiment: id, one-line claim, and a runner producing a table.
 pub struct Experiment {
     /// Identifier, e.g. `"e1"`.

@@ -186,8 +186,9 @@ pub fn majority_active(params: &ErsParams, i: usize, results: &[Option<f64>]) ->
 mod tests {
     use super::*;
     use sgs_graph::{gen, StaticGraph};
-    use sgs_query::exec::{run_insertion, run_on_oracle};
+    use sgs_query::exec::{run_on_oracle, run_on_stream};
     use sgs_query::ExactOracle;
+    use sgs_query::RouterMode;
     use sgs_stream::InsertionStream;
 
     fn v(x: u32) -> VertexId {
@@ -262,7 +263,7 @@ mod tests {
         let degs: HashMap<VertexId, usize> = [(v(0), 4), (v(1), 4)].into_iter().collect();
         let run = StrActRun::new(params, vec![v(0), v(1)], &degs, g.num_edges(), 5);
         let ins = InsertionStream::from_graph(&g, 6);
-        let (out, rep) = run_insertion(run, &ins, 7);
+        let (out, rep) = run_on_stream(RouterMode::Insertion, run, &ins, 7);
         assert!(out.is_some());
         assert!(rep.passes <= 2);
     }

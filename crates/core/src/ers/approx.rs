@@ -381,8 +381,9 @@ mod tests {
     use super::*;
     use sgs_graph::exact::cliques::count_cliques;
     use sgs_graph::{degeneracy::degeneracy, gen};
-    use sgs_query::exec::{run_insertion, run_on_oracle};
+    use sgs_query::exec::{run_on_oracle, run_on_stream};
     use sgs_query::ExactOracle;
+    use sgs_query::RouterMode;
     use sgs_stream::InsertionStream;
 
     fn mean_estimate(g: &sgs_graph::AdjListGraph, r: usize, runs: u64, lower_bound: f64) -> f64 {
@@ -427,7 +428,7 @@ mod tests {
         let params = Arc::new(ErsParams::practical(3, degeneracy(&g), 0.3, exact.max(1.0)));
         let ins = InsertionStream::from_graph(&g, 6);
         let alg = ErsApproxClique::new(params, 7);
-        let (out, rep) = run_insertion(alg, &ins, 8);
+        let (out, rep) = run_on_stream(RouterMode::Insertion, alg, &ins, 8);
         assert!(rep.passes <= 5 * 3, "passes {} > 5r", rep.passes);
         assert!(out.estimate >= 0.0);
     }
@@ -438,7 +439,7 @@ mod tests {
         let params = Arc::new(ErsParams::practical(3, 2, 0.3, 1.0));
         let ins = InsertionStream::from_graph(&g, 1);
         let alg = ErsApproxClique::new(params, 2);
-        let (out, _) = run_insertion(alg, &ins, 3);
+        let (out, _) = run_on_stream(RouterMode::Insertion, alg, &ins, 3);
         assert_eq!(out.estimate, 0.0);
         assert_eq!(out.assigned, 0);
     }
@@ -449,7 +450,7 @@ mod tests {
         let params = Arc::new(ErsParams::practical(3, 1, 0.3, 1.0));
         let ins = InsertionStream::from_graph(&g, 1);
         let alg = ErsApproxClique::new(params, 2);
-        let (out, _) = run_insertion(alg, &ins, 3);
+        let (out, _) = run_on_stream(RouterMode::Insertion, alg, &ins, 3);
         assert_eq!(out.estimate, 0.0);
         assert_eq!(out.m, 0);
     }

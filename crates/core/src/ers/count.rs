@@ -3,7 +3,8 @@
 
 use crate::ers::approx::{ErsApproxClique, ErsOutcome};
 use crate::ers::params::ErsParams;
-use sgs_query::exec::{run_insertion, run_on_oracle};
+use sgs_query::exec::{run_on_oracle, run_on_stream};
+use sgs_query::RouterMode;
 use sgs_query::{ExactOracle, ExecReport, Parallel};
 use sgs_stream::hash::split_seed;
 use sgs_stream::EdgeStream;
@@ -73,7 +74,12 @@ pub fn count_cliques_insertion(
             .map(|i| ErsApproxClique::new(shared.clone(), split_seed(seed, i as u64)))
             .collect(),
     );
-    let (runs, report) = run_insertion(par, stream, split_seed(seed, u64::MAX));
+    let (runs, report) = run_on_stream(
+        RouterMode::Insertion,
+        par,
+        stream,
+        split_seed(seed, u64::MAX),
+    );
     ErsEstimate::from_runs(runs, report)
 }
 

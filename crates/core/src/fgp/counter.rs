@@ -7,13 +7,16 @@
 //! successes `X` gives the estimator `#Ĥ = (2m)^ρ(H) · X/k`, concentrated
 //! by Chernoff bounds once `k ≳ (2m)^ρ/(ε²·#H)`.
 
+use crate::fgp::multi_exec::{estimate, MultiQuerySpec};
 use crate::fgp::plan::SamplerPlan;
 use crate::fgp::sampler::{SamplerMode, SamplerOutcome, SubgraphSampler};
 use sgs_graph::{AdjListGraph, Pattern, Rho};
-use sgs_query::exec::{run_insertion, run_on_oracle, run_turnstile};
-use sgs_query::{ExactOracle, ExecReport, Parallel};
+use sgs_query::exec::run_on_oracle;
+use sgs_query::{
+    Engine, ExactOracle, ExecPolicy, ExecReport, Parallel, PassOpts, RouterArena, RouterMode,
+};
 use sgs_stream::hash::split_seed;
-use sgs_stream::EdgeStream;
+use sgs_stream::{EdgeStream, ShardedFeed};
 use std::sync::Arc;
 
 /// The result of a counting run.
@@ -83,32 +86,30 @@ pub(crate) fn build_parallel(
     )
 }
 
-/// Estimate `#H` from an insertion-only stream with `trials` parallel
-/// sampler copies (3 passes total; Theorem 17). Returns `None` for
+/// Estimate `#H` from a replayable stream in `model` with `trials`
+/// parallel sampler copies: 3 passes (Theorem 17 for
+/// [`RouterMode::Insertion`] with the indexed sampler, Theorem 1 for
+/// [`RouterMode::Turnstile`] with the relaxed one). Returns `None` for
 /// patterns with isolated vertices.
-pub fn estimate_insertion(
+///
+/// The convenience over one shard with the default options: the stream
+/// is partitioned into one shard and estimated with [`estimate`] on
+/// [`Engine::Sharded`]. Partition once and call [`estimate`] for shards,
+/// options, other engines or many queries.
+pub fn estimate_stream(
     pattern: &Pattern,
+    model: RouterMode,
     stream: &impl EdgeStream,
     trials: usize,
     seed: u64,
 ) -> Option<CountEstimate> {
-    let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, SamplerMode::Indexed, trials, seed);
-    let (outcomes, report) = run_insertion(par, stream, split_seed(seed, u64::MAX));
-    Some(CountEstimate::from_outcomes(outcomes, plan.rho(), report))
-}
-
-/// Estimate `#H` from a turnstile stream (3 passes; Theorem 1).
-pub fn estimate_turnstile(
-    pattern: &Pattern,
-    stream: &impl EdgeStream,
-    trials: usize,
-    seed: u64,
-) -> Option<CountEstimate> {
-    let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, SamplerMode::Relaxed, trials, seed);
-    let (outcomes, report) = run_turnstile(par, stream, split_seed(seed, u64::MAX));
-    Some(CountEstimate::from_outcomes(outcomes, plan.rho(), report))
+    let feed = ShardedFeed::partition(stream, 1);
+    let spec = MultiQuerySpec::new(pattern.clone(), trials, seed);
+    let engine = Engine::Sharded(ExecPolicy::default());
+    let mut arena = RouterArena::new();
+    let opts = PassOpts::default();
+    let (mut ests, _) = estimate(&[spec], model, &feed, &mut arena, opts, engine)?;
+    ests.pop()
 }
 
 /// Estimate `#H` via direct query access (the sublinear-time mode).
@@ -201,7 +202,14 @@ mod tests {
         let exact = exact::triangles::count_triangles(&g);
         assert!(exact > 50);
         let ins = InsertionStream::from_graph(&g, 22);
-        let est = estimate_insertion(&Pattern::triangle(), &ins, 40_000, 23).unwrap();
+        let est = estimate_stream(
+            &Pattern::triangle(),
+            RouterMode::Insertion,
+            &ins,
+            40_000,
+            23,
+        )
+        .unwrap();
         assert_eq!(est.report.passes, 3);
         assert!(
             est.relative_error(exact) < 0.2,
@@ -216,7 +224,14 @@ mod tests {
         let exact = exact::triangles::count_triangles(&g);
         assert!(exact > 20);
         let tst = TurnstileStream::from_graph_with_churn(&g, 0.5, 32);
-        let est = estimate_turnstile(&Pattern::triangle(), &tst, 20_000, 33).unwrap();
+        let est = estimate_stream(
+            &Pattern::triangle(),
+            RouterMode::Turnstile,
+            &tst,
+            20_000,
+            33,
+        )
+        .unwrap();
         assert!(est.report.passes <= 3);
         assert!(
             est.relative_error(exact) < 0.3,
@@ -243,7 +258,8 @@ mod tests {
         // Bipartite graph: no triangles; the estimator should say ~0.
         let g = gen::complete_bipartite(8, 8);
         let ins = InsertionStream::from_graph(&g, 1);
-        let est = estimate_insertion(&Pattern::triangle(), &ins, 5_000, 2).unwrap();
+        let est =
+            estimate_stream(&Pattern::triangle(), RouterMode::Insertion, &ins, 5_000, 2).unwrap();
         assert_eq!(est.hits, 0);
         assert_eq!(est.estimate, 0.0);
     }
@@ -288,6 +304,6 @@ mod tests {
         let p = Pattern::from_edges(3, [(0, 1)]);
         let g = gen::gnm(10, 20, 1);
         let ins = InsertionStream::from_graph(&g, 2);
-        assert!(estimate_insertion(&p, &ins, 10, 3).is_none());
+        assert!(estimate_stream(&p, RouterMode::Insertion, &ins, 10, 3).is_none());
     }
 }

@@ -1,29 +1,30 @@
-//! Multi-query estimator serving: many concurrent `#H` estimates from
-//! ONE shared pass per round.
+//! The estimator's one call: `#H` estimates for one or many query specs
+//! from ONE shared pass per round, in either stream model, on any engine.
 //!
-//! [`crate::fgp::parallel_exec`] made one estimate cheap per pass;
-//! serving-side traffic asks a different question — N estimates
-//! (different patterns, trial counts, seeds, reservoir modes) arriving
-//! together. Solo they cost `3·N` passes (every sampler is 3-round);
-//! through [`sgs_query::QuerySet`] they cost exactly **3 shared
-//! passes** total, because every trial bank rides the same merged
-//! router. Each estimate is **byte-identical** to its solo
-//! [`crate::fgp::parallel_exec::estimate_insertion_on_feed_with_exec`]
-//! run with the same spec, for any shard count, block size, and engine
-//! — the multiplexer replays each job's private coin chain exactly.
+//! [`estimate`] admits every spec's trial bank into one
+//! [`sgs_query::QuerySet`] and runs it with [`sgs_query::QuerySet::run`],
+//! which takes the stream model and the [`Engine`] as arguments. A solo
+//! estimate is the one-spec call; N estimates (different patterns, trial
+//! counts, seeds, reservoir modes) cost exactly **3 shared passes** in
+//! total instead of `3·N`, because every trial bank rides the same merged
+//! router. Each estimate is **byte-identical** to its solo run with the
+//! same spec, for any shard count, block size, engine and policy — the
+//! multiplexer replays each job's private coin chain exactly. `sgs count`
+//! (solo and `--queries`) and `sgs serve` (lone and batched COUNTs) all
+//! make this call.
 
 use crate::fgp::counter::{build_parallel, CountEstimate};
 use crate::fgp::plan::SamplerPlan;
 use crate::fgp::sampler::SamplerMode;
 use sgs_graph::Pattern;
 use sgs_query::multiplex::{AdmissionReport, QuerySet};
-use sgs_query::{BroadcastOpts, ExecPolicy, PassOpts, RouterArena};
+use sgs_query::{Engine, ExecPolicy, PassOpts, RouterArena, RouterMode};
 use sgs_stream::hash::split_seed;
 use sgs_stream::reservoir::ReservoirMode;
 use sgs_stream::ShardedFeed;
 
-/// One query in a multi-query batch: everything a solo
-/// `estimate_*_on_feed_with_*` call would have taken per estimate.
+/// One estimate's request: the pattern, its trial count and seed, and
+/// the sampler and reservoir choices of an insertion-model run.
 #[derive(Clone, Debug)]
 pub struct MultiQuerySpec {
     /// The pattern `H` to count.
@@ -53,46 +54,46 @@ impl MultiQuerySpec {
     }
 }
 
-fn admit_all(
+/// Estimate every spec's `#H` from one shared pass per round in `model`
+/// on `engine`. Returns per-spec estimates (spec order) plus the
+/// multiplexer's admission report; `None` if any pattern has no sampler
+/// plan. Under [`RouterMode::Turnstile`] every spec runs the relaxed
+/// sampler (Definition 10 has no arrival-order watchers). Each job runs
+/// in its spec's reservoir mode; `opts.reservoir` is ignored.
+pub fn estimate(
     specs: &[MultiQuerySpec],
-    force_relaxed: bool,
-) -> Option<(
-    QuerySet<sgs_query::Parallel<crate::fgp::sampler::SubgraphSampler>>,
-    Vec<sgs_graph::Rho>,
-)> {
+    model: RouterMode,
+    feed: &ShardedFeed,
+    arena: &mut RouterArena,
+    opts: PassOpts,
+    engine: Engine<'_, '_>,
+) -> Option<(Vec<CountEstimate>, AdmissionReport)> {
     let mut set = QuerySet::new();
     let mut rhos = Vec::with_capacity(specs.len());
     for spec in specs {
         let plan = SamplerPlan::new(&spec.pattern)?;
-        let sampler = if force_relaxed {
-            SamplerMode::Relaxed
-        } else {
-            spec.sampler
+        let sampler = match model {
+            RouterMode::Insertion => spec.sampler,
+            RouterMode::Turnstile => SamplerMode::Relaxed,
         };
         let par = build_parallel(&plan, sampler, spec.trials, spec.seed);
         set.admit(par, split_seed(spec.seed, u64::MAX), spec.reservoir);
         rhos.push(plan.rho());
     }
-    Some((set, rhos))
-}
-
-fn collect(
-    outputs: Vec<Vec<crate::fgp::sampler::SamplerOutcome>>,
-    reports: Vec<sgs_query::ExecReport>,
-    rhos: Vec<sgs_graph::Rho>,
-) -> Vec<CountEstimate> {
-    outputs
+    let out = set.run(model, feed, arena, opts, engine);
+    let ests = out
+        .outputs
         .into_iter()
-        .zip(reports)
+        .zip(out.reports)
         .zip(rhos)
         .map(|((outcomes, report), rho)| CountEstimate::from_outcomes(outcomes, rho, report))
-        .collect()
+        .collect();
+    Some((ests, out.admission))
 }
 
-/// Estimate every spec's `#H` from one shared insertion-model pass per
-/// round on the sharded engine. Returns per-spec estimates (spec order)
-/// plus the multiplexer's admission report; `None` if any pattern has no
-/// sampler plan. Each estimate is byte-identical to its solo run.
+/// [`estimate`] in the insertion model on [`Engine::Sharded`]. Kept with
+/// this name and signature because the benchmark's traced replay calls
+/// it.
 pub fn estimate_multi_insertion(
     specs: &[MultiQuerySpec],
     feed: &ShardedFeed,
@@ -100,62 +101,30 @@ pub fn estimate_multi_insertion(
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> Option<(Vec<CountEstimate>, AdmissionReport)> {
-    let (set, rhos) = admit_all(specs, false)?;
-    let out = set.run_insertion(feed, arena, opts, policy);
-    Some((collect(out.outputs, out.reports, rhos), out.admission))
-}
-
-/// Turnstile sibling of [`estimate_multi_insertion`]; every query runs
-/// the relaxed sampler (Definition 10 has no arrival-order watchers).
-pub fn estimate_multi_turnstile(
-    specs: &[MultiQuerySpec],
-    feed: &ShardedFeed,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    policy: ExecPolicy,
-) -> Option<(Vec<CountEstimate>, AdmissionReport)> {
-    let (set, rhos) = admit_all(specs, true)?;
-    let out = set.run_turnstile(feed, arena, opts, policy);
-    Some((collect(out.outputs, out.reports, rhos), out.admission))
-}
-
-/// [`estimate_multi_insertion`] riding the broadcast ring: one producer
-/// pushes each shared round's routed stream once. Producer stalls land
-/// in the admission report. Estimates identical to the sharded engine.
-pub fn estimate_multi_insertion_broadcast(
-    specs: &[MultiQuerySpec],
-    feed: &ShardedFeed,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-) -> Option<(Vec<CountEstimate>, AdmissionReport)> {
-    let (set, rhos) = admit_all(specs, false)?;
-    let out = set.run_insertion_broadcast(feed, arena, opts, bcast);
-    Some((collect(out.outputs, out.reports, rhos), out.admission))
-}
-
-/// Turnstile sibling of [`estimate_multi_insertion_broadcast`].
-pub fn estimate_multi_turnstile_broadcast(
-    specs: &[MultiQuerySpec],
-    feed: &ShardedFeed,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-) -> Option<(Vec<CountEstimate>, AdmissionReport)> {
-    let (set, rhos) = admit_all(specs, true)?;
-    let out = set.run_turnstile_broadcast(feed, arena, opts, bcast);
-    Some((collect(out.outputs, out.reports, rhos), out.admission))
+    let engine = Engine::Sharded(policy);
+    estimate(specs, RouterMode::Insertion, feed, arena, opts, engine)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fgp::parallel_exec::{
-        estimate_insertion_on_feed_with_exec, estimate_turnstile_on_feed_with_exec,
-    };
     use sgs_graph::gen;
-    use sgs_query::PassOpts;
+    use sgs_query::BroadcastOpts;
     use sgs_stream::{InsertionStream, TurnstileStream};
+
+    /// `spec` alone on a fresh arena: its solo run.
+    fn solo(
+        spec: &MultiQuerySpec,
+        model: RouterMode,
+        feed: &ShardedFeed,
+        opts: PassOpts,
+    ) -> CountEstimate {
+        let engine = Engine::Sharded(ExecPolicy::serial());
+        let specs = std::slice::from_ref(spec);
+        let (mut ests, _) = estimate(specs, model, feed, &mut RouterArena::new(), opts, engine)
+            .expect("valid pattern");
+        ests.pop().expect("one estimate")
+    }
 
     fn specs() -> Vec<MultiQuerySpec> {
         vec![
@@ -194,18 +163,7 @@ mod tests {
         assert_eq!(ests.len(), 3);
         assert_eq!(admission.rounds.len(), 3, "3-round samplers share 3 passes");
         for (spec, est) in specs().iter().zip(&ests) {
-            let mut solo_arena = RouterArena::new();
-            let solo = estimate_insertion_on_feed_with_exec(
-                &spec.pattern,
-                &feed,
-                spec.trials,
-                spec.seed,
-                &mut solo_arena,
-                PassOpts::with_block(64).reservoir(spec.reservoir),
-                spec.sampler,
-                ExecPolicy::serial(),
-            )
-            .unwrap();
+            let solo = solo(spec, RouterMode::Insertion, &feed, PassOpts::with_block(64));
             assert_eq!(est.estimate.to_bits(), solo.estimate.to_bits());
             assert_eq!(est.hits, solo.hits);
             assert_eq!(est.trials, solo.trials);
@@ -219,26 +177,17 @@ mod tests {
         let tst = TurnstileStream::from_graph_with_churn(&g, 0.4, 10);
         let feed = ShardedFeed::partition(&tst, 2);
         let mut arena = RouterArena::new();
-        let (ests, _) = estimate_multi_turnstile(
+        let (ests, _) = estimate(
             &specs(),
+            RouterMode::Turnstile,
             &feed,
             &mut arena,
             PassOpts::with_block(64),
-            ExecPolicy::serial(),
+            Engine::Sharded(ExecPolicy::serial()),
         )
         .unwrap();
         for (spec, est) in specs().iter().zip(&ests) {
-            let mut solo_arena = RouterArena::new();
-            let solo = estimate_turnstile_on_feed_with_exec(
-                &spec.pattern,
-                &feed,
-                spec.trials,
-                spec.seed,
-                &mut solo_arena,
-                PassOpts::with_block(64),
-                ExecPolicy::serial(),
-            )
-            .unwrap();
+            let solo = solo(spec, RouterMode::Turnstile, &feed, PassOpts::with_block(64));
             assert_eq!(est.estimate.to_bits(), solo.estimate.to_bits());
             assert_eq!(est.hits, solo.hits);
         }
@@ -259,12 +208,13 @@ mod tests {
         )
         .unwrap();
         let mut ring_arena = RouterArena::new();
-        let (ringed, _) = estimate_multi_insertion_broadcast(
+        let (ringed, _) = estimate(
             &specs(),
+            RouterMode::Insertion,
             &feed,
             &mut ring_arena,
             PassOpts::with_block(64),
-            BroadcastOpts::with_policy(ExecPolicy::serial()),
+            Engine::Ring(BroadcastOpts::with_policy(ExecPolicy::serial()), &mut []),
         )
         .unwrap();
         for (a, b) in sharded.iter().zip(&ringed) {

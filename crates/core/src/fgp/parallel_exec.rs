@@ -1,353 +1,48 @@
-//! Multi-threaded estimator driver: sharded *streams*, not just sharded
-//! trial banks.
+//! Sharded-stream equivalence of the estimator.
 //!
-//! The pre-sharding version of this module split the `k` sampler trials
-//! of Theorem 17 across threads, each replaying the whole stream — the
-//! feed path stayed one hot loop per thread and the per-thread runs drew
-//! different coins than a single-threaded run. Since the sharded-pipeline
-//! refactor the split happens one layer down: **one** `Parallel` bank of
-//! all `k` trials drives `run_insertion_sharded`/`run_turnstile_sharded`,
-//! which hash-partition the *stream* across a [`ShardedFeed`], run one
-//! private `QueryRouter` per shard (pooled in a [`RouterArena`]), and
-//! merge per-shard answers back into the exact single-stream batch
-//! answers.
-//!
+//! [`crate::fgp::estimate`] shards the *stream*, not the trial bank:
+//! **one** `Parallel` bank of all `k` trials drives the passes, which
+//! hash-partition the stream across a [`ShardedFeed`], run one private
+//! `QueryRouter` per shard (pooled in a [`RouterArena`]), and merge
+//! per-shard answers back into the exact single-stream batch answers.
 //! Because the merge is exact, the sharded estimate is **byte-identical**
-//! to [`crate::fgp::counter::estimate_insertion`] /
-//! [`crate::fgp::counter::estimate_turnstile`] with the same seed, for
-//! any shard count — the logical pass count (3) and the estimate
-//! distribution are unchanged by construction, not just in expectation.
-//! Shard workers run on scoped threads (one per shard) when the host has
-//! the cores; wall-clock time is the only thing that changes.
+//! to [`crate::fgp::estimate_stream`] with the same seed, for any shard
+//! count — the logical pass count (3) and the estimate distribution are
+//! unchanged by construction, not just in expectation. These tests pin
+//! that, and the arena reuse of the serving loop.
 
-use crate::fgp::counter::{build_parallel, CountEstimate};
-use crate::fgp::plan::SamplerPlan;
-use crate::fgp::sampler::SamplerMode;
-use sgs_graph::Pattern;
-use sgs_query::exec::{PassOpts, DEFAULT_BLOCK};
-use sgs_query::sharded::{run_insertion_sharded_with_exec, run_turnstile_sharded_with_exec};
-use sgs_query::{ExecPolicy, RouterArena};
-use sgs_stream::hash::split_seed;
-use sgs_stream::{EdgeStream, ShardedFeed};
-
-/// Estimate `#H` from an already-partitioned insertion-only feed,
-/// reusing a caller-owned arena: the serving-loop entry point (partition
-/// once, estimate many times, zero router allocations after warm-up).
-pub fn estimate_insertion_on_feed(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-) -> Option<CountEstimate> {
-    estimate_insertion_on_feed_with_block(pattern, feed, trials, seed, arena, DEFAULT_BLOCK)
-}
-
-/// [`estimate_insertion_on_feed`] with an explicit feed block size:
-/// `block <= 1` replays every pass through the scalar per-update path,
-/// larger values feed the routers in blocks of `block` updates (batched
-/// index probes, ℓ₀ lane loops). The estimate is bit-identical for any
-/// value — `sgs count --block N` threads the knob through here.
-pub fn estimate_insertion_on_feed_with_block(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-    block: usize,
-) -> Option<CountEstimate> {
-    estimate_insertion_on_feed_with_opts(
-        pattern,
-        feed,
-        trials,
-        seed,
-        arena,
-        PassOpts::with_block(block),
-        SamplerMode::Indexed,
-    )
-}
-
-/// [`estimate_insertion_on_feed`] with full feed-path options plus an
-/// explicit sampler mode. `opts.reservoir` picks the relaxed-`f3`
-/// reservoir acceptance scheme (skip-ahead default vs the per-offer
-/// statistical oracle; `sgs count --reservoir {offer,skip}` threads the
-/// knob through here), and `sampler` picks which Theorem-9 query mix the
-/// trials ask: [`SamplerMode::Indexed`] uses arrival-order watchers
-/// (reservoir-free), [`SamplerMode::Relaxed`] asks `RandomNeighbor` and
-/// exercises the reservoir bank on every pass — the workload the
-/// skip-ahead rework accelerates.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_insertion_on_feed_with_opts(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    sampler: SamplerMode,
-) -> Option<CountEstimate> {
-    estimate_insertion_on_feed_with_exec(
-        pattern,
-        feed,
-        trials,
-        seed,
-        arena,
-        opts,
-        sampler,
-        ExecPolicy::default(),
-    )
-}
-
-/// [`estimate_insertion_on_feed_with_opts`] with an explicit execution
-/// policy for the shard workers (serial / threaded / auto, core
-/// pinning). The estimate is byte-identical for every policy — only
-/// wall-clock scheduling changes.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_insertion_on_feed_with_exec(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    sampler: SamplerMode,
-    policy: ExecPolicy,
-) -> Option<CountEstimate> {
-    let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, sampler, trials, seed);
-    let (outcomes, report) =
-        run_insertion_sharded_with_exec(par, feed, split_seed(seed, u64::MAX), arena, opts, policy);
-    Some(CountEstimate::from_outcomes(outcomes, plan.rho(), report))
-}
-
-/// Turnstile sibling of [`estimate_insertion_on_feed`].
-pub fn estimate_turnstile_on_feed(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-) -> Option<CountEstimate> {
-    estimate_turnstile_on_feed_with_block(pattern, feed, trials, seed, arena, DEFAULT_BLOCK)
-}
-
-/// Turnstile sibling of [`estimate_insertion_on_feed_with_block`].
-pub fn estimate_turnstile_on_feed_with_block(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-    block: usize,
-) -> Option<CountEstimate> {
-    estimate_turnstile_on_feed_with_opts(
-        pattern,
-        feed,
-        trials,
-        seed,
-        arena,
-        PassOpts::with_block(block),
-    )
-}
-
-/// Turnstile sibling of [`estimate_insertion_on_feed_with_opts`]:
-/// `opts.l0` selects the ℓ₀-bank feed path (survivor-level dispatch by
-/// default, predicated full-bank scan as the statistical oracle);
-/// `opts.reservoir` is ignored — turnstile `f3` runs on ℓ₀-samplers.
-/// The estimate is bit-identical for every option combination.
-pub fn estimate_turnstile_on_feed_with_opts(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-) -> Option<CountEstimate> {
-    estimate_turnstile_on_feed_with_exec(
-        pattern,
-        feed,
-        trials,
-        seed,
-        arena,
-        opts,
-        ExecPolicy::default(),
-    )
-}
-
-/// Turnstile sibling of [`estimate_insertion_on_feed_with_exec`].
-pub fn estimate_turnstile_on_feed_with_exec(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    policy: ExecPolicy,
-) -> Option<CountEstimate> {
-    let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, SamplerMode::Relaxed, trials, seed);
-    let (outcomes, report) =
-        run_turnstile_sharded_with_exec(par, feed, split_seed(seed, u64::MAX), arena, opts, policy);
-    Some(CountEstimate::from_outcomes(outcomes, plan.rho(), report))
-}
-
-/// Estimate `#H` from an insertion-only stream sharded `threads` ways:
-/// the stream is hash-partitioned, one worker drives each shard, and the
-/// merged answers reproduce the single-stream run coin for coin.
-pub fn estimate_insertion_threaded<S: EdgeStream + Sync>(
-    pattern: &Pattern,
-    stream: &S,
-    trials: usize,
-    threads: usize,
-    seed: u64,
-) -> Option<CountEstimate> {
-    estimate_insertion_threaded_with_block(pattern, stream, trials, threads, seed, DEFAULT_BLOCK)
-}
-
-/// [`estimate_insertion_threaded`] with an explicit feed block size —
-/// the one-shot partition/estimate entry `sgs count --shards N --block B`
-/// routes through.
-pub fn estimate_insertion_threaded_with_block<S: EdgeStream + Sync>(
-    pattern: &Pattern,
-    stream: &S,
-    trials: usize,
-    threads: usize,
-    seed: u64,
-    block: usize,
-) -> Option<CountEstimate> {
-    estimate_insertion_threaded_with_opts(
-        pattern,
-        stream,
-        trials,
-        threads,
-        seed,
-        PassOpts::with_block(block),
-        SamplerMode::Indexed,
-    )
-}
-
-/// [`estimate_insertion_threaded`] with full feed-path options and an
-/// explicit sampler mode — the one-shot entry
-/// `sgs count --shards N --block B --reservoir M [--relaxed]` routes
-/// through; see [`estimate_insertion_on_feed_with_opts`].
-pub fn estimate_insertion_threaded_with_opts<S: EdgeStream + Sync>(
-    pattern: &Pattern,
-    stream: &S,
-    trials: usize,
-    threads: usize,
-    seed: u64,
-    opts: PassOpts,
-    sampler: SamplerMode,
-) -> Option<CountEstimate> {
-    estimate_insertion_threaded_with_exec(
-        pattern,
-        stream,
-        trials,
-        threads,
-        seed,
-        opts,
-        sampler,
-        ExecPolicy::default(),
-    )
-}
-
-/// [`estimate_insertion_threaded_with_opts`] with an explicit execution
-/// policy — `sgs count` threads `SGS_SHARD_THREADS` / `--pin` through
-/// here.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_insertion_threaded_with_exec<S: EdgeStream + Sync>(
-    pattern: &Pattern,
-    stream: &S,
-    trials: usize,
-    threads: usize,
-    seed: u64,
-    opts: PassOpts,
-    sampler: SamplerMode,
-    policy: ExecPolicy,
-) -> Option<CountEstimate> {
-    assert!(threads >= 1);
-    let feed = ShardedFeed::partition(stream, threads);
-    let mut arena = RouterArena::new();
-    estimate_insertion_on_feed_with_exec(
-        pattern, &feed, trials, seed, &mut arena, opts, sampler, policy,
-    )
-}
-
-/// Turnstile sibling of [`estimate_insertion_threaded`]: sharded
-/// turnstile estimation with per-shard ℓ₀-banks merged exactly
-/// (Theorem 1's 3-pass structure, fanned out over `threads` shards).
-pub fn estimate_turnstile_threaded<S: EdgeStream + Sync>(
-    pattern: &Pattern,
-    stream: &S,
-    trials: usize,
-    threads: usize,
-    seed: u64,
-) -> Option<CountEstimate> {
-    estimate_turnstile_threaded_with_block(pattern, stream, trials, threads, seed, DEFAULT_BLOCK)
-}
-
-/// Turnstile sibling of [`estimate_insertion_threaded_with_block`].
-pub fn estimate_turnstile_threaded_with_block<S: EdgeStream + Sync>(
-    pattern: &Pattern,
-    stream: &S,
-    trials: usize,
-    threads: usize,
-    seed: u64,
-    block: usize,
-) -> Option<CountEstimate> {
-    estimate_turnstile_threaded_with_opts(
-        pattern,
-        stream,
-        trials,
-        threads,
-        seed,
-        PassOpts::with_block(block),
-    )
-}
-
-/// Turnstile sibling of [`estimate_insertion_threaded_with_opts`]; see
-/// [`estimate_turnstile_on_feed_with_opts`] for what `opts` selects.
-pub fn estimate_turnstile_threaded_with_opts<S: EdgeStream + Sync>(
-    pattern: &Pattern,
-    stream: &S,
-    trials: usize,
-    threads: usize,
-    seed: u64,
-    opts: PassOpts,
-) -> Option<CountEstimate> {
-    estimate_turnstile_threaded_with_exec(
-        pattern,
-        stream,
-        trials,
-        threads,
-        seed,
-        opts,
-        ExecPolicy::default(),
-    )
-}
-
-/// Turnstile sibling of [`estimate_insertion_threaded_with_exec`].
-pub fn estimate_turnstile_threaded_with_exec<S: EdgeStream + Sync>(
-    pattern: &Pattern,
-    stream: &S,
-    trials: usize,
-    threads: usize,
-    seed: u64,
-    opts: PassOpts,
-    policy: ExecPolicy,
-) -> Option<CountEstimate> {
-    assert!(threads >= 1);
-    let feed = ShardedFeed::partition(stream, threads);
-    let mut arena = RouterArena::new();
-    estimate_turnstile_on_feed_with_exec(pattern, &feed, trials, seed, &mut arena, opts, policy)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::fgp::counter::{estimate_insertion, estimate_turnstile};
-    use sgs_graph::{exact, gen};
-    use sgs_stream::{InsertionStream, TurnstileStream};
+    use crate::fgp::{estimate, estimate_stream, CountEstimate, MultiQuerySpec};
+    use sgs_graph::{exact, gen, Pattern};
+    use sgs_query::{Engine, ExecPolicy, PassOpts, RouterArena, RouterMode};
+    use sgs_stream::{EdgeStream, InsertionStream, ShardedFeed, TurnstileStream};
+
+    /// A triangle estimate over `feed` on a caller-owned arena.
+    fn on_feed(
+        model: RouterMode,
+        feed: &ShardedFeed,
+        trials: usize,
+        seed: u64,
+        arena: &mut RouterArena,
+    ) -> CountEstimate {
+        let specs = [MultiQuerySpec::new(Pattern::triangle(), trials, seed)];
+        let engine = Engine::Sharded(ExecPolicy::default());
+        let (mut ests, _) =
+            estimate(&specs, model, feed, arena, PassOpts::default(), engine).unwrap();
+        ests.pop().unwrap()
+    }
+
+    /// A triangle estimate over `stream` partitioned into `shards` shards.
+    fn sharded(
+        model: RouterMode,
+        stream: &impl EdgeStream,
+        trials: usize,
+        shards: usize,
+        seed: u64,
+    ) -> CountEstimate {
+        let feed = ShardedFeed::partition(stream, shards);
+        on_feed(model, &feed, trials, seed, &mut RouterArena::new())
+    }
 
     #[test]
     fn threaded_is_byte_identical_to_single_stream() {
@@ -356,11 +51,16 @@ mod tests {
         // estimate must match bit for bit at every shard count.
         let g = gen::gnm(40, 220, 1);
         let stream = InsertionStream::from_graph(&g, 2);
-        let single = estimate_insertion(&Pattern::triangle(), &stream, 4_000, 4).unwrap();
+        let single = estimate_stream(
+            &Pattern::triangle(),
+            RouterMode::Insertion,
+            &stream,
+            4_000,
+            4,
+        )
+        .unwrap();
         for threads in [1usize, 2, 4, 7] {
-            let multi =
-                estimate_insertion_threaded(&Pattern::triangle(), &stream, 4_000, threads, 4)
-                    .unwrap();
+            let multi = sharded(RouterMode::Insertion, &stream, 4_000, threads, 4);
             assert_eq!(multi.hits, single.hits, "{threads} shards");
             assert_eq!(multi.estimate, single.estimate, "{threads} shards");
             assert_eq!(multi.m, single.m);
@@ -373,10 +73,10 @@ mod tests {
     fn turnstile_threaded_is_byte_identical_to_single_stream() {
         let g = gen::gnm(24, 100, 31);
         let tst = TurnstileStream::from_graph_with_churn(&g, 0.5, 32);
-        let single = estimate_turnstile(&Pattern::triangle(), &tst, 800, 33).unwrap();
+        let single =
+            estimate_stream(&Pattern::triangle(), RouterMode::Turnstile, &tst, 800, 33).unwrap();
         for threads in [1usize, 2, 4] {
-            let multi =
-                estimate_turnstile_threaded(&Pattern::triangle(), &tst, 800, threads, 33).unwrap();
+            let multi = sharded(RouterMode::Turnstile, &tst, 800, threads, 33);
             assert_eq!(multi.hits, single.hits, "{threads} shards");
             assert_eq!(multi.estimate, single.estimate, "{threads} shards");
             assert!(multi.report.passes <= 3);
@@ -388,8 +88,7 @@ mod tests {
         let g = gen::gnm(40, 220, 1);
         let exact_t = exact::triangles::count_triangles(&g);
         let stream = InsertionStream::from_graph(&g, 2);
-        let multi =
-            estimate_insertion_threaded(&Pattern::triangle(), &stream, 24_000, 4, 4).unwrap();
+        let multi = sharded(RouterMode::Insertion, &stream, 24_000, 4, 4);
         assert_eq!(multi.trials, 24_000);
         assert_eq!(multi.report.passes, 3);
         let err = multi.relative_error(exact_t);
@@ -400,7 +99,7 @@ mod tests {
     fn one_thread_is_fine() {
         let g = gen::gnm(20, 80, 4);
         let stream = InsertionStream::from_graph(&g, 5);
-        let est = estimate_insertion_threaded(&Pattern::triangle(), &stream, 2_000, 1, 6).unwrap();
+        let est = sharded(RouterMode::Insertion, &stream, 2_000, 1, 6);
         assert_eq!(est.trials, 2_000);
     }
 
@@ -408,7 +107,7 @@ mod tests {
     fn more_threads_than_trials() {
         let g = gen::gnm(20, 80, 7);
         let stream = InsertionStream::from_graph(&g, 8);
-        let est = estimate_insertion_threaded(&Pattern::triangle(), &stream, 3, 8, 9).unwrap();
+        let est = sharded(RouterMode::Insertion, &stream, 3, 8, 9);
         assert_eq!(est.trials, 3);
     }
 
@@ -421,13 +120,10 @@ mod tests {
         let stream = InsertionStream::from_graph(&g, 12);
         let feed = ShardedFeed::partition(&stream, 4);
         let mut arena = RouterArena::new();
-        let first =
-            estimate_insertion_on_feed(&Pattern::triangle(), &feed, 2_000, 13, &mut arena).unwrap();
+        let first = on_feed(RouterMode::Insertion, &feed, 2_000, 13, &mut arena);
         assert!(arena.is_warm());
         for _ in 0..2 {
-            let again =
-                estimate_insertion_on_feed(&Pattern::triangle(), &feed, 2_000, 13, &mut arena)
-                    .unwrap();
+            let again = on_feed(RouterMode::Insertion, &feed, 2_000, 13, &mut arena);
             assert_eq!(again.hits, first.hits);
             assert_eq!(again.estimate, first.estimate);
         }

@@ -444,8 +444,9 @@ impl RoundAdaptive for SubgraphSampler {
 mod tests {
     use super::*;
     use sgs_graph::{gen, Pattern, StaticGraph};
-    use sgs_query::exec::{run_insertion, run_on_oracle, run_turnstile};
+    use sgs_query::exec::{run_on_oracle, run_on_stream};
     use sgs_query::ExactOracle;
+    use sgs_query::RouterMode;
     use sgs_stream::{InsertionStream, TurnstileStream};
 
     fn hit_rate_oracle(pattern: &Pattern, g: &sgs_graph::AdjListGraph, trials: u64) -> f64 {
@@ -503,7 +504,7 @@ mod tests {
         let mut found = 0;
         for t in 0..4000u64 {
             let s = SubgraphSampler::new(plan.clone(), SamplerMode::Indexed, t);
-            let (out, rep) = run_insertion(s, &ins, 1_000_000 + t);
+            let (out, rep) = run_on_stream(RouterMode::Insertion, s, &ins, 1_000_000 + t);
             assert!(rep.passes <= 3, "triangle sampler must use <= 3 passes");
             if let Some(c) = out.copy {
                 found += 1;
@@ -522,7 +523,7 @@ mod tests {
         let plan = SamplerPlan::new(&Pattern::star(2)).unwrap();
         let ins = InsertionStream::from_graph(&g, 6);
         let s = SubgraphSampler::new(plan, SamplerMode::Indexed, 1);
-        let (_, rep) = run_insertion(s, &ins, 2);
+        let (_, rep) = run_on_stream(RouterMode::Insertion, s, &ins, 2);
         assert_eq!(rep.passes, 2);
     }
 
@@ -536,7 +537,7 @@ mod tests {
         let mut found = 0;
         for t in 0..3000u64 {
             let s = SubgraphSampler::new(plan.clone(), SamplerMode::Relaxed, t);
-            let (out, rep) = run_turnstile(s, &tst, 2_000_000 + t);
+            let (out, rep) = run_on_stream(RouterMode::Turnstile, s, &tst, 2_000_000 + t);
             assert!(rep.passes <= 3);
             if let Some(c) = out.copy {
                 found += 1;
@@ -554,7 +555,7 @@ mod tests {
         let plan = SamplerPlan::new(&Pattern::triangle()).unwrap();
         let ins = InsertionStream::from_graph(&g, 2);
         let s = SubgraphSampler::new(plan, SamplerMode::Indexed, 3);
-        let (out, _) = run_insertion(s, &ins, 4);
+        let (out, _) = run_on_stream(RouterMode::Insertion, s, &ins, 4);
         assert_eq!(out.m, 30);
     }
 
@@ -564,7 +565,7 @@ mod tests {
         let plan = SamplerPlan::new(&Pattern::triangle()).unwrap();
         let ins = InsertionStream::from_graph(&g, 1);
         let s = SubgraphSampler::new(plan, SamplerMode::Indexed, 2);
-        let (out, _) = run_insertion(s, &ins, 3);
+        let (out, _) = run_on_stream(RouterMode::Insertion, s, &ins, 3);
         assert!(out.copy.is_none());
         assert_eq!(out.m, 0);
     }

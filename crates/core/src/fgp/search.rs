@@ -15,10 +15,10 @@
 //!   trial budget, so the total work is within 2× of the final round's,
 //!   and each round costs 3 passes.
 
-use crate::fgp::counter::{estimate_insertion, practical_trials, CountEstimate};
-use crate::fgp::parallel_exec::estimate_insertion_on_feed;
+use crate::fgp::counter::{estimate_stream, practical_trials, CountEstimate};
+use crate::fgp::multi_exec::{estimate, MultiQuerySpec};
 use sgs_graph::Pattern;
-use sgs_query::RouterArena;
+use sgs_query::{Engine, ExecPolicy, PassOpts, RouterArena, RouterMode};
 use sgs_stream::hash::split_seed;
 use sgs_stream::{EdgeStream, ShardedFeed};
 
@@ -46,7 +46,7 @@ pub fn distinguish_insertion(
     // Size for the gap: need relative error < eps/2 at count ~ L.
     let m_guess = stream.len(); // upper bound on m (exact for insertion-only)
     let trials = practical_trials(m_guess, plan.rho(), epsilon / 2.0, threshold);
-    let estimate = estimate_insertion(pattern, stream, trials, seed)?;
+    let estimate = estimate_stream(pattern, RouterMode::Insertion, stream, trials, seed)?;
     let above = estimate.estimate >= (1.0 + epsilon / 2.0) * threshold;
     Some(GapDecision { above, estimate })
 }
@@ -99,7 +99,7 @@ pub fn search_count_insertion(
     // Partition once and keep one arena across all search rounds: every
     // per-round estimate reuses the warmed routers instead of paying the
     // partition copy and the router build allocations again. Answers are
-    // unchanged (the sharded path is byte-identical to estimate_insertion
+    // unchanged (the sharded path is byte-identical to estimate_stream
     // at any shard count, including 1).
     let feed = ShardedFeed::partition(stream, 1);
     let mut arena = RouterArena::new();
@@ -107,13 +107,17 @@ pub fn search_count_insertion(
         rounds += 1;
         let trials = practical_trials(m, plan.rho(), epsilon, guess).min(max_trials_per_round);
         total_trials += trials;
-        let est = estimate_insertion_on_feed(
-            pattern,
+        let spec = MultiQuerySpec::new(pattern.clone(), trials, split_seed(seed, rounds as u64));
+        let engine = Engine::Sharded(ExecPolicy::default());
+        let (mut ests, _) = estimate(
+            &[spec],
+            RouterMode::Insertion,
             &feed,
-            trials,
-            split_seed(seed, rounds as u64),
             &mut arena,
+            PassOpts::default(),
+            engine,
         )?;
+        let est = ests.pop()?;
         let accept = est.estimate >= guess;
         trace.push(est.clone());
         if accept || guess < 1.0 || trials >= max_trials_per_round {

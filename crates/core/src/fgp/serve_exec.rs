@@ -1,33 +1,25 @@
-//! Serving-side estimator entry points: solo `#H` estimates on a
-//! caller-owned persistent [`sgs_query::ShardRuntime`].
+//! A solo estimate on a caller-owned persistent [`ShardRuntime`]: the
+//! shape of a lone `sgs serve` COUNT.
 //!
 //! A long-lived node ([`sgs_query::ServerNode`]) keeps one worker pool
-//! alive across every query; these drivers run one COUNT on it through
-//! the broadcast ring ([`sgs_query::run_insertion_broadcast_on_runtime`])
-//! instead of standing up threads per estimate. Each estimate is
-//! **byte-identical** to the batch
-//! [`crate::fgp::parallel_exec::estimate_insertion_on_feed_with_exec`]
-//! run with the same spec over the same feed — the broadcast engine's
-//! equivalence to the sharded engine is the load-bearing invariant
-//! (`tests/broadcast_equivalence.rs`), and the runtime runs the same
-//! one-job plan through the same shard machines as the internally-pooled
-//! path.
+//! alive across every query and runs a lone COUNT on it by passing
+//! [`Engine::Runtime`] to [`crate::fgp::estimate`]. Each estimate is
+//! **byte-identical** to the same spec on [`Engine::Sharded`] over the
+//! same feed — the runtime runs the same one-job plan through the same
+//! shard machines (`tests/broadcast_equivalence.rs` pins the engines
+//! against each other).
 
-use crate::fgp::counter::{build_parallel, CountEstimate};
-use crate::fgp::plan::SamplerPlan;
+use crate::fgp::counter::CountEstimate;
+use crate::fgp::multi_exec::{estimate, MultiQuerySpec};
 use crate::fgp::sampler::SamplerMode;
 use sgs_graph::Pattern;
-use sgs_query::{
-    run_insertion_broadcast_on_runtime, run_turnstile_broadcast_on_runtime, BroadcastOpts,
-    PassOpts, RouterArena, ShardRuntime,
-};
-use sgs_stream::hash::split_seed;
+use sgs_query::{BroadcastOpts, Engine, PassOpts, RouterArena, RouterMode, ShardRuntime};
 use sgs_stream::ShardedFeed;
 
-/// Estimate `#H` from an insertion-only feed on a persistent runtime.
-/// Byte-identical to
-/// [`crate::fgp::parallel_exec::estimate_insertion_on_feed_with_exec`]
-/// with the same spec. `None` if the pattern has no sampler plan.
+/// [`estimate`] of one insertion-model spec on [`Engine::Runtime`], with
+/// the reservoir mode taken from `opts`. Kept with this name and
+/// signature because the benchmark's traced replay calls it. `None` if
+/// the pattern has no sampler plan.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_insertion_on_runtime(
     pattern: &Pattern,
@@ -40,59 +32,38 @@ pub fn estimate_insertion_on_runtime(
     bcast: BroadcastOpts,
     runtime: &mut ShardRuntime,
 ) -> Option<CountEstimate> {
-    let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, sampler, trials, seed);
-    let (outcomes, report) = run_insertion_broadcast_on_runtime(
-        par,
-        feed,
-        split_seed(seed, u64::MAX),
-        arena,
-        opts,
-        bcast,
-        &mut [],
-        runtime,
-    );
-    Some(CountEstimate::from_outcomes(outcomes, plan.rho(), report))
-}
-
-/// Turnstile sibling of [`estimate_insertion_on_runtime`]; the sampler
-/// always runs relaxed (Definition 10 has no arrival-order watchers).
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_turnstile_on_runtime(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    runtime: &mut ShardRuntime,
-) -> Option<CountEstimate> {
-    let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, SamplerMode::Relaxed, trials, seed);
-    let (outcomes, report) = run_turnstile_broadcast_on_runtime(
-        par,
-        feed,
-        split_seed(seed, u64::MAX),
-        arena,
-        opts,
-        bcast,
-        &mut [],
-        runtime,
-    );
-    Some(CountEstimate::from_outcomes(outcomes, plan.rho(), report))
+    let spec = MultiQuerySpec {
+        pattern: pattern.clone(),
+        trials,
+        seed,
+        sampler,
+        reservoir: opts.reservoir,
+    };
+    let engine = Engine::Runtime(runtime, bcast);
+    let (mut ests, _) = estimate(&[spec], RouterMode::Insertion, feed, arena, opts, engine)?;
+    ests.pop()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fgp::parallel_exec::{
-        estimate_insertion_on_feed_with_exec, estimate_turnstile_on_feed_with_exec,
-    };
     use sgs_graph::gen;
     use sgs_query::ExecPolicy;
     use sgs_stream::reservoir::ReservoirMode;
     use sgs_stream::{InsertionStream, TurnstileStream};
+
+    /// One spec on a fresh arena and `engine`.
+    fn solo(
+        spec: MultiQuerySpec,
+        model: RouterMode,
+        feed: &ShardedFeed,
+        opts: PassOpts,
+        engine: Engine<'_, '_>,
+    ) -> CountEstimate {
+        let mut arena = RouterArena::new();
+        let (mut ests, _) = estimate(&[spec], model, feed, &mut arena, opts, engine).unwrap();
+        ests.pop().unwrap()
+    }
 
     #[test]
     fn runtime_insertion_estimate_matches_batch_bits() {
@@ -120,18 +91,18 @@ mod tests {
                     &mut rt,
                 )
                 .unwrap();
-                let mut batch_arena = RouterArena::new();
-                let batch = estimate_insertion_on_feed_with_exec(
-                    &Pattern::clique(3),
+                let spec = MultiQuerySpec {
+                    sampler: mode,
+                    reservoir,
+                    ..MultiQuerySpec::new(Pattern::clique(3), 60, 9)
+                };
+                let batch = solo(
+                    spec,
+                    RouterMode::Insertion,
                     &feed,
-                    60,
-                    9,
-                    &mut batch_arena,
                     opts,
-                    mode,
-                    policy,
-                )
-                .unwrap();
+                    Engine::Sharded(policy),
+                );
                 assert_eq!(live.estimate.to_bits(), batch.estimate.to_bits());
                 assert_eq!(live.hits, batch.hits);
                 assert_eq!(live.report.passes, batch.report.passes);
@@ -147,29 +118,17 @@ mod tests {
             let feed = ShardedFeed::partition(&tst, shards);
             let policy = ExecPolicy::serial();
             let mut rt = ShardRuntime::new(shards, policy);
-            let mut arena = RouterArena::new();
-            let live = estimate_turnstile_on_runtime(
-                &Pattern::clique(3),
+            let spec = MultiQuerySpec::new(Pattern::clique(3), 40, 11);
+            let opts = PassOpts::with_block(64);
+            let engine = Engine::Runtime(&mut rt, BroadcastOpts::with_policy(policy));
+            let live = solo(spec.clone(), RouterMode::Turnstile, &feed, opts, engine);
+            let batch = solo(
+                spec,
+                RouterMode::Turnstile,
                 &feed,
-                40,
-                11,
-                &mut arena,
-                PassOpts::with_block(64),
-                BroadcastOpts::with_policy(policy),
-                &mut rt,
-            )
-            .unwrap();
-            let mut batch_arena = RouterArena::new();
-            let batch = estimate_turnstile_on_feed_with_exec(
-                &Pattern::clique(3),
-                &feed,
-                40,
-                11,
-                &mut batch_arena,
-                PassOpts::with_block(64),
-                policy,
-            )
-            .unwrap();
+                opts,
+                Engine::Sharded(policy),
+            );
             assert_eq!(live.estimate.to_bits(), batch.estimate.to_bits());
             assert_eq!(live.hits, batch.hits);
         }
@@ -198,18 +157,15 @@ mod tests {
                 &mut rt,
             )
             .unwrap();
-            let mut batch_arena = RouterArena::new();
-            let batch = estimate_insertion_on_feed_with_exec(
-                &Pattern::clique(3),
+            let spec = MultiQuerySpec::new(Pattern::clique(3), 30, seed);
+            let opts = PassOpts::with_block(32);
+            let batch = solo(
+                spec,
+                RouterMode::Insertion,
                 &feed,
-                30,
-                seed,
-                &mut batch_arena,
-                PassOpts::with_block(32),
-                SamplerMode::Indexed,
-                policy,
-            )
-            .unwrap();
+                opts,
+                Engine::Sharded(policy),
+            );
             assert_eq!(live.estimate.to_bits(), batch.estimate.to_bits());
         }
     }

@@ -12,7 +12,8 @@ use crate::fgp::assemble::FoundCopy;
 use crate::fgp::plan::SamplerPlan;
 use crate::fgp::sampler::{SamplerMode, SubgraphSampler};
 use sgs_graph::Pattern;
-use sgs_query::exec::{run_insertion, run_on_oracle, run_turnstile};
+use sgs_query::exec::{run_on_oracle, run_on_stream};
+use sgs_query::RouterMode;
 use sgs_query::{ExactOracle, ExecReport, Parallel};
 use sgs_stream::hash::split_seed;
 use sgs_stream::EdgeStream;
@@ -71,7 +72,12 @@ pub fn sample_uniform_insertion(
             })
             .collect(),
     );
-    let (outcomes, report) = run_insertion(par, stream, split_seed(seed, u64::MAX));
+    let (outcomes, report) = run_on_stream(
+        RouterMode::Insertion,
+        par,
+        stream,
+        split_seed(seed, u64::MAX),
+    );
     Some(first_success(outcomes, report))
 }
 
@@ -94,7 +100,12 @@ pub fn sample_uniform_turnstile(
             })
             .collect(),
     );
-    let (outcomes, report) = run_turnstile(par, stream, split_seed(seed, u64::MAX));
+    let (outcomes, report) = run_on_stream(
+        RouterMode::Turnstile,
+        par,
+        stream,
+        split_seed(seed, u64::MAX),
+    );
     Some(first_success(outcomes, report))
 }
 

@@ -15,11 +15,13 @@
 //! ```
 //! use sgs_core::fgp;
 //! use sgs_graph::{gen, Pattern};
+//! use sgs_query::RouterMode;
 //! use sgs_stream::InsertionStream;
 //!
 //! let graph = gen::gnm(100, 600, 7);
 //! let stream = InsertionStream::from_graph(&graph, 8);
-//! let est = fgp::estimate_insertion(&Pattern::triangle(), &stream, 20_000, 9).unwrap();
+//! let model = RouterMode::Insertion;
+//! let est = fgp::estimate_stream(&Pattern::triangle(), model, &stream, 20_000, 9).unwrap();
 //! println!("~{} triangles in 3 passes", est.estimate.round());
 //! assert_eq!(est.report.passes, 3);
 //! ```

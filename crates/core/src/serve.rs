@@ -1,6 +1,6 @@
 //! The `sgs serve` line protocol: a long-lived node behind a socket.
 //!
-//! One [`ServerNode`] (WAL-backed ingest, open broadcast ring, persistent
+//! One [`ServerNode`] (WAL-backed ingest, a persistent
 //! shard worker pool) serves many concurrent client sessions over TCP
 //! and/or a Unix socket. Each connection speaks a line protocol:
 //!
@@ -18,29 +18,30 @@
 //! Client threads parse lines into [`Request`]s and forward them with a
 //! private reply channel to the single node loop, which drains the queue
 //! in arrival order. Consecutive COUNTs in one drained batch share one
-//! feed cut: a lone query runs on the node's persistent runtime
-//! ([`crate::fgp::estimate_insertion_on_runtime`]), a batch is
-//! admission-multiplexed through one shared pass per round
-//! ([`crate::fgp::estimate_multi_insertion`]). Both paths are
-//! byte-identical to the equivalent solo batch `sgs count` over the same
-//! ingested prefix — the reply's `bits=` field is the exact `f64` so
-//! clients can check.
+//! feed cut and one [`crate::fgp::estimate`] call per model: a lone
+//! query runs on the node's persistent runtime
+//! ([`sgs_query::Engine::Runtime`]), a batch is admission-multiplexed
+//! through one shared pass per round on scoped shard threads
+//! ([`sgs_query::Engine::Sharded`]). Both are byte-identical to the
+//! equivalent solo batch `sgs count` over the same ingested prefix — the
+//! reply's `bits=` field is the exact `f64` so clients can check.
 //!
 //! `QUIT` shuts the node down gracefully: remaining queued requests are
-//! refused, the ring drains, the WAL seals, and a final snapshot lands,
-//! so a later `sgs serve` (or `sgs recover`) resumes from the directory.
+//! refused, the WAL seals, and a final snapshot lands, so a later
+//! `sgs serve` (or `sgs recover`) resumes from the directory. The node
+//! leaves its loop only after the quitting session has written `BYE` (or
+//! failed to, waiting at most a second), so the process never exits
+//! under that reply.
 
 use crate::fgp::{
-    admit_trials, estimate_insertion_on_runtime, estimate_multi_insertion,
-    estimate_multi_turnstile, estimate_turnstile_on_runtime, practical_trials, CountEstimate,
-    MultiQuerySpec, SamplerPlan,
+    admit_trials, estimate, practical_trials, CountEstimate, MultiQuerySpec, SamplerPlan,
 };
 use crate::SamplerMode;
 use sgs_graph::zoo::parse_pattern;
 use sgs_graph::Pattern;
 use sgs_query::{
-    available_memory, BroadcastOpts, ExecPolicy, PassOpts, ReservoirMode, RouterArena, ServeError,
-    ServeSnapshot, ServerNode,
+    available_memory, BroadcastOpts, Engine, ExecPolicy, PassOpts, ReservoirMode, RouterArena,
+    RouterMode, ServeError, ServeSnapshot, ServerNode,
 };
 use sgs_stream::persist::PersistResult;
 use std::io::{BufRead, BufReader, Write};
@@ -52,6 +53,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::Duration;
 
 /// Execution knobs shared by every query the node answers.
 #[derive(Clone, Copy, Debug)]
@@ -114,7 +116,15 @@ enum Request {
     Quit,
 }
 
-type Job = (Request, Sender<String>);
+/// A parsed request and the channel its reply goes back on. A QUIT also
+/// carries a receiver whose sender its session drops once it has written
+/// the reply (or failed to), so the node can wait for that before it
+/// exits.
+type Job = (Request, Sender<String>, Option<Receiver<()>>);
+
+/// How long a QUIT waits for its session to write `BYE` before the node
+/// shuts down anyway (a client that never reads cannot hold shutdown).
+const QUIT_REPLY_WAIT: Duration = Duration::from_secs(1);
 
 fn parse_count(mut toks: std::str::SplitWhitespace<'_>) -> Result<Request, String> {
     let pat_tok = toks.next().ok_or("COUNT needs a pattern name")?;
@@ -198,6 +208,10 @@ fn parse_request(line: &str) -> Result<Request, String> {
 /// gone.
 fn session<R: BufRead, W: Write>(mut lines: R, mut out: W, jobs: Sender<Job>) {
     let (reply_tx, reply_rx) = mpsc::channel::<String>();
+    // `_written` lives until this session returns; a QUIT hands the node
+    // its receiver, which then disconnects only after `BYE` is written.
+    let (_written, written_rx) = mpsc::channel::<()>();
+    let mut written_rx = Some(written_rx);
     let mut line = String::new();
     loop {
         line.clear();
@@ -219,7 +233,8 @@ fn session<R: BufRead, W: Write>(mut lines: R, mut out: W, jobs: Sender<Job>) {
             }
         };
         let quitting = matches!(req, Request::Quit);
-        if jobs.send((req, reply_tx.clone())).is_err() {
+        let written = if quitting { written_rx.take() } else { None };
+        if jobs.send((req, reply_tx.clone(), written)).is_err() {
             let _ = writeln!(out, "ERR node is shutting down");
             let _ = out.flush();
             return;
@@ -326,49 +341,23 @@ fn answer_group(
     if resolved.is_empty() {
         return;
     }
-    if resolved.len() == 1 {
-        // A lone query runs on the node's persistent worker pool.
-        let (k, spec) = &resolved[0];
-        let pass = opts.pass.reservoir(spec.reservoir);
-        let bcast = BroadcastOpts::with_policy(opts.policy);
-        let est = if turnstile {
-            estimate_turnstile_on_runtime(
-                &spec.pattern,
-                feed,
-                spec.trials,
-                spec.seed,
-                arena,
-                pass,
-                bcast,
-                node.runtime_mut(),
-            )
-        } else {
-            estimate_insertion_on_runtime(
-                &spec.pattern,
-                feed,
-                spec.trials,
-                spec.seed,
-                arena,
-                pass,
-                spec.sampler,
-                bcast,
-                node.runtime_mut(),
-            )
-        }
-        .expect("plan validated above");
-        let _ = jobs[*k].1.send(count_reply(spec, &est, prefix));
-        node.note_served();
-        return;
-    }
-    // A batch is admission-multiplexed: one shared pass per round serves
-    // every query, each answer byte-identical to its solo run.
-    let specs: Vec<MultiQuerySpec> = resolved.iter().map(|(_, s)| s.clone()).collect();
-    let (ests, _admission) = if turnstile {
-        estimate_multi_turnstile(&specs, feed, arena, opts.pass, opts.policy)
+    // A lone query runs on the node's persistent worker pool; a batch is
+    // admission-multiplexed on scoped shard threads. Either way one shared
+    // pass per round serves every query, each answer byte-identical to
+    // its solo run.
+    let engine = if resolved.len() == 1 {
+        Engine::Runtime(node.runtime_mut(), BroadcastOpts::with_policy(opts.policy))
     } else {
-        estimate_multi_insertion(&specs, feed, arena, opts.pass, opts.policy)
-    }
-    .expect("plans validated above");
+        Engine::Sharded(opts.policy)
+    };
+    let model = if turnstile {
+        RouterMode::Turnstile
+    } else {
+        RouterMode::Insertion
+    };
+    let specs: Vec<MultiQuerySpec> = resolved.iter().map(|(_, s)| s.clone()).collect();
+    let (ests, _admission) =
+        estimate(&specs, model, feed, arena, opts.pass, engine).expect("plans validated above");
     for ((k, spec), est) in resolved.iter().zip(&ests) {
         let _ = jobs[*k].1.send(count_reply(spec, est, prefix));
         node.note_served();
@@ -385,7 +374,7 @@ fn answer_counts(
     let feed = match node.cut() {
         Ok(f) => f,
         Err(e) => {
-            for (_, reply) in jobs {
+            for (_, reply, _) in jobs {
                 let _ = reply.send(format!("ERR fatal: {e}"));
             }
             return Err(e);
@@ -394,7 +383,7 @@ fn answer_counts(
     let prefix = node.ingested();
     let mut insertion: Vec<usize> = Vec::new();
     let mut turnstile: Vec<usize> = Vec::new();
-    for (k, (req, _)) in jobs.iter().enumerate() {
+    for (k, (req, _, _)) in jobs.iter().enumerate() {
         let Request::Count(spec) = req else {
             unreachable!("answer_counts is only handed COUNT jobs");
         };
@@ -456,7 +445,7 @@ fn node_loop(
                 i = j;
                 continue;
             }
-            let (req, reply) = &batch[i];
+            let (req, reply, written) = &batch[i];
             i += 1;
             match req {
                 Request::Ingest { u, v, delta } => match node.ingest(*u, *v, *delta) {
@@ -485,6 +474,12 @@ fn node_loop(
                 },
                 Request::Quit => {
                     let _ = reply.send("BYE".to_string());
+                    // Leave only once the session has written BYE (or its
+                    // write failed): once this loop returns, the process
+                    // may exit under the session thread.
+                    if let Some(written) = written {
+                        let _ = written.recv_timeout(QUIT_REPLY_WAIT);
+                    }
                     // Jobs still queued behind QUIT are dropped; their
                     // sessions observe the hung-up reply channel.
                     break 'serve;
@@ -576,12 +571,61 @@ pub fn run_server(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fgp::estimate_insertion_on_feed_with_exec;
     use sgs_query::{ServeConfig, ServerNode};
     use sgs_stream::{ShardedFeed, TurnstileStream};
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
     use std::path::PathBuf;
+    use std::sync::Mutex;
+
+    /// The batch estimate a serve COUNT must match: one indexed
+    /// insertion spec on the serial sharded engine with serve's options.
+    fn batch_estimate(feed: &ShardedFeed, trials: usize, seed: u64) -> CountEstimate {
+        let specs = [MultiQuerySpec::new(Pattern::triangle(), trials, seed)];
+        let opts = ServeOptions::new(ExecPolicy::serial()).pass;
+        let engine = Engine::Sharded(ExecPolicy::serial());
+        let mut arena = RouterArena::new();
+        let (mut ests, _) = estimate(
+            &specs,
+            RouterMode::Insertion,
+            feed,
+            &mut arena,
+            opts,
+            engine,
+        )
+        .unwrap();
+        ests.pop().unwrap()
+    }
+
+    /// A session writer that takes its time: every write sleeps before
+    /// it records its bytes.
+    struct SlowWriter(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SlowWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            thread::sleep(Duration::from_millis(150));
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn node_loop_returns_only_after_the_quit_session_wrote_bye() {
+        let dir = tmp("quit_bye");
+        let node = ServerNode::create(&dir, ServeConfig::default(), ExecPolicy::serial()).unwrap();
+        let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
+        let written = Arc::new(Mutex::new(Vec::new()));
+        let out = SlowWriter(Arc::clone(&written));
+        let client = thread::spawn(move || session(&b"QUIT\n"[..], out, jobs_tx));
+        node_loop(node, jobs_rx, &ServeOptions::new(ExecPolicy::serial())).unwrap();
+        assert_eq!(written.lock().unwrap().as_slice(), b"BYE\n");
+        client.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sgs_core_serve_{name}"));
@@ -715,18 +759,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let feed = ShardedFeed::partition(&stream, 2);
-        let mut arena = RouterArena::new();
-        let batch = estimate_insertion_on_feed_with_exec(
-            &Pattern::triangle(),
-            &feed,
-            50,
-            9,
-            &mut arena,
-            ServeOptions::new(ExecPolicy::serial()).pass,
-            SamplerMode::Indexed,
-            ExecPolicy::serial(),
-        )
-        .unwrap();
+        let batch = batch_estimate(&feed, 50, 9);
         assert_eq!(live_bits, batch.estimate.to_bits());
 
         // A turnstile COUNT over the same prefix also answers.
@@ -803,18 +836,7 @@ mod tests {
                 panic!("client {c} got no bits field: {reply}");
             });
             let live_bits = u64::from_str_radix(bits_hex.trim(), 16).unwrap();
-            let mut arena = RouterArena::new();
-            let solo = estimate_insertion_on_feed_with_exec(
-                &Pattern::triangle(),
-                &feed,
-                40,
-                100 + c as u64,
-                &mut arena,
-                ServeOptions::new(ExecPolicy::serial()).pass,
-                SamplerMode::Indexed,
-                ExecPolicy::serial(),
-            )
-            .unwrap();
+            let solo = batch_estimate(&feed, 40, 100 + c as u64);
             assert_eq!(live_bits, solo.estimate.to_bits(), "client {c}");
         }
 

@@ -1,15 +1,18 @@
 //! Broadcast pass execution: one ingest feeds every consumer at once.
 //!
 //! The scoped-thread engine in [`crate::sharded`] gives each shard
-//! machine a private replay of its buffer. This module routes the same
-//! shard machines ([`crate::sharded::PassMachine`]) through a bounded
-//! [`Broadcast`] ring instead: **one producer** pushes the feed's routed
-//! buffer in blocks, and every consumer — the N shard machines *plus*
-//! any number of side consumers (baselines, exact oracles, pass
-//! counters) — walks the blocks through its own cursor. [`run_ring`]
-//! is the one scoped ring driver; solo runs and multiplexed runs both
-//! use it, and the persistent [`crate::runtime::ShardRuntime`] feeds its
-//! workers the same way.
+//! machine a private replay of its buffer. The ring engines route the
+//! same shard machines ([`crate::sharded::PassMachine`]) through a
+//! bounded [`Broadcast`] ring instead: **one producer** pushes the feed's
+//! routed buffer in blocks, and every consumer — the N shard machines
+//! *plus* any number of side consumers (baselines, exact oracles, pass
+//! counters) — walks the blocks through its own cursor. [`run_ring`] is
+//! the one scoped ring driver behind [`crate::sharded::Engine::Ring`];
+//! the persistent [`crate::runtime::ShardRuntime`] behind
+//! [`crate::sharded::Engine::Runtime`] feeds its workers the same way.
+//! This module holds the ring's options ([`BroadcastOpts`]), the side
+//! sink type ([`SideSink`]) and the driver; the pass and run calls take
+//! the engine as an argument.
 //!
 //! **Equivalence.** A shard consumer reconstructs exactly its scoped
 //! buffer from the ring: every [`RoutedUpdate`] carries the owner/other
@@ -33,24 +36,15 @@
 //! (default: more than one core) the producer, shard workers, and side
 //! consumers run on scoped threads against the blocking ring API;
 //! otherwise a deterministic cooperative round-robin drives the same
-//! ring through the try-APIs. The round-loop executors
-//! ([`run_insertion_broadcast_with_opts`] and its turnstile sibling)
-//! are one-job [`QuerySet`] runs that keep a persistent
-//! [`ShardRuntime`] pool under the threaded policy, feeding the *same*
-//! workers pass after pass instead of respawning scoped threads per
-//! round. All schedules produce identical answers — every consumer sees
-//! the whole stream in order either way.
+//! ring through the try-APIs. Both schedules produce identical answers —
+//! every consumer sees the whole stream in order either way. A caller
+//! that wants the same workers pass after pass passes
+//! [`crate::sharded::Engine::Runtime`] with its own pool.
 
-use crate::accounting::ExecReport;
-use crate::arena::{RouterArena, ShardSlot};
-use crate::exec::PassOpts;
-use crate::multiplex::{Engine, QuerySet, StallEvent};
+use crate::arena::ShardSlot;
+use crate::multiplex::StallEvent;
 use crate::policy::ExecPolicy;
-use crate::query::{Answer, Query};
-use crate::round::RoundAdaptive;
-use crate::router::RouterMode;
-use crate::runtime::ShardRuntime;
-use crate::sharded::{solo_pass, PassEngine, PassMachine, PassSetup, ShardOutcome};
+use crate::sharded::{PassMachine, PassSetup, ShardOutcome};
 use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
 use sgs_stream::sharded::{RoutedUpdate, ShardUpdate, ShardedFeed};
 use std::time::{Duration, Instant};
@@ -229,289 +223,43 @@ pub(crate) fn run_ring(
     outcomes
 }
 
-/// Answer one round's batch with one **broadcast** insertion-only pass:
-/// the fan-out generalization of
-/// [`crate::sharded::answer_insertion_batch_sharded`], byte-identical to
-/// it (and to the single-stream executors) for every shard count, with
-/// optional side consumers riding the same ingest.
-pub fn answer_insertion_batch_broadcast(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-) -> (Vec<Answer>, usize) {
-    answer_insertion_batch_broadcast_with_opts(
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        PassOpts::default(),
-        BroadcastOpts::default(),
-        &mut [],
-    )
-}
-
-/// [`answer_insertion_batch_broadcast`] with explicit feed-path options,
-/// ring geometry, and side consumers.
-pub fn answer_insertion_batch_broadcast_with_opts(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-) -> (Vec<Answer>, usize) {
-    let stalls = &mut Vec::new();
-    let engine = PassEngine::Ring {
-        bcast,
-        side,
-        stalls,
-    };
-    solo_pass(
-        RouterMode::Insertion,
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        opts,
-        engine,
-    )
-}
-
-/// Answer one round's batch with one **broadcast** turnstile pass.
-pub fn answer_turnstile_batch_broadcast(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-) -> (Vec<Answer>, usize) {
-    answer_turnstile_batch_broadcast_with_opts(
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        PassOpts::default(),
-        BroadcastOpts::default(),
-        &mut [],
-    )
-}
-
-/// [`answer_turnstile_batch_broadcast`] with explicit feed-path options
-/// ([`PassOpts`]: block size + ℓ₀ feed path), ring geometry, and side
-/// consumers.
-pub fn answer_turnstile_batch_broadcast_with_opts(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-) -> (Vec<Answer>, usize) {
-    let stalls = &mut Vec::new();
-    let engine = PassEngine::Ring {
-        bcast,
-        side,
-        stalls,
-    };
-    solo_pass(
-        RouterMode::Turnstile,
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        opts,
-        engine,
-    )
-}
-
-/// Execute a round-adaptive algorithm over broadcast passes: one ring
-/// session per round. Side consumers ride the **first** pass only (they
-/// are single-pass algorithms and must see the stream exactly once —
-/// the same one replay their single-stream counterparts get).
-pub fn run_insertion_broadcast<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    side: &mut [SideSink<'_>],
-) -> (A::Output, ExecReport) {
-    run_insertion_broadcast_with_opts(
-        alg,
-        feed,
-        seed,
-        arena,
-        PassOpts::default(),
-        BroadcastOpts::default(),
-        side,
-    )
-}
-
-/// [`run_insertion_broadcast`] with explicit feed-path options and ring
-/// geometry. Under a threaded policy the run stands up one persistent
-/// [`ShardRuntime`] and feeds it every round — no per-pass thread
-/// spawns on the hot path.
-pub fn run_insertion_broadcast_with_opts<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-) -> (A::Output, ExecReport) {
-    run_solo(
-        RouterMode::Insertion,
-        alg,
-        feed,
-        seed,
-        arena,
-        opts,
-        bcast,
-        side,
-        None,
-    )
-}
-
-/// [`run_insertion_broadcast_with_opts`] on a caller-owned persistent
-/// [`ShardRuntime`] — the serving path, where one long-lived worker
-/// pool answers every query instead of standing up threads per run.
-/// Byte-identical to the internally-pooled run. The runtime's shard
-/// count must match the feed's.
-#[allow(clippy::too_many_arguments)]
-pub fn run_insertion_broadcast_on_runtime<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-    runtime: &mut ShardRuntime,
-) -> (A::Output, ExecReport) {
-    let rt = Some(runtime);
-    run_solo(
-        RouterMode::Insertion,
-        alg,
-        feed,
-        seed,
-        arena,
-        opts,
-        bcast,
-        side,
-        rt,
-    )
-}
-
-/// Turnstile sibling of [`run_insertion_broadcast`].
-pub fn run_turnstile_broadcast<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    side: &mut [SideSink<'_>],
-) -> (A::Output, ExecReport) {
-    run_turnstile_broadcast_with_opts(
-        alg,
-        feed,
-        seed,
-        arena,
-        PassOpts::default(),
-        BroadcastOpts::default(),
-        side,
-    )
-}
-
-/// Turnstile sibling of [`run_insertion_broadcast_with_opts`].
-pub fn run_turnstile_broadcast_with_opts<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-) -> (A::Output, ExecReport) {
-    run_solo(
-        RouterMode::Turnstile,
-        alg,
-        feed,
-        seed,
-        arena,
-        opts,
-        bcast,
-        side,
-        None,
-    )
-}
-
-/// Turnstile sibling of [`run_insertion_broadcast_on_runtime`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_turnstile_broadcast_on_runtime<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-    runtime: &mut ShardRuntime,
-) -> (A::Output, ExecReport) {
-    let rt = Some(runtime);
-    run_solo(
-        RouterMode::Turnstile,
-        alg,
-        feed,
-        seed,
-        arena,
-        opts,
-        bcast,
-        side,
-        rt,
-    )
-}
-
-/// A solo broadcast run as a one-job [`QuerySet`] run: on `runtime` when
-/// given, else on a run-private runtime under a threaded policy, else on
-/// the cooperative scoped ring.
-#[allow(clippy::too_many_arguments)]
-fn run_solo<A: RoundAdaptive>(
-    model: RouterMode,
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-    runtime: Option<&mut ShardRuntime>,
-) -> (A::Output, ExecReport) {
-    let shards = feed.num_shards();
-    let mut own = (runtime.is_none() && bcast.policy.use_threads((shards + side.len()).max(2)))
-        .then(|| ShardRuntime::new(shards, bcast.policy));
-    let engine = match runtime.or(own.as_mut()) {
-        Some(rt) => {
-            assert_eq!(
-                rt.shards(),
-                shards,
-                "runtime pool and feed must agree on the shard count"
-            );
-            Engine::Runtime(rt, bcast)
-        }
-        None => Engine::Ring(bcast),
-    };
-    QuerySet::solo(alg, seed, opts)
-        .run_with(feed, arena, opts, model, engine, side)
-        .into_solo()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{answer_insertion_batch, answer_turnstile_batch};
+    use crate::arena::RouterArena;
+    use crate::exec::tests::one_shard_pass;
+    use crate::exec::PassOpts;
+    use crate::multiplex::QuerySet;
+    use crate::query::{Answer, Query};
+    use crate::round::RoundAdaptive;
+    use crate::router::RouterMode;
+    use crate::sharded::{answer_batch, Engine};
     use sgs_graph::{gen, VertexId};
+    use sgs_stream::reservoir::ReservoirMode;
     use sgs_stream::{InsertionStream, TurnstileStream};
+
+    /// One pass on a scoped ring with default feed options.
+    fn ring_pass(
+        model: RouterMode,
+        batch: &[Query],
+        feed: &ShardedFeed,
+        pass_seed: u64,
+        arena: &mut RouterArena,
+        bcast: BroadcastOpts,
+        side: &mut [SideSink<'_>],
+    ) -> Vec<Answer> {
+        let engine = Engine::Ring(bcast, side);
+        answer_batch(
+            model,
+            batch,
+            feed,
+            pass_seed,
+            arena,
+            PassOpts::default(),
+            engine,
+        )
+        .0
+    }
 
     fn mixed_insertion_batch() -> Vec<Query> {
         let mut qs = vec![Query::EdgeCount, Query::RandomEdge];
@@ -534,8 +282,18 @@ mod tests {
             let feed = ShardedFeed::partition(&ins, shards);
             let mut arena = RouterArena::new();
             for pass_seed in 0..8u64 {
-                let (a, _) = answer_insertion_batch(&batch, &ins, pass_seed);
-                let (b, _) = answer_insertion_batch_broadcast(&batch, &feed, pass_seed, &mut arena);
+                let opts = PassOpts::default();
+                let a = one_shard_pass(RouterMode::Insertion, &batch, &ins, pass_seed, opts);
+                let bcast = BroadcastOpts::default();
+                let b = ring_pass(
+                    RouterMode::Insertion,
+                    &batch,
+                    &feed,
+                    pass_seed,
+                    &mut arena,
+                    bcast,
+                    &mut [],
+                );
                 assert_eq!(a, b, "{shards} shards, pass seed {pass_seed}");
             }
         }
@@ -551,8 +309,18 @@ mod tests {
             let feed = ShardedFeed::partition(&tst, shards);
             let mut arena = RouterArena::new();
             for pass_seed in 0..5u64 {
-                let (a, _) = answer_turnstile_batch(&batch, &tst, pass_seed);
-                let (b, _) = answer_turnstile_batch_broadcast(&batch, &feed, pass_seed, &mut arena);
+                let opts = PassOpts::default();
+                let a = one_shard_pass(RouterMode::Turnstile, &batch, &tst, pass_seed, opts);
+                let bcast = BroadcastOpts::default();
+                let b = ring_pass(
+                    RouterMode::Turnstile,
+                    &batch,
+                    &feed,
+                    pass_seed,
+                    &mut arena,
+                    bcast,
+                    &mut [],
+                );
                 assert_eq!(a, b, "{shards} shards, pass seed {pass_seed}");
             }
         }
@@ -566,17 +334,18 @@ mod tests {
         let g = gen::gnm(20, 70, 123);
         let ins = InsertionStream::from_graph(&g, 124);
         let batch = mixed_insertion_batch();
-        let (expected, _) = answer_insertion_batch(&batch, &ins, 5);
+        let expected = one_shard_pass(RouterMode::Insertion, &batch, &ins, 5, PassOpts::default());
         let feed = ShardedFeed::partition(&ins, 3);
         let mut arena = RouterArena::new();
         for policy in [ExecPolicy::threaded(), ExecPolicy::serial()] {
-            let (got, _) = answer_insertion_batch_broadcast_with_opts(
+            let bcast = BroadcastOpts::with_policy(policy);
+            let got = ring_pass(
+                RouterMode::Insertion,
                 &batch,
                 &feed,
                 5,
                 &mut arena,
-                PassOpts::default(),
-                BroadcastOpts::with_policy(policy),
+                bcast,
                 &mut [],
             );
             assert_eq!(got, expected, "{policy:?}");
@@ -590,7 +359,7 @@ mod tests {
         let batch = mixed_insertion_batch();
         let feed = ShardedFeed::partition(&ins, 2);
         let mut arena = RouterArena::new();
-        let (expected, _) = answer_insertion_batch(&batch, &ins, 9);
+        let expected = one_shard_pass(RouterMode::Insertion, &batch, &ins, 9, PassOpts::default());
         let mut seen: Vec<RoutedUpdate> = Vec::new();
         let mut count = 0u64;
         {
@@ -598,13 +367,14 @@ mod tests {
                 Box::new(|b: &[RoutedUpdate]| seen.extend_from_slice(b)),
                 Box::new(|b: &[RoutedUpdate]| count += b.len() as u64),
             ];
-            let (got, _) = answer_insertion_batch_broadcast_with_opts(
+            let bcast = BroadcastOpts::default();
+            let got = ring_pass(
+                RouterMode::Insertion,
                 &batch,
                 &feed,
                 9,
                 &mut arena,
-                PassOpts::default(),
-                BroadcastOpts::default(),
+                bcast,
                 &mut sinks,
             );
             assert_eq!(got, expected);
@@ -641,8 +411,16 @@ mod tests {
             let mut sinks: Vec<SideSink<'_>> = vec![Box::new(|b: &[RoutedUpdate]| {
                 sides_updates += b.len() as u64
             })];
-            let (_, report) =
-                run_insertion_broadcast(TwoRounds { round: 0 }, &feed, 7, &mut arena, &mut sinks);
+            let engine = Engine::Ring(BroadcastOpts::default(), &mut sinks);
+            let (_, report) = QuerySet::solo(TwoRounds { round: 0 }, 7, ReservoirMode::default())
+                .run(
+                    RouterMode::Insertion,
+                    &feed,
+                    &mut arena,
+                    PassOpts::default(),
+                    engine,
+                )
+                .into_solo();
             assert_eq!(report.rounds, 2);
             assert_eq!(report.passes, 2);
         }
@@ -661,7 +439,16 @@ mod tests {
         let feed = ShardedFeed::partition(&ins, 2);
         let mut arena = RouterArena::new();
         let batch = vec![Query::EdgeCount, Query::RandomEdge];
-        let (a, _) = answer_insertion_batch_broadcast(&batch, &feed, 3, &mut arena);
+        let bcast = BroadcastOpts::default();
+        let a = ring_pass(
+            RouterMode::Insertion,
+            &batch,
+            &feed,
+            3,
+            &mut arena,
+            bcast,
+            &mut [],
+        );
         assert_eq!(a[0], Answer::EdgeCount(0));
         assert_eq!(a[1], Answer::Edge(None));
     }

@@ -276,8 +276,7 @@ fn decode_snapshot(bytes: &[u8]) -> PersistResult<SnapshotState> {
 /// (the durable copy of the stream) and starts fresh;
 /// [`CheckpointSession::resume`] rebuilds the feed from the WAL and
 /// loads the latest snapshot, if any. Either way the session is then
-/// passed to [`run_insertion_checkpointed`] /
-/// [`run_turnstile_checkpointed`].
+/// passed to [`run_checkpointed`].
 pub struct CheckpointSession {
     dir: PathBuf,
     snapshot_every: u64,
@@ -522,11 +521,14 @@ fn replay_history<A: RoundAdaptive>(
     Ok(answers)
 }
 
-/// Execute a round-adaptive algorithm as a checkpointed insertion-only
-/// streaming run: the cooperative single-threaded sibling of
-/// [`crate::sharded::run_insertion_sharded_with_opts`], byte-identical
-/// to it, feeding every shard pass machine chunk by chunk so estimator
-/// state can be snapshotted at delivery-block boundaries.
+/// Execute a round-adaptive algorithm as a checkpointed streaming run in
+/// `model`: byte-identical to the same one-job [`crate::QuerySet::run`],
+/// feeding every shard pass machine one WAL block at a time on this
+/// thread so estimator state can be snapshotted at delivery-block
+/// boundaries. Each round is a one-job plan through the same
+/// [`begin_pass`] → [`PassMachine`] → [`end_pass`] step every engine
+/// runs; only the delivery loop is this driver's own. `opts.reservoir` is
+/// the run's reservoir mode (turnstile passes have no reservoirs).
 ///
 /// Returns `Ok(None)` iff the session's simulated crash point was hit;
 /// otherwise the same `(output, report)` the uninterrupted executors
@@ -534,52 +536,21 @@ fn replay_history<A: RoundAdaptive>(
 /// [`CheckpointSession::resume`]), the run fast-forwards through the
 /// snapshot's answer history and picks the in-flight pass up at its
 /// recorded block offset.
-pub fn run_insertion_checkpointed<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    session: &mut CheckpointSession,
-) -> PersistResult<Option<(A::Output, ExecReport)>> {
-    run_checkpointed(alg, feed, seed, arena, opts, session, 0)
-}
-
-/// Turnstile sibling of [`run_insertion_checkpointed`]. `opts.block` is
-/// the feed block size; `opts.reservoir` is ignored (turnstile `f3`
-/// runs on ℓ₀-samplers).
-pub fn run_turnstile_checkpointed<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    session: &mut CheckpointSession,
-) -> PersistResult<Option<(A::Output, ExecReport)>> {
-    run_checkpointed(alg, feed, seed, arena, opts, session, 1)
-}
-
-/// The shared driver: `model` picks which pass machines run (0 =
-/// insertion, 1 = turnstile). One loop shape so the crash/snapshot
-/// logic cannot drift between the models. Each round is a one-job plan
-/// through the same [`begin_pass`] → [`PassMachine`] → [`end_pass`] step
-/// every engine runs; the delivery loop is this driver's own, chunked
-/// by WAL block so it can snapshot and stop between blocks.
-fn run_checkpointed<A: RoundAdaptive>(
+pub fn run_checkpointed<A: RoundAdaptive>(
+    model: RouterMode,
     mut alg: A,
     feed: &ShardedFeed,
     seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
     session: &mut CheckpointSession,
-    model: u8,
 ) -> PersistResult<Option<(A::Output, ExecReport)>> {
     let shards = feed.num_shards();
     let chunk = session.chunk;
-    let mode = if model == 0 {
-        RouterMode::Insertion
-    } else {
-        RouterMode::Turnstile
+    // The snapshot's model byte: 0 = insertion, 1 = turnstile.
+    let model_tag = match model {
+        RouterMode::Insertion => 0u8,
+        RouterMode::Turnstile => 1,
     };
     let mut report = ExecReport::default();
     let mut answers: Vec<Answer> = Vec::new();
@@ -588,7 +559,7 @@ fn run_checkpointed<A: RoundAdaptive>(
     let mut resume_blobs: Option<Vec<Vec<u8>>> = None;
     let mut resuming = false;
 
-    if let Some(snap) = session.take_resume(model, shards, opts, seed)? {
+    if let Some(snap) = session.take_resume(model_tag, shards, opts, seed)? {
         answers = replay_history(&mut alg, &snap.history)?;
         history = snap.history;
         report = snap.report;
@@ -619,7 +590,7 @@ fn run_checkpointed<A: RoundAdaptive>(
         );
         feed.begin_pass();
         // Checkpointed runs take no policy: one thread per bank sweep.
-        let setup = begin_pass(mode, &batch, &plan, feed, arena, opts, 1);
+        let setup = begin_pass(model, &batch, &plan, feed, arena, opts, 1);
         let mut passes: Vec<PassMachine<'_>> = arena.slots[..shards]
             .iter_mut()
             .map(|slot| PassMachine::new(slot, &setup))
@@ -656,7 +627,7 @@ fn run_checkpointed<A: RoundAdaptive>(
             {
                 let blobs: Vec<Vec<u8>> = passes.iter().map(PassMachine::snapshot_state).collect();
                 session.publish(
-                    model,
+                    model_tag,
                     shards,
                     opts,
                     seed,
@@ -690,8 +661,10 @@ fn run_checkpointed<A: RoundAdaptive>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multiplex::QuerySet;
+    use crate::policy::ExecPolicy;
     use crate::query::Query;
-    use crate::sharded::{run_insertion_sharded_with_opts, run_turnstile_sharded_with_block};
+    use crate::sharded::Engine;
     use sgs_graph::gen;
     use sgs_graph::Edge;
     use sgs_stream::{InsertionStream, TurnstileStream};
@@ -780,7 +753,8 @@ mod tests {
             let dir = tmp_dir(&format!("ins-eq-{shards}"));
             let mut session = CheckpointSession::create(&dir, &feed, 0, 16).unwrap();
             let mut arena = RouterArena::new();
-            let got = run_insertion_checkpointed(
+            let got = run_checkpointed(
+                RouterMode::Insertion,
                 probe(false),
                 &feed,
                 7,
@@ -791,13 +765,16 @@ mod tests {
             .unwrap()
             .expect("no crash requested");
             let mut arena2 = RouterArena::new();
-            let want = run_insertion_sharded_with_opts(
-                probe(false),
-                &feed,
-                7,
-                &mut arena2,
-                PassOpts::default(),
-            );
+            let engine = Engine::Sharded(ExecPolicy::default());
+            let want = QuerySet::solo(probe(false), 7, ReservoirMode::default())
+                .run(
+                    RouterMode::Insertion,
+                    &feed,
+                    &mut arena2,
+                    PassOpts::default(),
+                    engine,
+                )
+                .into_solo();
             assert_eq!(got.0, want.0, "{shards} shards");
             assert_eq!(got.1.rounds, want.1.rounds);
             assert_eq!(got.1.queries, want.1.queries);
@@ -814,7 +791,8 @@ mod tests {
             let dir = tmp_dir(&format!("tst-eq-{shards}"));
             let mut session = CheckpointSession::create(&dir, &feed, 0, 16).unwrap();
             let mut arena = RouterArena::new();
-            let got = run_turnstile_checkpointed(
+            let got = run_checkpointed(
+                RouterMode::Turnstile,
                 probe(true),
                 &feed,
                 9,
@@ -825,13 +803,16 @@ mod tests {
             .unwrap()
             .expect("no crash requested");
             let mut arena2 = RouterArena::new();
-            let want = run_turnstile_sharded_with_block(
-                probe(true),
-                &feed,
-                9,
-                &mut arena2,
-                PassOpts::default().block,
-            );
+            let engine = Engine::Sharded(ExecPolicy::default());
+            let want = QuerySet::solo(probe(true), 9, ReservoirMode::default())
+                .run(
+                    RouterMode::Turnstile,
+                    &feed,
+                    &mut arena2,
+                    PassOpts::default(),
+                    engine,
+                )
+                .into_solo();
             assert_eq!(got.0, want.0, "{shards} shards");
             std::fs::remove_dir_all(&dir).unwrap();
         }
@@ -846,7 +827,8 @@ mod tests {
         let chunk = 16usize;
         let mut session = CheckpointSession::create(&dir, &feed, 2, chunk).unwrap();
         let mut arena = RouterArena::new();
-        let baseline = run_insertion_checkpointed(
+        let baseline = run_checkpointed(
+            RouterMode::Insertion,
             probe(false),
             &feed,
             11,
@@ -862,7 +844,8 @@ mod tests {
             let mut session = CheckpointSession::create(&dir, &feed, 2, chunk).unwrap();
             session.set_crash_after(crash_at);
             let mut arena = RouterArena::new();
-            let crashed = run_insertion_checkpointed(
+            let crashed = run_checkpointed(
+                RouterMode::Insertion,
                 probe(false),
                 &feed,
                 11,
@@ -874,7 +857,8 @@ mod tests {
             assert!(crashed.is_none(), "crash at block {crash_at} did not fire");
             let (mut resumed, feed2) = CheckpointSession::resume(&dir, 2).unwrap();
             let mut arena = RouterArena::new();
-            let got = run_insertion_checkpointed(
+            let got = run_checkpointed(
+                RouterMode::Insertion,
                 probe(false),
                 &feed2,
                 11,
@@ -900,7 +884,8 @@ mod tests {
         // recovery replays from the start of the WAL.
         let mut session = CheckpointSession::create(&dir, &feed, 0, 16).unwrap();
         let mut arena = RouterArena::new();
-        let baseline = run_insertion_checkpointed(
+        let baseline = run_checkpointed(
+            RouterMode::Insertion,
             probe(false),
             &feed,
             13,
@@ -913,7 +898,8 @@ mod tests {
         let mut session = CheckpointSession::create(&dir, &feed, 0, 16).unwrap();
         session.set_crash_after(1);
         let mut arena = RouterArena::new();
-        assert!(run_insertion_checkpointed(
+        assert!(run_checkpointed(
+            RouterMode::Insertion,
             probe(false),
             &feed,
             13,
@@ -926,7 +912,8 @@ mod tests {
         let (mut resumed, feed2) = CheckpointSession::resume(&dir, 0).unwrap();
         assert!(!resumed.has_resume_state());
         let mut arena = RouterArena::new();
-        let got = run_insertion_checkpointed(
+        let got = run_checkpointed(
+            RouterMode::Insertion,
             probe(false),
             &feed2,
             13,
@@ -950,7 +937,8 @@ mod tests {
         let mut session = CheckpointSession::create(&dir, &feed, 1, 16).unwrap();
         session.set_crash_after(3);
         let mut arena = RouterArena::new();
-        let _ = run_insertion_checkpointed(
+        let _ = run_checkpointed(
+            RouterMode::Insertion,
             probe(false),
             &feed,
             15,
@@ -962,7 +950,8 @@ mod tests {
         let (mut resumed, feed2) = CheckpointSession::resume(&dir, 1).unwrap();
         assert!(resumed.has_resume_state());
         let mut arena = RouterArena::new();
-        let err = run_insertion_checkpointed(
+        let err = run_checkpointed(
+            RouterMode::Insertion,
             probe(false),
             &feed2,
             16, // wrong seed

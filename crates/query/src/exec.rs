@@ -1,25 +1,24 @@
-//! The three executors: query-access, insertion-only streaming
-//! (Theorem 9), and turnstile streaming (Theorem 11).
+//! The executors' shared vocabulary and the two whole-run conveniences:
+//! query access and a replayable stream.
 //!
-//! All three drive the *same* [`RoundAdaptive`] state machine; they differ
-//! only in how each round's query batch is answered:
+//! Every executor drives the *same* [`RoundAdaptive`] state machine; they
+//! differ only in how each round's query batch is answered:
 //!
 //! * [`run_on_oracle`] forwards queries to a [`GraphOracle`];
-//! * [`run_insertion`] answers each batch with **one pass**: uniform
-//!   position sampling for `f1` (distributionally identical to a size-1
-//!   reservoir over a fixed-length pass, but O(1) per update), per-vertex
-//!   incident-edge reservoirs for relaxed `f3` (exactly uniform in a
-//!   simple graph; an SoA reservoir bank whose acceptance scheme —
-//!   skip-ahead default vs the per-offer oracle — is picked by
-//!   [`PassOpts::reservoir`]), arrival-order watchers for indexed `f3`,
-//!   and counters/flags for `f2`/`f4` — the proof of Theorem 9;
-//! * [`run_turnstile`] answers each batch with **one pass** using
-//!   ℓ₀-samplers for `f1` and relaxed `f3`, and deletion-aware counters
-//!   and flags for `f2`/`f4` — the proof of Theorem 11. Indexed `f3`
-//!   queries are a protocol error in this model (Definition 10
-//!   deliberately drops them) and panic.
+//! * a streaming run answers each batch with **one pass** over a
+//!   [`ShardedFeed`], in one of two models ([`RouterMode`]): the
+//!   insertion-only model of Theorem 9 (uniform position sampling for
+//!   `f1`, per-vertex reservoirs for relaxed `f3`, arrival-order watchers
+//!   for indexed `f3`, counters and flags for `f2`/`f4`) or the turnstile
+//!   model of Theorem 11 (ℓ₀-samplers for `f1` and relaxed `f3`,
+//!   deletion-aware counters and flags; indexed `f3` is a protocol error
+//!   there and panics). The pass is [`crate::sharded::answer_batch`], a
+//!   whole run is [`crate::multiplex::QuerySet::run`], and the durable run
+//!   is [`crate::checkpoint::run_checkpointed`]; each takes the model and
+//!   the [`crate::sharded::Engine`] as arguments.
+//!   [`run_on_stream`] is the one-shard run over a stream.
 //!
-//! Both streaming executors dispatch each update through a shared
+//! Every pass dispatches each update through a shared
 //! [`crate::router::QueryRouter`]: the whole merged batch of a
 //! [`crate::Parallel`] sampler bank is bucketed into per-vertex and
 //! per-edge flat indexes at round start, so per-update work is
@@ -27,28 +26,19 @@
 //! pre-refactor executors survive verbatim in [`crate::reference`];
 //! seeded equivalence tests pin the two byte-identical.
 //!
-//! Every streaming entry point here is the **one-shard case** of the
-//! sharded pipeline in [`crate::sharded`]: the stream is partitioned
-//! into one shard and each batch runs through the same shard pass
-//! machines and split → machines → merge step an N-shard execution uses.
-//! There is no separate single-stream machine.
-//!
 //! Executors never contribute algorithm randomness: the per-pass sketch
 //! seeds only decide *which* uniform sample each query receives, mirroring
 //! the oracle's own sampling coins.
 
 use crate::accounting::ExecReport;
 use crate::arena::RouterArena;
-use crate::multiplex::RoundPlan;
+use crate::multiplex::{QuerySet, RoundPlan};
 use crate::oracle::GraphOracle;
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
 use crate::router::RouterMode;
-use crate::sharded::{
-    answer_insertion_batch_sharded_with_exec, answer_turnstile_batch_sharded_with_exec, begin_pass,
-    run_insertion_sharded_with_opts, run_turnstile_sharded, PassMachine,
-};
+use crate::sharded::{begin_pass, Engine, PassMachine};
 use sgs_stream::l0::L0Mode;
 use sgs_stream::reservoir::ReservoirMode;
 use sgs_stream::{EdgeStream, ShardedFeed};
@@ -65,8 +55,7 @@ pub(crate) const ANSWER_BYTES: usize = 16;
 /// both, and `sgs count --block N` exposes the knob end to end.
 pub const DEFAULT_BLOCK: usize = 128;
 
-/// Feed-path tuning knobs threaded through every insertion executor
-/// entry point (`*_with_opts`), the sharded drivers, `sgs-core`'s
+/// Feed-path tuning knobs of every pass: the executors, `sgs-core`'s
 /// estimators, and `sgs count`.
 ///
 /// `block` is the PR-3 feed block size (`<= 1` = scalar per-update
@@ -205,49 +194,9 @@ pub fn run_on_oracle<A: RoundAdaptive>(
     (alg.output(), report)
 }
 
-/// Answer one round's batch with one insertion-only pass (the unit step
-/// of Theorem 9). Returns the answers and the pass state's measured
-/// footprint. Exposed so benchmarks can exercise the pass emulation
-/// directly; the stream is partitioned into one shard per call.
-pub fn answer_insertion_batch(
-    batch: &[Query],
-    stream: &impl EdgeStream,
-    pass_seed: u64,
-) -> (Vec<Answer>, usize) {
-    answer_insertion_batch_with_opts(batch, stream, pass_seed, PassOpts::default())
-}
-
-/// [`answer_insertion_batch`] with an explicit feed block size:
-/// `block <= 1` replays the scalar per-update path, anything larger
-/// feeds the pass in blocks of `block` updates (batched index probes,
-/// remainder block included). Answers are byte-identical either way
-/// (the reservoir mode stays the default for every block size).
-pub fn answer_insertion_batch_with_block(
-    batch: &[Query],
-    stream: &impl EdgeStream,
-    pass_seed: u64,
-    block: usize,
-) -> (Vec<Answer>, usize) {
-    answer_insertion_batch_with_opts(batch, stream, pass_seed, PassOpts::with_block(block))
-}
-
-/// [`answer_insertion_batch`] with full feed-path options: block size
-/// plus the relaxed-`f3` reservoir mode (see [`PassOpts`]).
-pub fn answer_insertion_batch_with_opts(
-    batch: &[Query],
-    stream: &impl EdgeStream,
-    pass_seed: u64,
-    opts: PassOpts,
-) -> (Vec<Answer>, usize) {
-    let feed = ShardedFeed::partition(stream, 1);
-    let mut arena = RouterArena::new();
-    let policy = ExecPolicy::serial();
-    answer_insertion_batch_sharded_with_exec(batch, &feed, pass_seed, &mut arena, opts, policy)
-}
-
-/// Diagnostic twin of [`answer_insertion_batch_with_opts`]: run the same
-/// pass and report how many RNG draws the relaxed-`f3` reservoir bank
-/// consumed. The acceptance criteria for the skip-ahead rework are
+/// Diagnostic twin of an insertion-model [`crate::sharded::answer_batch`]
+/// over one shard: run the same pass and report how many RNG draws the
+/// relaxed-`f3` reservoir bank consumed. The acceptance criteria for the skip-ahead rework are
 /// stated in *counted* draws per pass (`Θ(k·m)` per-offer vs
 /// `O(k·log m)` skip-ahead); `benches/reservoir.rs` records both modes
 /// through this seam.
@@ -274,103 +223,81 @@ pub fn insertion_pass_reservoir_draws(
     pass.reservoir_draws()
 }
 
-/// Execute as an insertion-only streaming algorithm: one pass per round
-/// (Theorem 9).
+/// Execute `alg` over a replayable stream in `model`: one pass per round
+/// (Theorem 9 for [`RouterMode::Insertion`], Theorem 11 for
+/// [`RouterMode::Turnstile`]). Round `r` rides pass seed
+/// `split_seed(seed, r)`.
 ///
-/// The thin single-shard case of
-/// [`crate::sharded::run_insertion_sharded`]: the stream is partitioned
-/// into one shard and each round is answered through the sharded step.
-///
-/// The partition buffers the stream's updates once (driver-side harness
-/// state, like the replayable stream object itself — *not* counted in
-/// `max_pass_space_bytes`, which keeps reporting only the Theorem-9
-/// pass-emulation state) and stores positions as `u32`. Callers that run
-/// many executions over one stream should partition once themselves and
-/// call [`crate::sharded::run_insertion_sharded`] with a shared feed and
-/// arena.
-pub fn run_insertion<A: RoundAdaptive>(
-    alg: A,
-    stream: &impl EdgeStream,
-    seed: u64,
-) -> (A::Output, ExecReport) {
-    run_insertion_with_opts(alg, stream, seed, PassOpts::default())
-}
-
-/// [`run_insertion`] with explicit feed-path options — the seam the
-/// distribution-equivalence suite uses to replay the per-offer oracle
-/// (`PassOpts::oracle()`) against the skip-ahead default.
-pub fn run_insertion_with_opts<A: RoundAdaptive>(
-    alg: A,
-    stream: &impl EdgeStream,
-    seed: u64,
-    opts: PassOpts,
-) -> (A::Output, ExecReport) {
-    let feed = ShardedFeed::partition(stream, 1);
-    let mut arena = RouterArena::new();
-    run_insertion_sharded_with_opts(alg, &feed, seed, &mut arena, opts)
-}
-
-/// Answer one round's batch with one turnstile pass (the unit step of
-/// Theorem 11). Returns the answers and the pass state's measured
-/// footprint.
-pub fn answer_turnstile_batch(
-    batch: &[Query],
-    stream: &impl EdgeStream,
-    pass_seed: u64,
-) -> (Vec<Answer>, usize) {
-    answer_turnstile_batch_with_opts(batch, stream, pass_seed, PassOpts::default())
-}
-
-/// [`answer_turnstile_batch`] with an explicit feed block size; see
-/// [`answer_insertion_batch_with_block`].
-pub fn answer_turnstile_batch_with_block(
-    batch: &[Query],
-    stream: &impl EdgeStream,
-    pass_seed: u64,
-    block: usize,
-) -> (Vec<Answer>, usize) {
-    answer_turnstile_batch_with_opts(batch, stream, pass_seed, PassOpts::with_block(block))
-}
-
-/// [`answer_turnstile_batch`] with full feed-path options: block size
-/// plus the ℓ₀-bank feed path ([`PassOpts::l0`]). Answers are
-/// byte-identical across every option combination. The `f1` bank is
-/// swept on the calling thread alone.
-pub fn answer_turnstile_batch_with_opts(
-    batch: &[Query],
-    stream: &impl EdgeStream,
-    pass_seed: u64,
-    opts: PassOpts,
-) -> (Vec<Answer>, usize) {
-    let feed = ShardedFeed::partition(stream, 1);
-    let mut arena = RouterArena::new();
-    let policy = ExecPolicy::serial();
-    answer_turnstile_batch_sharded_with_exec(batch, &feed, pass_seed, &mut arena, opts, policy)
-}
-
-/// Execute as a turnstile streaming algorithm: one pass per round
-/// (Theorem 11).
-///
-/// The thin single-shard case of
-/// [`crate::sharded::run_turnstile_sharded`]; see [`run_insertion`].
-pub fn run_turnstile<A: RoundAdaptive>(
+/// The convenience over one shard: the stream is partitioned into one
+/// shard and run as a one-job [`QuerySet`] with the default options on
+/// [`Engine::Sharded`]. The partition buffers the stream's updates once
+/// (driver-side harness state, like the replayable stream object itself —
+/// *not* counted in `max_pass_space_bytes`, which keeps reporting only
+/// the pass-emulation state). Callers that run many executions over one
+/// stream, or want shards, options or another engine, partition once
+/// themselves and call [`QuerySet::run`].
+pub fn run_on_stream<A: RoundAdaptive>(
+    model: RouterMode,
     alg: A,
     stream: &impl EdgeStream,
     seed: u64,
 ) -> (A::Output, ExecReport) {
     let feed = ShardedFeed::partition(stream, 1);
-    let mut arena = RouterArena::new();
-    run_turnstile_sharded(alg, &feed, seed, &mut arena)
+    let opts = PassOpts::default();
+    let engine = Engine::Sharded(ExecPolicy::default());
+    QuerySet::solo(alg, seed, opts.reservoir)
+        .run(model, &feed, &mut RouterArena::new(), opts, engine)
+        .into_solo()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::oracle::ExactOracle;
     use crate::reference::{run_insertion_reference, run_turnstile_reference};
+    use crate::sharded::answer_batch;
     use sgs_graph::{gen, StaticGraph};
     use sgs_graph::{Edge, VertexId};
     use sgs_stream::{InsertionStream, TurnstileStream};
+
+    /// One serial pass over `stream` partitioned into one shard: the
+    /// reference answers every other shard count and engine must equal.
+    pub(crate) fn one_shard_pass(
+        model: RouterMode,
+        batch: &[Query],
+        stream: &impl EdgeStream,
+        pass_seed: u64,
+        opts: PassOpts,
+    ) -> Vec<Answer> {
+        let feed = ShardedFeed::partition(stream, 1);
+        let engine = Engine::Sharded(ExecPolicy::serial());
+        answer_batch(
+            model,
+            batch,
+            &feed,
+            pass_seed,
+            &mut RouterArena::new(),
+            opts,
+            engine,
+        )
+        .0
+    }
+
+    fn run_insertion<A: RoundAdaptive>(
+        alg: A,
+        s: &impl EdgeStream,
+        seed: u64,
+    ) -> (A::Output, ExecReport) {
+        run_on_stream(RouterMode::Insertion, alg, s, seed)
+    }
+
+    fn run_turnstile<A: RoundAdaptive>(
+        alg: A,
+        s: &impl EdgeStream,
+        seed: u64,
+    ) -> (A::Output, ExecReport) {
+        run_on_stream(RouterMode::Turnstile, alg, s, seed)
+    }
 
     /// Asks a degree, then that many adjacency checks (2 rounds).
     struct DegreeThenProbe {
@@ -717,12 +644,17 @@ mod tests {
                 asked: false,
                 got: vec![],
             };
-            let (a, ra) = run_insertion_with_opts(
-                new,
-                &ins,
-                seed,
-                PassOpts::with_reservoir(ReservoirMode::Offer),
-            );
+            let opts = PassOpts::with_reservoir(ReservoirMode::Offer);
+            let feed = ShardedFeed::partition(&ins, 1);
+            let (a, ra) = QuerySet::solo(new, seed, opts.reservoir)
+                .run(
+                    RouterMode::Insertion,
+                    &feed,
+                    &mut RouterArena::new(),
+                    opts,
+                    Engine::Sharded(ExecPolicy::default()),
+                )
+                .into_solo();
             let (b, rb) = run_insertion_reference(old, &ins, seed);
             assert_eq!(a, b, "seed {seed}");
             assert_eq!(ra.queries, rb.queries);

@@ -18,32 +18,34 @@
 //!   batch scratch, built once and reset per pass (no per-round heap
 //!   growth after warm-up),
 //! * [`sharded`] — the one family of per-shard pass machines
-//!   ([`sharded::PassMachine`]) and the one split → machines → merge step
-//!   every engine runs, over a hash-partitioned [`sgs_stream::ShardedFeed`]
-//!   and merged back into byte-identical single-stream answers; a solo
-//!   run is a one-job plan,
+//!   ([`sharded::PassMachine`]), the one split → machines → merge step
+//!   every engine runs, over a hash-partitioned
+//!   [`sgs_stream::ShardedFeed`] and merged back into byte-identical
+//!   single-stream answers, and the pass call [`answer_batch`], which
+//!   takes the stream model ([`RouterMode`]) and the [`Engine`] as
+//!   arguments,
 //! * [`broadcast`] — broadcast ingest: the same shard machines drawing
 //!   from the cursors of one bounded [`sgs_stream::Broadcast`] ring (one
-//!   scoped ring driver), with side consumers (baselines, exact oracles,
-//!   pass counters) riding the same single ingest,
+//!   scoped ring driver, [`Engine::Ring`]), with side consumers
+//!   (baselines, exact oracles, pass counters) riding the same single
+//!   ingest,
 //! * [`runtime`] — the [`runtime::ShardRuntime`]: persistent, optionally
-//!   pinned shard workers that run the same machines pass after pass,
+//!   pinned shard workers that run the same machines pass after pass
+//!   ([`Engine::Runtime`]),
 //! * [`multiplex`] — multi-query serving: a [`multiplex::QuerySet`]
 //!   admission-batches many concurrent round-adaptive jobs and serves
-//!   every round with ONE shared pass (sharded, ring or persistent
-//!   runtime), each job's answers byte-identical to its solo run; every
-//!   solo round loop is a one-job `QuerySet` run,
+//!   every round with ONE shared pass on the given engine
+//!   ([`QuerySet::run`]), each job's answers byte-identical to its solo
+//!   run; a solo run is the one-job set,
 //! * [`checkpoint`] — durable executor state: a write-ahead log of the
 //!   routed stream plus block-boundary snapshots of the shard machines'
-//!   mid-pass state, with byte-identical crash recovery,
+//!   mid-pass state, with byte-identical crash recovery
+//!   ([`run_checkpointed`]),
 //! * [`serve`] — the [`serve::ServerNode`] behind `sgs serve`: WAL-backed
 //!   ingest, snapshots and a persistent worker pool,
-//! * [`exec`] — the three executors:
-//!   [`exec::run_on_oracle`] (query-access),
-//!   [`exec::run_insertion`] (Theorem 9: one pass per round, reservoir
-//!   samplers + counters), and
-//!   [`exec::run_turnstile`] (Theorem 11: ℓ₀-samplers) — the streaming
-//!   two are the one-shard case of [`sharded`],
+//! * [`exec`] — the feed options ([`PassOpts`]) and the two whole-run
+//!   conveniences: [`exec::run_on_oracle`] (query access) and
+//!   [`run_on_stream`] (a stream in either model, over one shard),
 //! * [`reference`] — the pre-router executors, frozen as the equivalence
 //!   oracle and perf baseline,
 //! * [`accounting`] — rounds / passes / queries / measured-space reports,
@@ -70,18 +72,11 @@ pub mod triangle_finder;
 
 pub use accounting::ExecReport;
 pub use arena::RouterArena;
-pub use broadcast::{
-    answer_insertion_batch_broadcast, answer_insertion_batch_broadcast_with_opts,
-    answer_turnstile_batch_broadcast, answer_turnstile_batch_broadcast_with_opts,
-    run_insertion_broadcast, run_insertion_broadcast_on_runtime, run_insertion_broadcast_with_opts,
-    run_turnstile_broadcast, run_turnstile_broadcast_on_runtime, run_turnstile_broadcast_with_opts,
-    BroadcastOpts, SideSink,
-};
+pub use broadcast::{BroadcastOpts, SideSink};
 pub use checkpoint::{
-    run_insertion_checkpointed, run_turnstile_checkpointed, CheckpointSession,
-    DEFAULT_CHECKPOINT_CHUNK, DEFAULT_SNAPSHOT_EVERY,
+    run_checkpointed, CheckpointSession, DEFAULT_CHECKPOINT_CHUNK, DEFAULT_SNAPSHOT_EVERY,
 };
-pub use exec::PassOpts;
+pub use exec::{run_on_stream, PassOpts};
 pub use multiplex::{AdmissionReport, MuxJobStats, MuxOutput, MuxRoundStats, QuerySet};
 pub use oracle::{ExactOracle, GraphOracle};
 pub use policy::{available_memory, host_cores, pin_current_thread, ExecPolicy, ThreadMode};
@@ -96,12 +91,4 @@ pub use serve::{
 };
 pub use sgs_stream::l0::L0Mode;
 pub use sgs_stream::reservoir::ReservoirMode;
-pub use sharded::{
-    answer_insertion_batch_sharded, answer_insertion_batch_sharded_with_block,
-    answer_insertion_batch_sharded_with_exec, answer_insertion_batch_sharded_with_opts,
-    answer_turnstile_batch_sharded, answer_turnstile_batch_sharded_with_block,
-    answer_turnstile_batch_sharded_with_exec, run_insertion_sharded,
-    run_insertion_sharded_with_block, run_insertion_sharded_with_exec,
-    run_insertion_sharded_with_opts, run_turnstile_sharded, run_turnstile_sharded_with_block,
-    run_turnstile_sharded_with_exec,
-};
+pub use sharded::{answer_batch, Engine};

@@ -9,8 +9,9 @@
 //! each round's per-job batches into one merged batch, and answers it
 //! with ONE logical pass through the shard machines of
 //! [`crate::sharded`]. N queries cost `max_j rounds_j` shared passes
-//! instead of `Σ_j rounds_j` private ones. Every solo executor
-//! (`run_*_sharded*`, `run_*_broadcast*`) is a one-job `QuerySet` run.
+//! instead of `Σ_j rounds_j` private ones. [`QuerySet::run`] takes the
+//! stream model and the [`Engine`] as arguments; a solo run is the
+//! one-job set ([`QuerySet::solo`] … [`MuxOutput::into_solo`]).
 //!
 //! **Per-job answers are byte-identical to solo runs** — at any shard
 //! count, block size, and schedule — because the [`RoundPlan`] replays
@@ -50,14 +51,11 @@
 
 use crate::accounting::ExecReport;
 use crate::arena::RouterArena;
-use crate::broadcast::{BroadcastOpts, SideSink};
 use crate::exec::{sort_targets, PassOpts, ANSWER_BYTES};
-use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
 use crate::router::RouterMode;
-use crate::runtime::ShardRuntime;
-use crate::sharded::{run_pass, PassEngine};
+use crate::sharded::{run_pass, Engine};
 use sgs_stream::hash::{split_seed, FastRng};
 use sgs_stream::reservoir::ReservoirMode;
 use sgs_stream::sharded::ShardedFeed;
@@ -154,7 +152,7 @@ pub struct MuxOutput<O> {
 
 impl<O> MuxOutput<O> {
     /// The output and report of a one-job run.
-    pub(crate) fn into_solo(mut self) -> (O, ExecReport) {
+    pub fn into_solo(mut self) -> (O, ExecReport) {
         let report = self.reports[0];
         (self.outputs.pop().expect("a one-job run"), report)
     }
@@ -180,10 +178,11 @@ impl<A: RoundAdaptive> QuerySet<A> {
     }
 
     /// The one-job set a solo run executes: `alg` with its seed and
-    /// `opts.reservoir`.
-    pub(crate) fn solo(alg: A, seed: u64, opts: PassOpts) -> Self {
+    /// reservoir mode. Its [`QuerySet::run`] output's
+    /// [`MuxOutput::into_solo`] is the solo run's output and report.
+    pub fn solo(alg: A, seed: u64, reservoir: ReservoirMode) -> Self {
         let mut set = QuerySet::new();
-        set.admit(alg, seed, opts.reservoir);
+        set.admit(alg, seed, reservoir);
         set
     }
 
@@ -214,77 +213,24 @@ impl<A: RoundAdaptive> QuerySet<A> {
         self.jobs.is_empty()
     }
 
-    /// Run every job to completion over shared **insertion-model**
-    /// passes on the scoped-thread sharded engine. `opts.block <= 1` is
-    /// the scalar feed path; answers are identical for any block size
-    /// and policy. `opts.reservoir` is ignored — each job's admitted
-    /// reservoir mode governs its own lanes.
-    pub fn run_insertion(
-        self,
-        feed: &ShardedFeed,
-        arena: &mut RouterArena,
-        opts: PassOpts,
-        policy: ExecPolicy,
-    ) -> MuxOutput<A::Output> {
-        let engine = Engine::Sharded(policy);
-        self.run_with(feed, arena, opts, RouterMode::Insertion, engine, &mut [])
-    }
-
-    /// Turnstile sibling of [`QuerySet::run_insertion`]; `opts.l0`
-    /// selects the ℓ₀ bank feed path for every lane of the shared pass.
-    pub fn run_turnstile(
-        self,
-        feed: &ShardedFeed,
-        arena: &mut RouterArena,
-        opts: PassOpts,
-        policy: ExecPolicy,
-    ) -> MuxOutput<A::Output> {
-        let engine = Engine::Sharded(policy);
-        self.run_with(feed, arena, opts, RouterMode::Turnstile, engine, &mut [])
-    }
-
-    /// [`QuerySet::run_insertion`] riding the broadcast ring: one
-    /// producer pushes each round's routed stream once and every shard's
-    /// machine drains it through its own cursor. Producer stalls land in
-    /// [`AdmissionReport::stalls`]. Answers are identical to the sharded
-    /// engine's.
-    pub fn run_insertion_broadcast(
-        self,
-        feed: &ShardedFeed,
-        arena: &mut RouterArena,
-        opts: PassOpts,
-        bcast: BroadcastOpts,
-    ) -> MuxOutput<A::Output> {
-        let engine = Engine::Ring(bcast);
-        self.run_with(feed, arena, opts, RouterMode::Insertion, engine, &mut [])
-    }
-
-    /// Turnstile sibling of [`QuerySet::run_insertion_broadcast`].
-    pub fn run_turnstile_broadcast(
-        self,
-        feed: &ShardedFeed,
-        arena: &mut RouterArena,
-        opts: PassOpts,
-        bcast: BroadcastOpts,
-    ) -> MuxOutput<A::Output> {
-        let engine = Engine::Ring(bcast);
-        self.run_with(feed, arena, opts, RouterMode::Turnstile, engine, &mut [])
-    }
-
-    /// The admission loop: each round, collect every active job's next
-    /// batch into one merged batch (the first participant's batch moves
-    /// in), answer it with one pass on `engine`, and hand each job its
-    /// slice (moved, not copied, when it rode alone). Side sinks ride
-    /// the first round only — they are single-pass algorithms and must
-    /// see the stream exactly once.
-    pub(crate) fn run_with(
+    /// Run every job to completion over shared passes in `model` on
+    /// `engine`. Each round collects every active job's next batch into
+    /// one merged batch (the first participant's batch moves in), answers
+    /// it with one pass, and hands each job its slice (moved, not copied,
+    /// when it rode alone). `opts.block <= 1` is the scalar feed path and
+    /// `opts.l0` picks the turnstile ℓ₀ feed path; answers are identical
+    /// for any block size, engine and policy. `opts.reservoir` is ignored
+    /// — each job's admitted reservoir mode governs its own lanes. Side
+    /// sinks of [`Engine::Ring`] ride the first round only — they are
+    /// single-pass algorithms and must see the stream exactly once — and
+    /// ring producer stalls land in [`AdmissionReport::stalls`].
+    pub fn run(
         mut self,
+        model: RouterMode,
         feed: &ShardedFeed,
         arena: &mut RouterArena,
         opts: PassOpts,
-        model: RouterMode,
-        mut engine: Engine<'_>,
-        side: &mut [SideSink<'_>],
+        mut engine: Engine<'_, '_>,
     ) -> MuxOutput<A::Output> {
         let shards = feed.num_shards();
         let mut admission = AdmissionReport {
@@ -341,22 +287,17 @@ impl<A: RoundAdaptive> QuerySet<A> {
             }
             plan.starts.push(concat.len());
             round_no += 1;
-            let side_now: &mut [SideSink<'_>] = if round_no == 1 { side } else { &mut [] };
-            let pass_engine = match &mut engine {
-                Engine::Sharded(policy) => PassEngine::Sharded(*policy),
-                Engine::Ring(bcast) => PassEngine::Ring {
-                    bcast: *bcast,
-                    side: side_now,
-                    stalls: &mut admission.stalls,
-                },
-                Engine::Runtime(rt, bcast) => PassEngine::Runtime {
-                    rt,
-                    bcast: *bcast,
-                    side: side_now,
-                },
-            };
-            let (mut answers, space) =
-                run_pass(model, &concat, &plan, feed, arena, opts, pass_engine);
+            let stalls = &mut admission.stalls;
+            let (mut answers, space) = run_pass(
+                model,
+                &concat,
+                &plan,
+                feed,
+                arena,
+                opts,
+                &mut engine,
+                stalls,
+            );
             // Critical-path pass time via the arena's per-shard timing.
             let round_nanos = arena.slots[..shards]
                 .iter()
@@ -395,17 +336,6 @@ impl<A: RoundAdaptive> QuerySet<A> {
             admission,
         }
     }
-}
-
-/// Which delivery engine drives a run's passes.
-pub(crate) enum Engine<'r> {
-    /// Scoped-thread shard workers over the feed's private buffers.
-    Sharded(ExecPolicy),
-    /// One scoped broadcast ring per round: a single producer, one
-    /// cursor per shard.
-    Ring(BroadcastOpts),
-    /// A persistent worker pool, fed through a fresh ring per round.
-    Runtime(&'r mut ShardRuntime, BroadcastOpts),
 }
 
 /// One shared round, planned: each participant's start offset in the
@@ -480,7 +410,8 @@ impl RoundPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharded::{run_insertion_sharded_with_exec, run_turnstile_sharded_with_exec};
+    use crate::broadcast::BroadcastOpts;
+    use crate::policy::ExecPolicy;
     use crate::PassOpts;
     use sgs_graph::{gen, VertexId};
     use sgs_stream::{InsertionStream, TurnstileStream};
@@ -540,14 +471,10 @@ mod tests {
     ) -> Vec<Answer> {
         let mut arena = RouterArena::new();
         let opts = PassOpts::with_block(block).reservoir(mode);
-        let (out, _) = run_insertion_sharded_with_exec(
-            Walker::new(start, depth),
-            feed,
-            seed,
-            &mut arena,
-            opts,
-            ExecPolicy::serial(),
-        );
+        let engine = Engine::Sharded(ExecPolicy::serial());
+        let (out, _) = QuerySet::solo(Walker::new(start, depth), seed, mode)
+            .run(RouterMode::Insertion, feed, &mut arena, opts, engine)
+            .into_solo();
         out
     }
 
@@ -568,11 +495,12 @@ mod tests {
                     set.admit(Walker::new(start, depth), seed, mode);
                 }
                 let mut arena = RouterArena::new();
-                let out = set.run_insertion(
+                let out = set.run(
+                    RouterMode::Insertion,
                     &feed,
                     &mut arena,
                     PassOpts::with_block(block),
-                    ExecPolicy::serial(),
+                    Engine::Sharded(ExecPolicy::serial()),
                 );
                 for (j, &(start, depth, seed, mode)) in specs.iter().enumerate() {
                     let solo = solo_insertion(&feed, start, depth, seed, mode, block);
@@ -601,22 +529,24 @@ mod tests {
             set.admit(Walker::new(start, depth), seed, ReservoirMode::Offer);
         }
         let mut arena = RouterArena::new();
-        let out = set.run_turnstile(
+        let out = set.run(
+            RouterMode::Turnstile,
             &feed,
             &mut arena,
             PassOpts::with_block(32),
-            ExecPolicy::serial(),
+            Engine::Sharded(ExecPolicy::serial()),
         );
         for (j, &(start, depth, seed)) in specs.iter().enumerate() {
             let mut solo_arena = RouterArena::new();
-            let (solo, _) = run_turnstile_sharded_with_exec(
-                Walker::new(start, depth),
-                &feed,
-                seed,
-                &mut solo_arena,
-                PassOpts::with_block(32),
-                ExecPolicy::serial(),
-            );
+            let (solo, _) = QuerySet::solo(Walker::new(start, depth), seed, ReservoirMode::Offer)
+                .run(
+                    RouterMode::Turnstile,
+                    &feed,
+                    &mut solo_arena,
+                    PassOpts::with_block(32),
+                    Engine::Sharded(ExecPolicy::serial()),
+                )
+                .into_solo();
             assert_eq!(out.outputs[j], solo, "job {j}");
         }
     }
@@ -635,19 +565,21 @@ mod tests {
             set
         };
         let mut arena = RouterArena::new();
-        let sharded = build(true).run_insertion(
+        let sharded = build(true).run(
+            RouterMode::Insertion,
             &feed,
             &mut arena,
             PassOpts::with_block(16),
-            ExecPolicy::serial(),
+            Engine::Sharded(ExecPolicy::serial()),
         );
         for policy in [ExecPolicy::serial(), ExecPolicy::threaded()] {
             let mut ring_arena = RouterArena::new();
-            let ringed = build(true).run_insertion_broadcast(
+            let ringed = build(true).run(
+                RouterMode::Insertion,
                 &feed,
                 &mut ring_arena,
                 PassOpts::with_block(16),
-                BroadcastOpts::with_policy(policy),
+                Engine::Ring(BroadcastOpts::with_policy(policy), &mut []),
             );
             assert_eq!(ringed.outputs, sharded.outputs, "{policy:?}");
         }
@@ -662,11 +594,12 @@ mod tests {
         set.admit(Walker::new(0, 1), 900, ReservoirMode::Offer);
         let long = set.admit(Walker::new(3, 5), 901, ReservoirMode::Offer);
         let mut arena = RouterArena::new();
-        let out = set.run_insertion(
+        let out = set.run(
+            RouterMode::Insertion,
             &feed,
             &mut arena,
             PassOpts::with_block(0),
-            ExecPolicy::serial(),
+            Engine::Sharded(ExecPolicy::serial()),
         );
         assert_eq!(out.admission.slowest_job(), Some(long as u32));
         assert_eq!(out.admission.jobs[long].rounds, 5);
@@ -682,11 +615,12 @@ mod tests {
         let feed = ShardedFeed::partition(&ins, 2);
         let mut arena = RouterArena::new();
         let set: QuerySet<Walker> = QuerySet::new();
-        let out = set.run_insertion(
+        let out = set.run(
+            RouterMode::Insertion,
             &feed,
             &mut arena,
             PassOpts::with_block(0),
-            ExecPolicy::serial(),
+            Engine::Sharded(ExecPolicy::serial()),
         );
         assert!(out.outputs.is_empty());
         assert!(out.admission.rounds.is_empty());
@@ -703,11 +637,12 @@ mod tests {
             set.admit(Walker::new(j as u32, 3), 1000 + j, ReservoirMode::Skip);
         }
         let mut arena = RouterArena::new();
-        let _ = set.run_insertion(
+        let _ = set.run(
+            RouterMode::Insertion,
             &feed,
             &mut arena,
             PassOpts::with_block(64),
-            ExecPolicy::serial(),
+            Engine::Sharded(ExecPolicy::serial()),
         );
         assert_eq!(
             feed.logical_passes(),

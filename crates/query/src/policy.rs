@@ -6,8 +6,8 @@
 //! process-global mutable toggle on the hot path, and — worse — forced
 //! the test suite to `set_var`/`remove_var` around assertions, which is
 //! undefined behavior on glibc once the parallel test harness itself is
-//! multi-threaded. Policy is now a plain value threaded through the
-//! `*_with_exec` entry points:
+//! multi-threaded. Policy is now a plain value the caller passes in the
+//! engine (`Engine::Sharded(policy)`, or `BroadcastOpts::policy`):
 //!
 //! * **Library layers never read the environment.** The executors and
 //!   benches take an [`ExecPolicy`]; tests exercise both schedules by

@@ -148,8 +148,8 @@ impl RefInsertionPass {
 }
 
 /// Answer one round's batch with one insertion-only pass, pre-refactor
-/// architecture (the baseline counterpart of
-/// [`crate::exec::answer_insertion_batch`]).
+/// architecture (the baseline counterpart of an insertion-model
+/// [`crate::sharded::answer_batch`] over one shard).
 pub fn answer_insertion_batch_reference(
     batch: &[Query],
     stream: &impl EdgeStream,

@@ -20,12 +20,10 @@
 //!   between driver and worker without reallocating once warm. The
 //!   pass's shared setup — the round plan's per-participant data and
 //!   the drawn `f1` targets — rides one `Arc`.
-//! * **The ring is the feed.** Every pass opens one
-//!   [`Broadcast`] session: workers drain their cursors through the
-//!   blocking iterator; the driver pumps the producer — and any
-//!   non-`'static` side sinks, which cannot cross into the persistent
-//!   workers — cooperatively through the try-APIs, so it never blocks
-//!   while a sink still needs draining.
+//! * **The ring is the feed.** Every pass opens one [`Broadcast`]
+//!   session: workers drain their cursors through the blocking iterator
+//!   while the driver runs the producer. Side sinks ride the scoped ring
+//!   ([`crate::sharded::Engine::Ring`]), never the pool.
 //! * **Byte-identical answers.** The workers run the *same* shard
 //!   machines ([`PassMachine`]) over the same per-shard delivery
 //!   sequences, through the same split → machines → merge step
@@ -33,19 +31,17 @@
 //!   runs, never what it computes. `tests/broadcast_equivalence.rs`
 //!   pins the persistent path against the single-stream executors.
 //!
-//! [`crate::broadcast::run_insertion_broadcast_with_opts`] and its
-//! turnstile sibling construct one runtime per run whenever the
-//! injected policy threads, so round-adaptive algorithms reuse the same
-//! workers across all their rounds; `sgs serve` keeps one per node.
+//! The caller owns the pool and passes it as
+//! [`crate::sharded::Engine::Runtime`] to a pass or a run, so
+//! round-adaptive algorithms reuse the same workers across all their
+//! rounds; `sgs serve` keeps one per node.
 
 use crate::arena::{RouterArena, ShardSlot};
-use crate::broadcast::{filter_block, BroadcastOpts, SideSink};
-use crate::exec::PassOpts;
+use crate::broadcast::{filter_block, BroadcastOpts};
 use crate::policy::{host_cores, pin_current_thread, ExecPolicy};
 use crate::query::{Answer, Query};
-use crate::router::RouterMode;
-use crate::sharded::{solo_pass, PassEngine, PassMachine, PassSetup, ShardOutcome};
-use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
+use crate::sharded::{PassMachine, PassSetup, ShardOutcome};
+use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer};
 use sgs_stream::sharded::{ShardUpdate, ShardedFeed};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -150,70 +146,17 @@ impl ShardRuntime {
         self.shards
     }
 
-    /// Drive one ring session: the workers already hold their tasks
-    /// (cursors included); the driver pushes the stream and drains the
-    /// side sinks without ever blocking on the ring.
-    fn drive(
-        &self,
-        feed: &ShardedFeed,
-        ring: &Broadcast,
-        block: usize,
-        side: &mut [SideSink<'_>],
-        side_consumers: Vec<BroadcastConsumer>,
-    ) {
-        let producer = RoutedProducer::new(feed, block);
-        if side.is_empty() {
-            // Nothing else to serve on this thread: the blocking
-            // producer path parks politely under backpressure.
-            producer.run(ring);
-            return;
-        }
-        let mut producer = producer;
-        let mut side_workers: Vec<(&mut SideSink<'_>, BroadcastConsumer, bool)> = side
-            .iter_mut()
-            .zip(side_consumers)
-            .map(|(s, c)| (s, c, false))
-            .collect();
-        loop {
-            let produced = producer.pump(ring);
-            let mut all_ended = true;
-            let mut progressed = false;
-            for (sink, c, ended) in side_workers.iter_mut() {
-                while !*ended {
-                    match c.try_next() {
-                        TryNext::Block(b) => {
-                            sink(&b);
-                            progressed = true;
-                        }
-                        TryNext::Pending => break,
-                        TryNext::Ended => *ended = true,
-                    }
-                }
-                all_ended &= *ended;
-            }
-            if produced && all_ended {
-                break;
-            }
-            if !progressed {
-                // Ring full and sinks starved: the shard workers hold
-                // the slow cursors — give them the core.
-                std::thread::yield_now();
-            }
-        }
-    }
-
     /// Run one pass's shard machines on the workers: hand each its
-    /// sub-batch and cursor, drive the ring, then collect the replies in
-    /// shard order, re-installing the ping-pong buffers into the arena
-    /// so the shared merge works unchanged. Returns the setup for the
-    /// merge step.
+    /// sub-batch and cursor, run the producer on this thread, then
+    /// collect the replies in shard order, re-installing the ping-pong
+    /// buffers into the arena so the shared merge works unchanged.
+    /// Returns the setup for the merge step.
     pub(crate) fn run(
         &mut self,
         feed: &ShardedFeed,
         arena: &mut RouterArena,
         setup: PassSetup,
         bcast: BroadcastOpts,
-        side: &mut [SideSink<'_>],
     ) -> (Vec<ShardOutcome>, PassSetup) {
         assert_eq!(
             feed.num_shards(),
@@ -224,8 +167,6 @@ impl ShardRuntime {
         let ring = Broadcast::new(bcast.ring_capacity);
         let shard_consumers: Vec<BroadcastConsumer> =
             (0..self.shards).map(|_| ring.subscribe()).collect();
-        let side_consumers: Vec<BroadcastConsumer> =
-            side.iter().map(|_| ring.subscribe()).collect();
         for (sid, consumer) in shard_consumers.into_iter().enumerate() {
             let slot = &mut arena.slots[sid];
             self.tasks[sid]
@@ -237,7 +178,8 @@ impl ShardRuntime {
                 })
                 .expect("shard worker gone");
         }
-        self.drive(feed, &ring, bcast.ring_block, side, side_consumers);
+        // The blocking producer parks politely under backpressure.
+        RoutedProducer::new(feed, bcast.ring_block).run(&ring);
         let mut outcomes = Vec::with_capacity(self.shards);
         for (sid, rx) in self.replies.iter().enumerate() {
             let r = rx
@@ -250,68 +192,6 @@ impl ShardRuntime {
             outcomes.push(r.outcome);
         }
         (outcomes, Arc::unwrap_or_clone(setup))
-    }
-
-    /// One insertion-model broadcast pass over the persistent workers —
-    /// byte-identical to
-    /// [`crate::broadcast::answer_insertion_batch_broadcast_with_opts`]
-    /// (and therefore to the single-stream executors) for every shard
-    /// count, ring geometry, and placement.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insertion_pass(
-        &mut self,
-        batch: &[Query],
-        feed: &ShardedFeed,
-        pass_seed: u64,
-        arena: &mut RouterArena,
-        opts: PassOpts,
-        bcast: BroadcastOpts,
-        side: &mut [SideSink<'_>],
-    ) -> (Vec<Answer>, usize) {
-        let engine = PassEngine::Runtime {
-            rt: self,
-            bcast,
-            side,
-        };
-        solo_pass(
-            RouterMode::Insertion,
-            batch,
-            feed,
-            pass_seed,
-            arena,
-            opts,
-            engine,
-        )
-    }
-
-    /// One turnstile-model broadcast pass over the persistent workers —
-    /// byte-identical to
-    /// [`crate::broadcast::answer_turnstile_batch_broadcast_with_opts`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn turnstile_pass(
-        &mut self,
-        batch: &[Query],
-        feed: &ShardedFeed,
-        pass_seed: u64,
-        arena: &mut RouterArena,
-        opts: PassOpts,
-        bcast: BroadcastOpts,
-        side: &mut [SideSink<'_>],
-    ) -> (Vec<Answer>, usize) {
-        let engine = PassEngine::Runtime {
-            rt: self,
-            bcast,
-            side,
-        };
-        solo_pass(
-            RouterMode::Turnstile,
-            batch,
-            feed,
-            pass_seed,
-            arena,
-            opts,
-            engine,
-        )
     }
 }
 
@@ -328,10 +208,34 @@ impl Drop for ShardRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{answer_insertion_batch, answer_turnstile_batch};
+    use crate::exec::tests::one_shard_pass;
+    use crate::exec::PassOpts;
+    use crate::router::RouterMode;
+    use crate::sharded::{answer_batch, Engine};
     use sgs_graph::{gen, VertexId};
-    use sgs_stream::sharded::RoutedUpdate;
     use sgs_stream::{InsertionStream, TurnstileStream};
+
+    /// One pass on the persistent workers with default options.
+    fn runtime_pass(
+        rt: &mut ShardRuntime,
+        model: RouterMode,
+        batch: &[Query],
+        feed: &ShardedFeed,
+        pass_seed: u64,
+        arena: &mut RouterArena,
+    ) -> Vec<Answer> {
+        let engine = Engine::Runtime(rt, BroadcastOpts::default());
+        answer_batch(
+            model,
+            batch,
+            feed,
+            pass_seed,
+            arena,
+            PassOpts::default(),
+            engine,
+        )
+        .0
+    }
 
     fn mixed_insertion_batch() -> Vec<Query> {
         let mut qs = vec![Query::EdgeCount, Query::RandomEdge];
@@ -356,15 +260,15 @@ mod tests {
             // One runtime reused across every seed: the whole point.
             let mut rt = ShardRuntime::new(shards, ExecPolicy::threaded());
             for pass_seed in 0..8u64 {
-                let (a, _) = answer_insertion_batch(&batch, &ins, pass_seed);
-                let (b, _) = rt.insertion_pass(
+                let opts = PassOpts::default();
+                let a = one_shard_pass(RouterMode::Insertion, &batch, &ins, pass_seed, opts);
+                let b = runtime_pass(
+                    &mut rt,
+                    RouterMode::Insertion,
                     &batch,
                     &feed,
                     pass_seed,
                     &mut arena,
-                    PassOpts::default(),
-                    BroadcastOpts::default(),
-                    &mut [],
                 );
                 assert_eq!(a, b, "{shards} shards, pass seed {pass_seed}");
             }
@@ -382,15 +286,15 @@ mod tests {
             let mut arena = RouterArena::new();
             let mut rt = ShardRuntime::new(shards, ExecPolicy::threaded());
             for pass_seed in 0..5u64 {
-                let (a, _) = answer_turnstile_batch(&batch, &tst, pass_seed);
-                let (b, _) = rt.turnstile_pass(
+                let opts = PassOpts::default();
+                let a = one_shard_pass(RouterMode::Turnstile, &batch, &tst, pass_seed, opts);
+                let b = runtime_pass(
+                    &mut rt,
+                    RouterMode::Turnstile,
                     &batch,
                     &feed,
                     pass_seed,
                     &mut arena,
-                    PassOpts::default(),
-                    BroadcastOpts::default(),
-                    &mut [],
                 );
                 assert_eq!(a, b, "{shards} shards, pass seed {pass_seed}");
             }
@@ -403,52 +307,13 @@ mod tests {
         let ins = InsertionStream::from_graph(&g, 222);
         let batch = mixed_insertion_batch();
         let feed = ShardedFeed::partition(&ins, 3);
-        let (expected, _) = answer_insertion_batch(&batch, &ins, 9);
+        let expected = one_shard_pass(RouterMode::Insertion, &batch, &ins, 9, PassOpts::default());
         for policy in [ExecPolicy::threaded(), ExecPolicy::threaded().with_pin()] {
             let mut arena = RouterArena::new();
             let mut rt = ShardRuntime::new(3, policy);
-            let (got, _) = rt.insertion_pass(
-                &batch,
-                &feed,
-                9,
-                &mut arena,
-                PassOpts::default(),
-                BroadcastOpts::default(),
-                &mut [],
-            );
+            let got = runtime_pass(&mut rt, RouterMode::Insertion, &batch, &feed, 9, &mut arena);
             assert_eq!(got, expected, "{policy:?}");
         }
-    }
-
-    #[test]
-    fn side_sinks_ride_the_persistent_ring() {
-        let g = gen::gnm(22, 80, 223);
-        let ins = InsertionStream::from_graph(&g, 224);
-        let batch = mixed_insertion_batch();
-        let feed = ShardedFeed::partition(&ins, 2);
-        let mut arena = RouterArena::new();
-        let (expected, _) = answer_insertion_batch(&batch, &ins, 11);
-        let mut rt = ShardRuntime::new(2, ExecPolicy::threaded());
-        let mut seen: Vec<RoutedUpdate> = Vec::new();
-        let mut count = 0u64;
-        {
-            let mut sinks: Vec<SideSink<'_>> = vec![
-                Box::new(|b: &[RoutedUpdate]| seen.extend_from_slice(b)),
-                Box::new(|b: &[RoutedUpdate]| count += b.len() as u64),
-            ];
-            let (got, _) = rt.insertion_pass(
-                &batch,
-                &feed,
-                11,
-                &mut arena,
-                PassOpts::default(),
-                BroadcastOpts::default(),
-                &mut sinks,
-            );
-            assert_eq!(got, expected);
-        }
-        assert_eq!(seen, feed.routed());
-        assert_eq!(count, feed.stream_len() as u64);
     }
 
     #[test]
@@ -460,14 +325,13 @@ mod tests {
         let mut rt = ShardRuntime::new(2, ExecPolicy::threaded());
         let batch = mixed_insertion_batch();
         for pass_seed in 0..3u64 {
-            let _ = rt.insertion_pass(
+            let _ = runtime_pass(
+                &mut rt,
+                RouterMode::Insertion,
                 &batch,
                 &feed,
                 pass_seed,
                 &mut arena,
-                PassOpts::default(),
-                BroadcastOpts::default(),
-                &mut [],
             );
         }
         let nanos = arena.shard_pass_nanos();

@@ -55,10 +55,6 @@ pub struct ServeConfig {
     pub wal_block: usize,
     /// Snapshot cadence in flushed blocks.
     pub snapshot_every: u64,
-    /// Broadcast ring capacity in blocks. Recorded in CONFIG and
-    /// validated; the node keeps no ring of its own, and COUNT passes use
-    /// the default ring geometry.
-    pub ring_capacity: usize,
     /// WAL segment roll threshold in bytes.
     pub segment_bytes: usize,
     /// Default seed for COUNT queries that do not pass their own.
@@ -71,21 +67,23 @@ impl Default for ServeConfig {
             shards: 1,
             wal_block: DEFAULT_SERVE_BLOCK,
             snapshot_every: 8,
-            ring_capacity: DEFAULT_RING_CAPACITY,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             seed: 1,
         }
     }
 }
 
-/// Encode a [`ServeConfig`] as the CONFIG blob payload.
+/// Encode a [`ServeConfig`] as the CONFIG blob payload. The fifth word
+/// once held a ring capacity that sized nothing; it is still written, as
+/// the default capacity, so the layout (and a directory's readability by
+/// older binaries) does not change, and it is ignored on read.
 pub fn encode_serve_config(cfg: &ServeConfig) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.u8(SERVE_CONFIG_TAG);
     enc.u64(cfg.shards as u64);
     enc.u64(cfg.wal_block as u64);
     enc.u64(cfg.snapshot_every);
-    enc.u64(cfg.ring_capacity as u64);
+    enc.u64(DEFAULT_RING_CAPACITY as u64);
     enc.u64(cfg.segment_bytes as u64);
     enc.u64(cfg.seed);
     enc.into_bytes()
@@ -104,7 +102,7 @@ pub fn decode_serve_config(payload: &[u8]) -> PersistResult<ServeConfig> {
     let shards = dec.u64("shards")? as usize;
     let wal_block = dec.u64("wal_block")? as usize;
     let snapshot_every = dec.u64("snapshot_every")?;
-    let ring_capacity = dec.u64("ring_capacity")? as usize;
+    dec.u64("retired ring capacity")?;
     let segment_bytes = dec.u64("segment_bytes")? as usize;
     let seed = dec.u64("seed")?;
     dec.finish()?;
@@ -114,17 +112,13 @@ pub fn decode_serve_config(payload: &[u8]) -> PersistResult<ServeConfig> {
             format!("implausible shard count {shards}"),
         ));
     }
-    if wal_block == 0 || ring_capacity == 0 {
-        return Err(PersistError::corrupt(
-            0,
-            "zero wal_block / ring_capacity in serve CONFIG",
-        ));
+    if wal_block == 0 {
+        return Err(PersistError::corrupt(0, "zero wal_block in serve CONFIG"));
     }
     Ok(ServeConfig {
         shards,
         wal_block,
         snapshot_every,
-        ring_capacity,
         segment_bytes,
         seed,
     })
@@ -643,7 +637,6 @@ mod tests {
             shards: 4,
             wal_block: 32,
             snapshot_every: 2,
-            ring_capacity: 16,
             segment_bytes: 4096,
             seed: 77,
         };
@@ -653,6 +646,43 @@ mod tests {
         );
         // A batch CLI config (model byte 0/1) is rejected loudly.
         assert!(decode_serve_config(&[0u8, 1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn config_written_with_a_ring_capacity_still_decodes() {
+        // The CONFIG file of `sgs serve DIR --shards 2 --wal-block 8
+        // --snapshot-every 3 --ring-capacity 5 --seed 9`, written by a
+        // binary that still had the ring-capacity flag. Its fifth word
+        // (5) is ignored.
+        let file: [u8; 73] = [
+            0x53, 0x47, 0x53, 0x50, 0x02, 0x00, 0x08, 0x00, 0x31, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x02, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xca, 0xa8, 0x3b, 0xc9, 0x9f,
+            0xa7, 0xa5, 0x12,
+        ];
+        let dir = tmp("old_config");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("CONFIG"), file).unwrap();
+        let payload = sgs_stream::persist::read_config(&dir).unwrap().unwrap();
+        let cfg = decode_serve_config(&payload).unwrap();
+        assert_eq!(
+            cfg,
+            ServeConfig {
+                shards: 2,
+                wal_block: 8,
+                snapshot_every: 3,
+                segment_bytes: 1 << 20,
+                seed: 9,
+            }
+        );
+        // Re-encoding keeps the layout: only the retired word differs.
+        let again = encode_serve_config(&cfg);
+        assert_eq!(again.len(), payload.len());
+        assert_eq!(again[..25], payload[..25]);
+        assert_eq!(again[33..], payload[33..]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

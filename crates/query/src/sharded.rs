@@ -16,20 +16,21 @@
 //! [`RoundPlan`]: the round's participants, each with its start offset
 //! in the merged batch, its private pass seed and its reservoir mode.
 //! The multiplexer ([`crate::multiplex::QuerySet`]) plans many
-//! participants; every solo entry point here plans one. With one
+//! participants; the pass call [`answer_batch`] plans one. With one
 //! participant every lane seed is `split_seed(pass_seed, slot)` and
 //! every `f1` target comes from `FastRng(pass_seed)` in batch order —
 //! the solo coins — so there is no separate solo machine.
 //!
 //! **Engines.** [`run_pass`] is the step: split, draw targets (or take
-//! the `f1` slots), run the machines on the chosen [`PassEngine`], and
+//! the `f1` slots), run the machines on the caller's [`Engine`], and
 //! finish ([`end_pass`]: merge the answers, merge the per-shard `f1`
 //! ℓ₀ banks, fill the `f1` answers). The engines differ only in where
 //! deliveries come from: scoped shard threads over the feed's buffers
-//! ([`run_shards`]), one scoped broadcast ring
-//! ([`crate::broadcast::run_ring`]), or the persistent
-//! [`crate::runtime::ShardRuntime`]. The checkpoint driver keeps its
-//! own resumable chunk loop around [`begin_pass`] / [`end_pass`].
+//! ([`Engine::Sharded`], [`run_shards`]), one scoped broadcast ring
+//! ([`Engine::Ring`], [`crate::broadcast::run_ring`]), or a caller-owned
+//! persistent [`crate::runtime::ShardRuntime`] ([`Engine::Runtime`]). The
+//! checkpoint driver keeps its own resumable chunk loop around
+//! [`begin_pass`] / [`end_pass`].
 //!
 //! **Equivalence, not approximation.** The sharded pass produces answers
 //! byte-identical to the frozen `crate::reference` oracle for every
@@ -59,14 +60,12 @@
 //! `benches/sharded.rs` can report the critical-path (max-shard) pass
 //! latency a one-core-per-shard deployment would see.
 
-use crate::accounting::ExecReport;
 use crate::arena::{RouterArena, ShardSlot};
 use crate::broadcast::{run_ring, BroadcastOpts, SideSink};
 use crate::exec::PassOpts;
-use crate::multiplex::{QuerySet, RoundPlan, StallEvent};
+use crate::multiplex::{RoundPlan, StallEvent};
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
-use crate::round::RoundAdaptive;
 use crate::router::RouterMode;
 use crate::runtime::ShardRuntime;
 use sgs_graph::{Edge, VertexId};
@@ -587,15 +586,17 @@ impl<'a> TurnstileMachine<'a> {
             // samplers outer per super-block (ℓ₀ planes cache-hot per
             // bank; bit-identical because detector fields are
             // additive), and the router drains each block through its
-            // batched probes.
+            // batched probes. A pass with no `f1` lanes queues nothing,
+            // so it builds no chunk prologue.
             let mut buf = std::mem::take(&mut self.buf);
             let mut owned_kd = std::mem::take(&mut self.owned_kd);
+            let has_f1 = !self.f1_bank.is_empty();
             let mut f1 = BankFeed::new(&mut self.f1_bank, l0, self.bank_threads);
             for chunk in deliveries.chunks(self.opts.block) {
                 buf.clear();
                 owned_kd.clear();
                 for su in chunk {
-                    if su.owned {
+                    if has_f1 && su.owned {
                         owned_kd.push((su.update.edge.key(), su.update.delta as i64));
                     }
                     buf.push(su.update);
@@ -761,29 +762,44 @@ impl<'a> PassMachine<'a> {
     }
 }
 
-/// Which engine delivers one pass's updates to the shard machines.
-pub(crate) enum PassEngine<'e, 's> {
-    /// Scoped shard threads (or the inline loop) over the feed's own
-    /// per-shard buffers.
+/// What delivers one pass's updates to the shard machines. The caller
+/// picks the engine; answers are byte-identical on every engine, shard
+/// count and policy.
+pub enum Engine<'e, 's> {
+    /// Scoped shard threads (or the inline loop, as the policy says) over
+    /// the feed's own per-shard buffers.
     Sharded(ExecPolicy),
-    /// One scoped broadcast ring; side sinks ride it, and producer
-    /// stalls past the threshold are appended to `stalls`.
-    Ring {
-        bcast: BroadcastOpts,
-        side: &'e mut [SideSink<'s>],
-        stalls: &'e mut Vec<StallEvent>,
-    },
-    /// The persistent worker pool, fed through a fresh ring per pass.
-    Runtime {
-        rt: &'e mut ShardRuntime,
-        bcast: BroadcastOpts,
-        side: &'e mut [SideSink<'s>],
-    },
+    /// One scoped broadcast ring per pass. The side sinks ride the first
+    /// pass run on this engine and see the whole routed stream once.
+    Ring(BroadcastOpts, &'e mut [SideSink<'s>]),
+    /// A caller-owned persistent worker pool, fed through a fresh ring per
+    /// pass. Its shard count must match the feed's.
+    Runtime(&'e mut ShardRuntime, BroadcastOpts),
+}
+
+/// Answer one round's batch with one pass (the unit step of Theorems 9
+/// and 11) on `engine`: `batch` is a one-participant plan with
+/// `pass_seed` and `opts.reservoir`. Returns the answers and the pass
+/// state's measured footprint.
+pub fn answer_batch(
+    model: RouterMode,
+    batch: &[Query],
+    feed: &ShardedFeed,
+    pass_seed: u64,
+    arena: &mut RouterArena,
+    opts: PassOpts,
+    mut engine: Engine<'_, '_>,
+) -> (Vec<Answer>, usize) {
+    let plan = RoundPlan::solo(batch.len(), pass_seed, opts.reservoir);
+    let stalls = &mut Vec::new();
+    run_pass(model, batch, &plan, feed, arena, opts, &mut engine, stalls)
 }
 
 /// The step: answer one round's merged `batch` under `plan` with one
-/// logical pass on the chosen engine — split, draw, run every shard's
-/// machine, merge. Returns the answers and the pass footprint.
+/// logical pass on `engine` — split, draw, run every shard's machine,
+/// merge. Ring producer stalls past the threshold are appended to
+/// `stalls`. Returns the answers and the pass footprint.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_pass(
     model: RouterMode,
     batch: &[Query],
@@ -791,12 +807,13 @@ pub(crate) fn run_pass(
     feed: &ShardedFeed,
     arena: &mut RouterArena,
     opts: PassOpts,
-    engine: PassEngine<'_, '_>,
+    engine: &mut Engine<'_, '_>,
+    stalls: &mut Vec<StallEvent>,
 ) -> (Vec<Answer>, usize) {
     let shards = feed.num_shards();
-    let policy = match &engine {
-        PassEngine::Sharded(policy) => *policy,
-        PassEngine::Ring { bcast, .. } | PassEngine::Runtime { bcast, .. } => bcast.policy,
+    let policy = match engine {
+        Engine::Sharded(policy) => *policy,
+        Engine::Ring(bcast, _) | Engine::Runtime(_, bcast) => bcast.policy,
     };
     let setup = begin_pass(
         model,
@@ -808,9 +825,9 @@ pub(crate) fn run_pass(
         policy.bank_threads(shards),
     );
     let (outcomes, setup) = match engine {
-        PassEngine::Sharded(policy) => {
+        Engine::Sharded(policy) => {
             feed.begin_pass();
-            let outcomes = run_shards(&mut arena.slots[..shards], policy, |i, slot| {
+            let outcomes = run_shards(&mut arena.slots[..shards], *policy, |i, slot| {
                 let t0 = Instant::now();
                 let mut pass = PassMachine::new(slot, &setup);
                 pass.feed(feed.shard(i));
@@ -818,39 +835,15 @@ pub(crate) fn run_pass(
             });
             (outcomes, setup)
         }
-        PassEngine::Ring {
-            bcast,
-            side,
-            stalls,
-        } => {
-            let outcomes = run_ring(
-                feed,
-                &mut arena.slots[..shards],
-                &setup,
-                bcast,
-                side,
-                stalls,
-            );
+        Engine::Ring(bcast, side) => {
+            let side = std::mem::take(side);
+            let slots = &mut arena.slots[..shards];
+            let outcomes = run_ring(feed, slots, &setup, *bcast, side, stalls);
             (outcomes, setup)
         }
-        PassEngine::Runtime { rt, bcast, side } => rt.run(feed, arena, setup, bcast, side),
+        Engine::Runtime(rt, bcast) => rt.run(feed, arena, setup, *bcast),
     };
     end_pass(setup, batch.len(), feed, arena, outcomes)
-}
-
-/// One solo pass: `batch` as a one-participant plan with `pass_seed`
-/// (and `opts.reservoir`), through [`run_pass`].
-pub(crate) fn solo_pass(
-    model: RouterMode,
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    engine: PassEngine<'_, '_>,
-) -> (Vec<Answer>, usize) {
-    let plan = RoundPlan::solo(batch.len(), pass_seed, opts.reservoir);
-    run_pass(model, batch, &plan, feed, arena, opts, engine)
 }
 
 /// Run every shard worker, threaded or inline per the injected
@@ -884,63 +877,9 @@ where
     }
 }
 
-/// Answer one round's batch with one **sharded** insertion-only pass,
-/// byte-identical to the single-stream pass (and to the reference
-/// executor) for every shard count. Returns the merged answers and the
-/// measured pass footprint.
-pub fn answer_insertion_batch_sharded(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-) -> (Vec<Answer>, usize) {
-    answer_insertion_batch_sharded_with_opts(batch, feed, pass_seed, arena, PassOpts::default())
-}
-
-/// [`answer_insertion_batch_sharded`] with an explicit feed block size
-/// (`block <= 1` = scalar per-update path on every shard).
-pub fn answer_insertion_batch_sharded_with_block(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-    block: usize,
-) -> (Vec<Answer>, usize) {
-    answer_insertion_batch_sharded_with_opts(
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        PassOpts::with_block(block),
-    )
-}
-
-/// [`answer_insertion_batch_sharded`] with full feed-path options
-/// ([`PassOpts`]: block size + relaxed-`f3` reservoir mode). For a fixed
-/// mode the sharded answers stay byte-identical to the single-stream
-/// pass at any shard count — a neighbor sampler's vertex lives entirely
-/// in one shard, so its offer/draw sequence is unchanged whichever
-/// acceptance scheme runs it.
-pub fn answer_insertion_batch_sharded_with_opts(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-) -> (Vec<Answer>, usize) {
-    answer_insertion_batch_sharded_with_exec(
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        opts,
-        ExecPolicy::default(),
-    )
-}
-
-/// [`answer_insertion_batch_sharded_with_opts`] with an injected
-/// [`ExecPolicy`] (thread-or-not + pinning) instead of the default
-/// host-adaptive one. Answers are identical under every policy.
+/// [`answer_batch`] in the insertion model on [`Engine::Sharded`]. Kept
+/// with this name and signature because the benchmark's traced replay
+/// calls it.
 pub fn answer_insertion_batch_sharded_with_exec(
     batch: &[Query],
     feed: &ShardedFeed,
@@ -949,8 +888,8 @@ pub fn answer_insertion_batch_sharded_with_exec(
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> (Vec<Answer>, usize) {
-    let engine = PassEngine::Sharded(policy);
-    solo_pass(
+    let engine = Engine::Sharded(policy);
+    answer_batch(
         RouterMode::Insertion,
         batch,
         feed,
@@ -961,58 +900,9 @@ pub fn answer_insertion_batch_sharded_with_exec(
     )
 }
 
-/// Answer one round's batch with one **sharded** turnstile pass,
-/// byte-identical to the single-stream pass for every shard count.
-pub fn answer_turnstile_batch_sharded(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-) -> (Vec<Answer>, usize) {
-    answer_turnstile_batch_sharded_with_opts(batch, feed, pass_seed, arena, PassOpts::default())
-}
-
-/// [`answer_turnstile_batch_sharded`] with an explicit feed block size
-/// (`block <= 1` = scalar per-update path on every shard).
-pub fn answer_turnstile_batch_sharded_with_block(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-    block: usize,
-) -> (Vec<Answer>, usize) {
-    answer_turnstile_batch_sharded_with_opts(
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        PassOpts::with_block(block),
-    )
-}
-
-/// [`answer_turnstile_batch_sharded`] with full feed-path options
-/// ([`PassOpts`]: block size + ℓ₀ feed path). Both knobs are
-/// byte-identity-preserving, so the sharded answers match the
-/// single-stream pass at any shard count under every combination.
-pub fn answer_turnstile_batch_sharded_with_opts(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-) -> (Vec<Answer>, usize) {
-    answer_turnstile_batch_sharded_with_exec(
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        opts,
-        ExecPolicy::default(),
-    )
-}
-
-/// [`answer_turnstile_batch_sharded_with_opts`] with an injected
-/// [`ExecPolicy`]. Answers are identical under every policy.
+/// [`answer_batch`] in the turnstile model on [`Engine::Sharded`]. Kept
+/// with this name and signature because the benchmark's traced replay
+/// calls it.
 pub fn answer_turnstile_batch_sharded_with_exec(
     batch: &[Query],
     feed: &ShardedFeed,
@@ -1021,8 +911,8 @@ pub fn answer_turnstile_batch_sharded_with_exec(
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> (Vec<Answer>, usize) {
-    let engine = PassEngine::Sharded(policy);
-    solo_pass(
+    let engine = Engine::Sharded(policy);
+    answer_batch(
         RouterMode::Turnstile,
         batch,
         feed,
@@ -1033,111 +923,10 @@ pub fn answer_turnstile_batch_sharded_with_exec(
     )
 }
 
-/// Execute a round-adaptive algorithm as a sharded insertion-only
-/// streaming algorithm: one *logical* pass per round, fanned out over
-/// the feed's shards. With one shard this **is** the single-stream
-/// executor ([`crate::exec::run_insertion`] is exactly this call).
-pub fn run_insertion_sharded<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-) -> (A::Output, ExecReport) {
-    run_insertion_sharded_with_opts(alg, feed, seed, arena, PassOpts::default())
-}
-
-/// [`run_insertion_sharded`] with an explicit feed block size.
-pub fn run_insertion_sharded_with_block<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    block: usize,
-) -> (A::Output, ExecReport) {
-    run_insertion_sharded_with_opts(alg, feed, seed, arena, PassOpts::with_block(block))
-}
-
-/// [`run_insertion_sharded`] with full feed-path options ([`PassOpts`]).
-pub fn run_insertion_sharded_with_opts<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-) -> (A::Output, ExecReport) {
-    run_insertion_sharded_with_exec(alg, feed, seed, arena, opts, ExecPolicy::default())
-}
-
-/// [`run_insertion_sharded_with_opts`] with an explicit execution policy
-/// governing the shard workers (serial / threaded / auto, core pinning).
-/// A one-job [`QuerySet`] run: round `r` rides pass seed
-/// `split_seed(seed, r)`.
-pub fn run_insertion_sharded_with_exec<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    policy: ExecPolicy,
-) -> (A::Output, ExecReport) {
-    QuerySet::solo(alg, seed, opts)
-        .run_insertion(feed, arena, opts, policy)
-        .into_solo()
-}
-
-/// Execute a round-adaptive algorithm as a sharded turnstile streaming
-/// algorithm: one logical pass per round over N shards. With one shard
-/// this is [`crate::exec::run_turnstile`].
-pub fn run_turnstile_sharded<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-) -> (A::Output, ExecReport) {
-    run_turnstile_sharded_with_opts(alg, feed, seed, arena, PassOpts::default())
-}
-
-/// [`run_turnstile_sharded`] with an explicit feed block size.
-pub fn run_turnstile_sharded_with_block<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    block: usize,
-) -> (A::Output, ExecReport) {
-    run_turnstile_sharded_with_opts(alg, feed, seed, arena, PassOpts::with_block(block))
-}
-
-/// [`run_turnstile_sharded`] with full feed-path options ([`PassOpts`]).
-pub fn run_turnstile_sharded_with_opts<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-) -> (A::Output, ExecReport) {
-    run_turnstile_sharded_with_exec(alg, feed, seed, arena, opts, ExecPolicy::default())
-}
-
-/// [`run_turnstile_sharded_with_opts`] with an explicit execution
-/// policy governing the shard workers: a one-job [`QuerySet`] run.
-pub fn run_turnstile_sharded_with_exec<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    policy: ExecPolicy,
-) -> (A::Output, ExecReport) {
-    QuerySet::solo(alg, seed, opts)
-        .run_turnstile(feed, arena, opts, policy)
-        .into_solo()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{answer_insertion_batch, answer_turnstile_batch};
+    use crate::exec::tests::one_shard_pass;
     use sgs_graph::gen;
     use sgs_stream::reservoir::ReservoirMode;
     use sgs_stream::{InsertionStream, TurnstileStream};
@@ -1167,11 +956,15 @@ mod tests {
                 let feed = ShardedFeed::partition(&ins, shards);
                 let mut arena = RouterArena::new();
                 for pass_seed in 0..20u64 {
-                    let (a, _) = crate::exec::answer_insertion_batch_with_opts(
-                        &batch, &ins, pass_seed, opts,
-                    );
-                    let (b, _) = answer_insertion_batch_sharded_with_opts(
-                        &batch, &feed, pass_seed, &mut arena, opts,
+                    let a = one_shard_pass(RouterMode::Insertion, &batch, &ins, pass_seed, opts);
+                    let (b, _) = answer_batch(
+                        RouterMode::Insertion,
+                        &batch,
+                        &feed,
+                        pass_seed,
+                        &mut arena,
+                        opts,
+                        Engine::Sharded(ExecPolicy::default()),
                     );
                     assert_eq!(a, b, "{mode:?}, {shards} shards, pass seed {pass_seed}");
                 }
@@ -1189,8 +982,17 @@ mod tests {
             let feed = ShardedFeed::partition(&tst, shards);
             let mut arena = RouterArena::new();
             for pass_seed in 0..10u64 {
-                let (a, _) = answer_turnstile_batch(&batch, &tst, pass_seed);
-                let (b, _) = answer_turnstile_batch_sharded(&batch, &feed, pass_seed, &mut arena);
+                let opts = PassOpts::default();
+                let a = one_shard_pass(RouterMode::Turnstile, &batch, &tst, pass_seed, opts);
+                let (b, _) = answer_batch(
+                    RouterMode::Turnstile,
+                    &batch,
+                    &feed,
+                    pass_seed,
+                    &mut arena,
+                    opts,
+                    Engine::Sharded(ExecPolicy::default()),
+                );
                 assert_eq!(a, b, "{shards} shards, pass seed {pass_seed}");
             }
         }
@@ -1204,17 +1006,19 @@ mod tests {
         let g = gen::gnm(20, 70, 23);
         let ins = InsertionStream::from_graph(&g, 24);
         let batch = mixed_insertion_batch();
-        let (expected, _) = answer_insertion_batch(&batch, &ins, 5);
+        let opts = PassOpts::default();
+        let expected = one_shard_pass(RouterMode::Insertion, &batch, &ins, 5, opts);
         let feed = ShardedFeed::partition(&ins, 4);
         let mut arena = RouterArena::new();
         for policy in [ExecPolicy::threaded(), ExecPolicy::serial()] {
-            let (got, _) = answer_insertion_batch_sharded_with_exec(
+            let (got, _) = answer_batch(
+                RouterMode::Insertion,
                 &batch,
                 &feed,
                 5,
                 &mut arena,
                 PassOpts::default(),
-                policy,
+                Engine::Sharded(policy),
             );
             assert_eq!(got, expected, "{policy:?}");
         }
@@ -1226,17 +1030,19 @@ mod tests {
         let tst = TurnstileStream::from_graph_with_churn(&g, 0.5, 26);
         let mut batch = mixed_insertion_batch();
         batch.retain(|q| !matches!(q, Query::IthNeighbor(..)));
-        let (expected, _) = answer_turnstile_batch(&batch, &tst, 5);
+        let opts = PassOpts::default();
+        let expected = one_shard_pass(RouterMode::Turnstile, &batch, &tst, 5, opts);
         let feed = ShardedFeed::partition(&tst, 4);
         let mut arena = RouterArena::new();
         for policy in [ExecPolicy::threaded(), ExecPolicy::serial()] {
-            let (got, _) = answer_turnstile_batch_sharded_with_exec(
+            let (got, _) = answer_batch(
+                RouterMode::Turnstile,
                 &batch,
                 &feed,
                 5,
                 &mut arena,
                 PassOpts::with_block(64),
-                policy,
+                Engine::Sharded(policy),
             );
             assert_eq!(got, expected, "{policy:?}");
         }
@@ -1250,7 +1056,17 @@ mod tests {
         let mut arena = RouterArena::new();
         let batch = mixed_insertion_batch();
         for pass_seed in 0..3u64 {
-            let _ = answer_insertion_batch_sharded(&batch, &feed, pass_seed, &mut arena);
+            let engine = Engine::Sharded(ExecPolicy::default());
+            let opts = PassOpts::default();
+            let _ = answer_batch(
+                RouterMode::Insertion,
+                &batch,
+                &feed,
+                pass_seed,
+                &mut arena,
+                opts,
+                engine,
+            );
         }
         assert_eq!(feed.logical_passes(), 3, "5 shards × 3 passes = 3 passes");
     }
@@ -1262,11 +1078,14 @@ mod tests {
         let tst = TurnstileStream::from_graph_with_churn(&g, 0.0, 2);
         let feed = ShardedFeed::partition(&tst, 2);
         let mut arena = RouterArena::new();
-        let _ = answer_turnstile_batch_sharded(
+        let _ = answer_batch(
+            RouterMode::Turnstile,
             &[Query::IthNeighbor(VertexId(0), 1)],
             &feed,
             3,
             &mut arena,
+            PassOpts::default(),
+            Engine::Sharded(ExecPolicy::default()),
         );
     }
 
@@ -1281,8 +1100,18 @@ mod tests {
             Query::Degree(VertexId(1)),
             Query::RandomNeighbor(VertexId(2)),
         ];
-        let (a, _) = answer_insertion_batch_sharded(&batch, &feed, 7, &mut arena);
-        let (b, _) = answer_insertion_batch(&batch, &ins, 7);
+        let opts = PassOpts::default();
+        let engine = Engine::Sharded(ExecPolicy::default());
+        let (a, _) = answer_batch(
+            RouterMode::Insertion,
+            &batch,
+            &feed,
+            7,
+            &mut arena,
+            opts,
+            engine,
+        );
+        let b = one_shard_pass(RouterMode::Insertion, &batch, &ins, 7, opts);
         assert_eq!(a, b);
         assert_eq!(a[0], Answer::EdgeCount(0));
         assert_eq!(a[1], Answer::Edge(None));

@@ -137,8 +137,9 @@ impl RoundAdaptive for TriangleFinder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_insertion, run_on_oracle, run_turnstile};
+    use crate::exec::{run_on_oracle, run_on_stream};
     use crate::oracle::ExactOracle;
+    use crate::router::RouterMode;
     use sgs_graph::{gen, StaticGraph};
     use sgs_stream::{InsertionStream, TurnstileStream};
 
@@ -156,12 +157,22 @@ mod tests {
     fn four_passes_in_streams() {
         let g = gen::complete_graph(6);
         let ins = InsertionStream::from_graph(&g, 3);
-        let (out, rep) = run_insertion(TriangleFinder::new(4, NeighborMode::Indexed), &ins, 5);
+        let (out, rep) = run_on_stream(
+            RouterMode::Insertion,
+            TriangleFinder::new(4, NeighborMode::Indexed),
+            &ins,
+            5,
+        );
         assert_eq!(rep.passes, 4);
         assert!(out.is_some());
 
         let tst = TurnstileStream::from_graph_with_churn(&g, 1.0, 6);
-        let (out, rep) = run_turnstile(TriangleFinder::new(7, NeighborMode::Relaxed), &tst, 8);
+        let (out, rep) = run_on_stream(
+            RouterMode::Turnstile,
+            TriangleFinder::new(7, NeighborMode::Relaxed),
+            &tst,
+            8,
+        );
         assert_eq!(rep.passes, 4);
         assert!(out.is_some());
     }
@@ -172,7 +183,8 @@ mod tests {
         let ins = InsertionStream::from_graph(&g, 10);
         let mut found = 0;
         for t in 0..300u64 {
-            let (out, _) = run_insertion(
+            let (out, _) = run_on_stream(
+                RouterMode::Insertion,
                 TriangleFinder::new(t, NeighborMode::Indexed),
                 &ins,
                 1000 + t,
@@ -190,7 +202,12 @@ mod tests {
         let g = gen::complete_bipartite(6, 6);
         let ins = InsertionStream::from_graph(&g, 11);
         for t in 0..100u64 {
-            let (out, _) = run_insertion(TriangleFinder::new(t, NeighborMode::Indexed), &ins, t);
+            let (out, _) = run_on_stream(
+                RouterMode::Insertion,
+                TriangleFinder::new(t, NeighborMode::Indexed),
+                &ins,
+                t,
+            );
             assert!(out.is_none());
         }
     }
@@ -211,7 +228,8 @@ mod tests {
             {
                 oracle_hits += 1;
             }
-            if run_insertion(
+            if run_on_stream(
+                RouterMode::Insertion,
                 TriangleFinder::new(t, NeighborMode::Indexed),
                 &ins,
                 90_000 + t,

@@ -491,10 +491,10 @@ impl ShardedFeed {
 /// routed global-order buffer cached at partition time, reconstructing
 /// the source stream exactly (it used to k-way-merge the per-shard
 /// buffers' owned deliveries; the routed cache makes the merge a linear
-/// scan). Each such replay is one logical pass. This is what lets
-/// `run_insertion`/`run_turnstile` remain thin single-shard cases of the
-/// sharded path, and lets sharded and unsharded consumers be driven from
-/// the same feed.
+/// scan). Each such replay is one logical pass. This is what lets a
+/// one-shard feed stand in for a single stream (`sgs_query::run_on_stream`
+/// is the one-shard case of the sharded path), and lets sharded and
+/// unsharded consumers be driven from the same feed.
 impl EdgeStream for ShardedFeed {
     fn num_vertices(&self) -> usize {
         self.n

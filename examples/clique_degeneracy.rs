@@ -42,7 +42,14 @@ fn main() {
         let plan = SamplerPlan::new(&pattern).unwrap();
         let trials =
             practical_trials(m, plan.rho(), 0.3, (exact as f64).max(1.0)).clamp(10_000, 250_000);
-        let fgp = estimate_insertion(&pattern, &stream, trials, 90 + r as u64).unwrap();
+        let fgp = estimate_stream(
+            &pattern,
+            RouterMode::Insertion,
+            &stream,
+            trials,
+            90 + r as u64,
+        )
+        .unwrap();
         println!(
             "  FGP : estimate {:>9.1}  ({} passes, {} trials needed at rho={})",
             fgp.estimate,

@@ -39,7 +39,14 @@ fn main() {
         // Budget: the paper's k ~ (2m)^rho/(eps^2 #H), capped for the demo.
         let trials =
             practical_trials(m, plan.rho(), 0.25, (exact as f64).max(1.0)).clamp(20_000, 600_000);
-        let est = estimate_insertion(motif, &stream, trials, 100 + i as u64).unwrap();
+        let est = estimate_stream(
+            motif,
+            RouterMode::Insertion,
+            &stream,
+            trials,
+            100 + i as u64,
+        )
+        .unwrap();
         let err = if exact > 0 {
             est.relative_error(exact) * 100.0
         } else {

@@ -32,7 +32,8 @@ fn main() {
         plan.tuple_multiplicity()
     );
 
-    let est = estimate_insertion(&pattern, &stream, trials, 1).expect("valid pattern");
+    let est = estimate_stream(&pattern, RouterMode::Insertion, &stream, trials, 1)
+        .expect("valid pattern");
     let rel = est.relative_error(exact);
     println!(
         "estimate = {:.1}  (hits {}/{} trials, {} passes, {} KiB sketch state)",

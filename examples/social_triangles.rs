@@ -27,8 +27,16 @@ fn main() {
 
     let stream = InsertionStream::from_graph(&graph, 99);
 
-    let tri = estimate_insertion(&Pattern::triangle(), &stream, 150_000, 1).unwrap();
-    let wed = estimate_insertion(&Pattern::star(2), &stream, 60_000, 2).unwrap();
+    let tri = estimate_stream(
+        &Pattern::triangle(),
+        RouterMode::Insertion,
+        &stream,
+        150_000,
+        1,
+    )
+    .unwrap();
+    let wed =
+        estimate_stream(&Pattern::star(2), RouterMode::Insertion, &stream, 60_000, 2).unwrap();
 
     let transitivity = 3.0 * tri.estimate / wed.estimate.max(1.0);
     println!(

@@ -154,7 +154,14 @@ fn main() {
     let all: Vec<EdgeUpdate> = epochs.concat();
     let deletions = all.iter().filter(|u| !u.is_insert()).count();
     let stream = TurnstileStream::from_updates(N, all);
-    let est = estimate_turnstile(&Pattern::triangle(), &stream, 15_000, 23).unwrap();
+    let est = estimate_stream(
+        &Pattern::triangle(),
+        RouterMode::Turnstile,
+        &stream,
+        15_000,
+        23,
+    )
+    .unwrap();
     let pairs: Vec<(u32, u32)> = present
         .iter()
         .map(|&k| {

@@ -4,7 +4,7 @@
 //! sgs count   --edges FILE --pattern triangle [--trials N] [--eps E] [--seed S] [--turnstile] [--shards N] [--block B] [--pin] [--reservoir offer|skip] [--relaxed] [--broadcast] [--consumers N] [--checkpoint-dir D [--snapshot-every N] [--wal-block W]] [--bits]
 //! sgs count   --updates FILE ...      (raw update order instead of a shuffled graph)
 //! sgs count   --edges FILE --queries FILE [--seed S] [--turnstile] [--shards N] [--block B] [--pin] [--broadcast] [--bits]
-//! sgs serve   DIR [--listen ADDR] [--unix PATH] [--shards N] [--wal-block W] [--snapshot-every N] [--ring-capacity C] [--seed S] [--block B] [--l0 M] [--pin] [--eps E]
+//! sgs serve   DIR [--listen ADDR] [--unix PATH] [--shards N] [--wal-block W] [--snapshot-every N] [--seed S] [--block B] [--l0 M] [--pin] [--eps E]
 //! sgs recover DIR
 //! sgs search  --edges FILE --pattern K4 [--eps E] [--seed S]
 //! sgs cliques --edges FILE -r 4 [--eps E] [--instances Q] [--seed S]
@@ -53,9 +53,8 @@ impl Args {
     }
 
     /// A count or size flag that must be at least 1: `--trials` (zero
-    /// trials has no estimate), `--shards`, `--wal-block` and
-    /// `--ring-capacity`. Zero is an error naming the flag, never a
-    /// silent 1.
+    /// trials has no estimate), `--shards` and `--wal-block`. Zero is an
+    /// error naming the flag, never a silent 1.
     fn try_at_least_one(&self, name: &str, default: usize) -> Result<usize, String> {
         match self.try_num(name)?.unwrap_or(default) {
             0 => Err(format!(
@@ -244,6 +243,19 @@ impl SourceSpec {
                 seed ^ 0x77,
             ),
             SourceSpec::Updates { n, updates } => TurnstileStream::from_updates(n, updates),
+        }
+    }
+
+    /// The run's feed: the source as a stream in `model`, hash-partitioned
+    /// into `shards` shards.
+    fn feed(self, model: RouterMode, seed: u64, shards: usize) -> sgs_stream::ShardedFeed {
+        match model {
+            RouterMode::Insertion => {
+                sgs_stream::ShardedFeed::partition(&self.insertion_stream(seed), shards)
+            }
+            RouterMode::Turnstile => {
+                sgs_stream::ShardedFeed::partition(&self.turnstile_stream(seed), shards)
+            }
         }
     }
 }
@@ -490,6 +502,15 @@ fn parse_l0(args: &Args) -> sgs_query::L0Mode {
     }
 }
 
+/// The stream model `--turnstile` selects.
+fn model_of(args: &Args) -> RouterMode {
+    if args.has("turnstile") {
+        RouterMode::Turnstile
+    } else {
+        RouterMode::Insertion
+    }
+}
+
 /// `sgs count --queries FILE`: serve every query in the list from one
 /// shared pass per round, reporting per-query estimates plus aggregate
 /// throughput and the admission report's slow-query diagnosis.
@@ -500,7 +521,8 @@ fn run_multi_count(args: &Args, queries_path: &str, seed: u64) {
     let shards = args.at_least_one("shards", 1);
     let block: usize = args.num("block", sgs_query::exec::DEFAULT_BLOCK);
     let opts = sgs_query::PassOpts::with_block(block).l0(parse_l0(args));
-    let turnstile = args.has("turnstile");
+    let model = model_of(args);
+    let turnstile = model == RouterMode::Turnstile;
     let text = std::fs::read_to_string(queries_path)
         .unwrap_or_else(|e| fail_persist(PersistError::io(Path::new(queries_path), e)));
     let mut specs: Vec<sgs_core::MultiQuerySpec> = Vec::new();
@@ -545,38 +567,16 @@ fn run_multi_count(args: &Args, queries_path: &str, seed: u64) {
             p
         }
     };
+    let engine = if args.has("broadcast") {
+        sgs_query::Engine::Ring(sgs_query::BroadcastOpts::with_policy(policy), &mut [])
+    } else {
+        sgs_query::Engine::Sharded(policy)
+    };
     let mut arena = sgs_query::RouterArena::new();
     let t0 = std::time::Instant::now();
-    let (ests, admission) = if turnstile {
-        let s = src.turnstile_stream(seed);
-        let feed = sgs_stream::ShardedFeed::partition(&s, shards);
-        if args.has("broadcast") {
-            sgs_core::fgp::estimate_multi_turnstile_broadcast(
-                &specs,
-                &feed,
-                &mut arena,
-                opts,
-                sgs_query::BroadcastOpts::with_policy(policy),
-            )
-        } else {
-            sgs_core::fgp::estimate_multi_turnstile(&specs, &feed, &mut arena, opts, policy)
-        }
-    } else {
-        let s = src.insertion_stream(seed);
-        let feed = sgs_stream::ShardedFeed::partition(&s, shards);
-        if args.has("broadcast") {
-            sgs_core::fgp::estimate_multi_insertion_broadcast(
-                &specs,
-                &feed,
-                &mut arena,
-                opts,
-                sgs_query::BroadcastOpts::with_policy(policy),
-            )
-        } else {
-            sgs_core::fgp::estimate_multi_insertion(&specs, &feed, &mut arena, opts, policy)
-        }
-    }
-    .expect("plans validated above");
+    let feed = src.feed(model, seed, shards);
+    let (ests, admission) = sgs_core::fgp::estimate(&specs, model, &feed, &mut arena, opts, engine)
+        .expect("plans validated above");
     let elapsed = t0.elapsed();
     // --bits appends the exact f64 so answers can be compared byte-for-
     // byte against a live `sgs serve` node's COUNT replies.
@@ -740,15 +740,24 @@ fn main() {
                     p
                 }
             };
+            let model = model_of(&args);
+            let turnstile = model == RouterMode::Turnstile;
             // Every trial's bank is resident at once: refuse a count the
             // host cannot hold before anything is allocated.
-            if let Err(e) = sgs_core::fgp::admit_trials(
-                trials as u64,
-                args.has("turnstile"),
-                sgs_query::available_memory(),
-            ) {
+            if let Err(e) =
+                sgs_core::fgp::admit_trials(trials as u64, turnstile, sgs_query::available_memory())
+            {
                 fail_usage(&format!("--trials: {e}"));
             }
+            // The one estimate every surface below makes.
+            let spec = sgs_core::MultiQuerySpec {
+                pattern: pattern.clone(),
+                trials,
+                seed,
+                sampler,
+                reservoir,
+            };
+            let mut arena = sgs_query::RouterArena::new();
             // --broadcast runs the serving path: ONE ingest per logical
             // pass fans out over a bounded ring to the shard routers
             // plus side consumers (TRIÈST baseline, exact CSR oracle, a
@@ -757,7 +766,6 @@ fn main() {
             // replays. The estimate stays bit-identical.
             if args.has("broadcast") {
                 let extra_raw: usize = args.num("consumers", 0);
-                let turnstile = args.has("turnstile");
                 if turnstile && (args.has("relaxed") || args.has("reservoir")) {
                     eprintln!(
                         "error: --relaxed/--reservoir only apply to insertion runs \
@@ -774,21 +782,11 @@ fn main() {
                     exact: true,
                     extra_raw,
                 };
-                let mut arena = sgs_query::RouterArena::new();
                 let bcast = sgs_query::BroadcastOpts::with_policy(policy);
-                let bundle = if turnstile {
-                    let s = src.turnstile_stream(seed);
-                    let feed = sgs_stream::ShardedFeed::partition(&s, shards);
-                    sgs_core::fgp::estimate_turnstile_broadcast_with_exec(
-                        &pattern, &feed, trials, seed, &mut arena, opts, consumers, bcast,
-                    )
-                } else {
-                    let s = src.insertion_stream(seed);
-                    let feed = sgs_stream::ShardedFeed::partition(&s, shards);
-                    sgs_core::fgp::estimate_insertion_broadcast_with_exec(
-                        &pattern, &feed, trials, seed, &mut arena, opts, sampler, consumers, bcast,
-                    )
-                }
+                let feed = src.feed(model, seed, shards);
+                let bundle = sgs_core::fgp::estimate_broadcast(
+                    &spec, model, &feed, &mut arena, opts, consumers, bcast,
+                )
                 .expect("plan validated above");
                 let est = &bundle.estimate;
                 println!(
@@ -832,7 +830,6 @@ fn main() {
                     );
                     exit(2);
                 }
-                let turnstile = args.has("turnstile");
                 if turnstile && (args.has("relaxed") || args.has("reservoir")) {
                     eprintln!(
                         "error: --relaxed/--reservoir only apply to insertion runs \
@@ -848,13 +845,7 @@ fn main() {
                 // `snapshot_every` such blocks, so small streams want a
                 // small W to see any snapshot at all.
                 let wal_block = args.at_least_one("wal-block", sgs_query::DEFAULT_CHECKPOINT_CHUNK);
-                let feed = if turnstile {
-                    let s = src.turnstile_stream(seed);
-                    sgs_stream::ShardedFeed::partition(&s, shards)
-                } else {
-                    let s = src.insertion_stream(seed);
-                    sgs_stream::ShardedFeed::partition(&s, shards)
-                };
+                let feed = src.feed(model, seed, shards);
                 let cfg = CliConfig {
                     model: turnstile as u8,
                     pattern: args.get("pattern").unwrap_or_default().to_string(),
@@ -877,29 +868,14 @@ fn main() {
                         wal_block,
                     )?;
                     write_config(&dir, &encode_cli_config(&cfg))?;
-                    let mut arena = sgs_query::RouterArena::new();
-                    let est = if turnstile {
-                        sgs_core::fgp::estimate_turnstile_checkpointed(
-                            &pattern,
-                            &feed,
-                            trials,
-                            seed,
-                            &mut arena,
-                            opts,
-                            &mut session,
-                        )?
-                    } else {
-                        sgs_core::fgp::estimate_insertion_checkpointed(
-                            &pattern,
-                            &feed,
-                            trials,
-                            seed,
-                            &mut arena,
-                            opts,
-                            sampler,
-                            &mut session,
-                        )?
-                    };
+                    let est = sgs_core::fgp::estimate_checkpointed(
+                        &spec,
+                        model,
+                        &feed,
+                        &mut arena,
+                        opts,
+                        &mut session,
+                    )?;
                     Ok((est, session.snapshots_written()))
                 })();
                 let (est, snapshots) = match run {
@@ -928,7 +904,7 @@ fn main() {
                 );
                 return;
             }
-            let est = if args.has("turnstile") {
+            if turnstile {
                 // Turnstile trials always run the relaxed query mix on
                 // ℓ₀-samplers (Definition 10 has no indexed f3 and no
                 // reservoirs), so --relaxed and --reservoir would
@@ -948,17 +924,13 @@ fn main() {
                     );
                     exit(2);
                 }
-                let s = src.turnstile_stream(seed);
-                sgs_core::fgp::estimate_turnstile_threaded_with_exec(
-                    &pattern, &s, trials, shards, seed, opts, policy,
-                )
-            } else {
-                let s = src.insertion_stream(seed);
-                sgs_core::fgp::estimate_insertion_threaded_with_exec(
-                    &pattern, &s, trials, shards, seed, opts, sampler, policy,
-                )
             }
-            .expect("plan validated above");
+            let feed = src.feed(model, seed, shards);
+            let engine = sgs_query::Engine::Sharded(policy);
+            let (mut ests, _) =
+                sgs_core::fgp::estimate(&[spec], model, &feed, &mut arena, opts, engine)
+                    .expect("plan validated above");
+            let est = ests.pop().expect("one spec, one estimate");
             println!(
                 "#{} ≈ {:.1}   (hits {}/{}, rho={}, {} passes, m={}, {} shard{}, block {}, reservoir {}){}",
                 pattern.name(),
@@ -975,7 +947,7 @@ fn main() {
                 } else {
                     block.to_string()
                 },
-                if args.has("turnstile") {
+                if turnstile {
                     "l0".to_string()
                 } else {
                     format!("{reservoir:?}").to_lowercase()
@@ -1012,7 +984,6 @@ fn main() {
                 shards: args.at_least_one("shards", 1),
                 wal_block: args.at_least_one("wal-block", sgs_query::DEFAULT_SERVE_BLOCK),
                 snapshot_every: args.num("snapshot-every", defaults.snapshot_every),
-                ring_capacity: args.at_least_one("ring-capacity", defaults.ring_capacity),
                 segment_bytes: defaults.segment_bytes,
                 seed,
             };
@@ -1221,34 +1192,31 @@ fn main() {
                     sgs_query::ReservoirMode::Skip
                 },
             );
-            let mut arena = sgs_query::RouterArena::new();
-            let est = if cfg.model == 1 {
-                sgs_core::fgp::estimate_turnstile_checkpointed(
-                    &pattern,
-                    &feed,
-                    cfg.trials as usize,
-                    cfg.seed,
-                    &mut arena,
-                    opts,
-                    &mut session,
-                )
-            } else {
-                let sampler = if cfg.relaxed == 1 {
+            let spec = sgs_core::MultiQuerySpec {
+                pattern: pattern.clone(),
+                trials: cfg.trials as usize,
+                seed: cfg.seed,
+                sampler: if cfg.relaxed == 1 {
                     SamplerMode::Relaxed
                 } else {
                     SamplerMode::Indexed
-                };
-                sgs_core::fgp::estimate_insertion_checkpointed(
-                    &pattern,
-                    &feed,
-                    cfg.trials as usize,
-                    cfg.seed,
-                    &mut arena,
-                    opts,
-                    sampler,
-                    &mut session,
-                )
-            }
+                },
+                reservoir: opts.reservoir,
+            };
+            let model = if cfg.model == 1 {
+                RouterMode::Turnstile
+            } else {
+                RouterMode::Insertion
+            };
+            let mut arena = sgs_query::RouterArena::new();
+            let est = sgs_core::fgp::estimate_checkpointed(
+                &spec,
+                model,
+                &feed,
+                &mut arena,
+                opts,
+                &mut session,
+            )
             .unwrap_or_else(|e| fail_persist(e))
             .expect("plan validated above");
             println!(
@@ -1471,7 +1439,7 @@ mod tests {
 
     #[test]
     fn size_flags_refuse_zero_by_name() {
-        for flag in ["shards", "wal-block", "ring-capacity"] {
+        for flag in ["shards", "wal-block"] {
             let dash = format!("--{flag}");
             assert_eq!(args_of(&[]).try_at_least_one(flag, 7), Ok(7), "{flag}");
             assert_eq!(

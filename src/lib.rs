@@ -24,8 +24,8 @@
 //!
 //! let graph = sgs_graph::gen::gnm(100, 600, 7);
 //! let stream = InsertionStream::from_graph(&graph, 8);
-//! let est = sgs_core::fgp::estimate_insertion(
-//!     &Pattern::triangle(), &stream, 20_000, 9,
+//! let est = estimate_stream(
+//!     &Pattern::triangle(), RouterMode::Insertion, &stream, 20_000, 9,
 //! ).unwrap();
 //! assert_eq!(est.report.passes, 3);
 //! ```
@@ -38,9 +38,9 @@ pub use sgs_stream as stream;
 /// Everything most users need.
 pub mod prelude {
     pub use sgs_core::ers::{count_cliques_insertion, ErsParams};
-    pub use sgs_core::fgp::{estimate_insertion, estimate_turnstile, practical_trials};
+    pub use sgs_core::fgp::{estimate_stream, practical_trials};
     pub use sgs_core::{CountEstimate, SamplerMode, SamplerPlan};
     pub use sgs_graph::{AdjListGraph, Edge, Pattern, StaticGraph, VertexId};
-    pub use sgs_query::{ExecReport, RoundAdaptive};
+    pub use sgs_query::{ExecReport, RoundAdaptive, RouterMode};
     pub use sgs_stream::{EdgeStream, InsertionStream, TurnstileStream};
 }

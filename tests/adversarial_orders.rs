@@ -4,7 +4,30 @@
 //! and check the estimator stays unbiased.
 
 use sgs_graph::StaticGraph;
+use sgs_query::{answer_batch, Answer, Engine, ExecPolicy, PassOpts, Query, RouterArena};
+use sgs_stream::ShardedFeed;
 use subgraph_streams::prelude::*;
+
+/// One serial pass over `stream` partitioned into one shard.
+fn one_shard_pass(
+    model: RouterMode,
+    batch: &[Query],
+    stream: &impl EdgeStream,
+    pass_seed: u64,
+    opts: PassOpts,
+) -> (Vec<Answer>, usize) {
+    let feed = ShardedFeed::partition(stream, 1);
+    let engine = Engine::Sharded(ExecPolicy::serial());
+    answer_batch(
+        model,
+        batch,
+        &feed,
+        pass_seed,
+        &mut RouterArena::new(),
+        opts,
+        engine,
+    )
+}
 
 fn orders(g: &AdjListGraph) -> Vec<(&'static str, InsertionStream)> {
     let n = g.num_vertices();
@@ -42,8 +65,14 @@ fn triangle_estimates_order_independent() {
     let exact = sgs_graph::exact::triangles::count_triangles(&g);
     assert!(exact > 50);
     for (name, stream) in orders(&g) {
-        let est =
-            sgs_core::fgp::estimate_insertion(&Pattern::triangle(), &stream, 25_000, 2).unwrap();
+        let est = sgs_core::fgp::estimate_stream(
+            &Pattern::triangle(),
+            RouterMode::Insertion,
+            &stream,
+            25_000,
+            2,
+        )
+        .unwrap();
         assert!(
             est.relative_error(exact) < 0.25,
             "{name}: estimate {} vs exact {exact}",
@@ -57,7 +86,14 @@ fn wedge_estimates_order_independent() {
     let g = sgs_graph::gen::gnm(30, 120, 3);
     let exact = sgs_graph::exact::stars::count_wedges(&g);
     for (name, stream) in orders(&g) {
-        let est = sgs_core::fgp::estimate_insertion(&Pattern::star(2), &stream, 15_000, 4).unwrap();
+        let est = sgs_core::fgp::estimate_stream(
+            &Pattern::star(2),
+            RouterMode::Insertion,
+            &stream,
+            15_000,
+            4,
+        )
+        .unwrap();
         assert!(
             est.relative_error(exact) < 0.25,
             "{name}: estimate {} vs exact {exact}",
@@ -87,7 +123,14 @@ fn ers_order_independent() {
 fn pass_counts_unaffected_by_order() {
     let g = sgs_graph::gen::gnm(25, 100, 7);
     for (_, stream) in orders(&g) {
-        let est = sgs_core::fgp::estimate_insertion(&Pattern::triangle(), &stream, 100, 8).unwrap();
+        let est = sgs_core::fgp::estimate_stream(
+            &Pattern::triangle(),
+            RouterMode::Insertion,
+            &stream,
+            100,
+            8,
+        )
+        .unwrap();
         assert_eq!(est.report.passes, 3);
     }
 }
@@ -99,22 +142,31 @@ fn pass_counts_unaffected_by_order() {
 /// uniform over.
 #[test]
 fn relaxed_estimates_order_independent_in_both_reservoir_modes() {
-    use sgs_query::{PassOpts, ReservoirMode};
+    use sgs_core::fgp::{estimate, MultiQuerySpec};
+    use sgs_query::ReservoirMode;
     let g = sgs_graph::gen::gnm(40, 240, 1);
     let exact = sgs_graph::exact::triangles::count_triangles(&g);
     assert!(exact > 50);
     for mode in [ReservoirMode::Offer, ReservoirMode::Skip] {
         for (name, stream) in orders(&g) {
-            let est = sgs_core::fgp::estimate_insertion_threaded_with_opts(
-                &Pattern::triangle(),
-                &stream,
-                25_000,
-                1,
-                2,
-                PassOpts::with_reservoir(mode),
-                SamplerMode::Relaxed,
+            let spec = MultiQuerySpec {
+                sampler: SamplerMode::Relaxed,
+                reservoir: mode,
+                ..MultiQuerySpec::new(Pattern::triangle(), 25_000, 2)
+            };
+            let feed = ShardedFeed::partition(&stream, 1);
+            let (opts, engine) = (PassOpts::default(), Engine::Sharded(ExecPolicy::default()));
+            let mut arena = RouterArena::new();
+            let (ests, _) = estimate(
+                &[spec],
+                RouterMode::Insertion,
+                &feed,
+                &mut arena,
+                opts,
+                engine,
             )
             .unwrap();
+            let est = &ests[0];
             assert_eq!(est.report.passes, 3);
             assert!(
                 est.relative_error(exact) < 0.3,
@@ -132,8 +184,7 @@ fn relaxed_estimates_order_independent_in_both_reservoir_modes() {
 /// answers and a skip-mode neighbor answer that must be a true neighbor.
 #[test]
 fn duplicate_heavy_streams_keep_reservoir_accounting_exact() {
-    use sgs_query::exec::{answer_insertion_batch_with_opts, PassOpts};
-    use sgs_query::{Answer, Query, ReservoirMode};
+    use sgs_query::ReservoirMode;
     let g = sgs_graph::gen::gnm(12, 30, 9);
     let mut edges = g.edge_vec();
     let copy = edges.clone();
@@ -150,13 +201,15 @@ fn duplicate_heavy_streams_keep_reservoir_accounting_exact() {
         })
         .collect();
     for seed in 0..40u64 {
-        let (offer, _) = answer_insertion_batch_with_opts(
+        let (offer, _) = one_shard_pass(
+            RouterMode::Insertion,
             &batch,
             &stream,
             seed,
             PassOpts::with_reservoir(ReservoirMode::Offer),
         );
-        let (skip, _) = answer_insertion_batch_with_opts(
+        let (skip, _) = one_shard_pass(
+            RouterMode::Insertion,
             &batch,
             &stream,
             seed,
@@ -191,8 +244,7 @@ fn duplicate_heavy_streams_keep_reservoir_accounting_exact() {
 /// *touched*, never what any row accumulates.
 #[test]
 fn dispatch_feed_is_duplicate_and_cancellation_independent() {
-    use sgs_query::exec::answer_turnstile_batch_with_opts;
-    use sgs_query::{L0Mode, PassOpts, Query};
+    use sgs_query::L0Mode;
     use sgs_stream::update::EdgeUpdate;
 
     let g = sgs_graph::gen::gnm(14, 40, 41);
@@ -223,12 +275,17 @@ fn dispatch_feed_is_duplicate_and_cancellation_independent() {
         .chain([Query::EdgeCount, Query::RandomEdge])
         .collect();
     for seed in 0..10u64 {
-        let (oracle, _) =
-            answer_turnstile_batch_with_opts(&batch, &stream, seed, PassOpts::oracle());
+        let (oracle, _) = one_shard_pass(
+            RouterMode::Turnstile,
+            &batch,
+            &stream,
+            seed,
+            PassOpts::oracle(),
+        );
         for block in [0usize, 1, 13, 16, 64] {
             for mode in [L0Mode::Predicated, L0Mode::Dispatch] {
                 let opts = PassOpts::with_block(block).l0(mode);
-                let (got, _) = answer_turnstile_batch_with_opts(&batch, &stream, seed, opts);
+                let (got, _) = one_shard_pass(RouterMode::Turnstile, &batch, &stream, seed, opts);
                 assert_eq!(got, oracle, "seed {seed} block {block} {mode:?}");
             }
         }

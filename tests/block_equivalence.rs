@@ -10,16 +10,64 @@
 //! streams, empty batches — in both stream models, unsharded and at
 //! shard counts 1, 2, 4.
 
-use sgs_core::fgp::{estimate_insertion_on_feed_with_block, estimate_turnstile_on_feed_with_block};
-use sgs_query::exec::{answer_insertion_batch_with_block, answer_turnstile_batch_with_block};
-use sgs_query::sharded::{
-    answer_insertion_batch_sharded_with_block, answer_turnstile_batch_sharded_with_block,
-};
-use sgs_query::{Query, RouterArena};
+use sgs_core::fgp::{estimate, MultiQuerySpec};
+use sgs_query::{answer_batch, Answer, Engine, ExecPolicy, PassOpts, Query, RouterArena};
 use sgs_stream::{EdgeStream, InsertionStream, ShardedFeed, TurnstileStream};
 use subgraph_streams::prelude::*;
 
 const SHARD_SWEEP: [usize; 3] = [1, 2, 4];
+
+/// One serial pass over `stream` partitioned into one shard.
+fn one_shard_pass(
+    model: RouterMode,
+    batch: &[Query],
+    stream: &impl EdgeStream,
+    pass_seed: u64,
+    opts: PassOpts,
+) -> (Vec<Answer>, usize) {
+    let feed = ShardedFeed::partition(stream, 1);
+    let engine = Engine::Sharded(ExecPolicy::serial());
+    answer_batch(
+        model,
+        batch,
+        &feed,
+        pass_seed,
+        &mut RouterArena::new(),
+        opts,
+        engine,
+    )
+}
+
+/// One pass over `feed` on the sharded engine at feed block size `block`.
+fn sharded_pass(
+    model: RouterMode,
+    batch: &[Query],
+    feed: &ShardedFeed,
+    pass_seed: u64,
+    arena: &mut RouterArena,
+    block: usize,
+) -> Vec<Answer> {
+    let (opts, engine) = (
+        PassOpts::with_block(block),
+        Engine::Sharded(ExecPolicy::default()),
+    );
+    answer_batch(model, batch, feed, pass_seed, arena, opts, engine).0
+}
+
+/// A triangle estimate over `feed` on the sharded engine.
+fn triangle_estimate(
+    model: RouterMode,
+    feed: &ShardedFeed,
+    trials: usize,
+    seed: u64,
+    arena: &mut RouterArena,
+    opts: PassOpts,
+) -> CountEstimate {
+    let specs = [MultiQuerySpec::new(Pattern::triangle(), trials, seed)];
+    let engine = Engine::Sharded(ExecPolicy::default());
+    let (mut ests, _) = estimate(&specs, model, feed, arena, opts, engine).unwrap();
+    ests.pop().unwrap()
+}
 
 /// Block sizes chosen so `stream_len % block` hits 0, 1, and awkward
 /// remainders, plus blocks larger than the whole stream.
@@ -53,10 +101,21 @@ fn insertion_blocked_matches_scalar_at_every_block_size() {
     let ins = InsertionStream::from_graph(&g, 18);
     let batch = mixed_batch(true);
     for pass_seed in 0..5u64 {
-        let (scalar, scalar_space) = answer_insertion_batch_with_block(&batch, &ins, pass_seed, 0);
+        let (scalar, scalar_space) = one_shard_pass(
+            RouterMode::Insertion,
+            &batch,
+            &ins,
+            pass_seed,
+            PassOpts::with_block(0),
+        );
         for block in block_sweep(ins.len()) {
-            let (blocked, space) =
-                answer_insertion_batch_with_block(&batch, &ins, pass_seed, block);
+            let (blocked, space) = one_shard_pass(
+                RouterMode::Insertion,
+                &batch,
+                &ins,
+                pass_seed,
+                PassOpts::with_block(block),
+            );
             assert_eq!(blocked, scalar, "block {block}, seed {pass_seed}");
             assert_eq!(space, scalar_space, "block {block} changed measured space");
         }
@@ -69,9 +128,21 @@ fn turnstile_blocked_matches_scalar_at_every_block_size() {
     let tst = TurnstileStream::from_graph_with_churn(&g, 1.0, 20);
     let batch = mixed_batch(false);
     for pass_seed in 0..3u64 {
-        let (scalar, _) = answer_turnstile_batch_with_block(&batch, &tst, pass_seed, 0);
+        let (scalar, _) = one_shard_pass(
+            RouterMode::Turnstile,
+            &batch,
+            &tst,
+            pass_seed,
+            PassOpts::with_block(0),
+        );
         for block in block_sweep(tst.len()) {
-            let (blocked, _) = answer_turnstile_batch_with_block(&batch, &tst, pass_seed, block);
+            let (blocked, _) = one_shard_pass(
+                RouterMode::Turnstile,
+                &batch,
+                &tst,
+                pass_seed,
+                PassOpts::with_block(block),
+            );
             assert_eq!(blocked, scalar, "block {block}, seed {pass_seed}");
         }
     }
@@ -89,19 +160,39 @@ fn sharded_blocked_matches_scalar_across_shards_and_blocks() {
         let tst_feed = ShardedFeed::partition(&tst, shards);
         let mut arena = RouterArena::new();
         for pass_seed in 0..3u64 {
-            let (ins_scalar, _) = answer_insertion_batch_sharded_with_block(
-                &ins_batch, &ins_feed, pass_seed, &mut arena, 0,
+            let ins_scalar = sharded_pass(
+                RouterMode::Insertion,
+                &ins_batch,
+                &ins_feed,
+                pass_seed,
+                &mut arena,
+                0,
             );
-            let (tst_scalar, _) = answer_turnstile_batch_sharded_with_block(
-                &tst_batch, &tst_feed, pass_seed, &mut arena, 0,
+            let tst_scalar = sharded_pass(
+                RouterMode::Turnstile,
+                &tst_batch,
+                &tst_feed,
+                pass_seed,
+                &mut arena,
+                0,
             );
             for block in [3usize, 16, 64, 512] {
-                let (a, _) = answer_insertion_batch_sharded_with_block(
-                    &ins_batch, &ins_feed, pass_seed, &mut arena, block,
+                let a = sharded_pass(
+                    RouterMode::Insertion,
+                    &ins_batch,
+                    &ins_feed,
+                    pass_seed,
+                    &mut arena,
+                    block,
                 );
                 assert_eq!(a, ins_scalar, "insertion {shards} shards block {block}");
-                let (b, _) = answer_turnstile_batch_sharded_with_block(
-                    &tst_batch, &tst_feed, pass_seed, &mut arena, block,
+                let b = sharded_pass(
+                    RouterMode::Turnstile,
+                    &tst_batch,
+                    &tst_feed,
+                    pass_seed,
+                    &mut arena,
+                    block,
                 );
                 assert_eq!(b, tst_scalar, "turnstile {shards} shards block {block}");
             }
@@ -122,20 +213,30 @@ fn single_update_streams_answer_identically() {
         Query::IthNeighbor(VertexId(0), 1),
     ];
     for block in [0usize, 1, 2, 64] {
-        let (a, _) = answer_insertion_batch_with_block(&batch, &ins, 7, block);
+        let (a, _) = one_shard_pass(
+            RouterMode::Insertion,
+            &batch,
+            &ins,
+            7,
+            PassOpts::with_block(block),
+        );
         assert_eq!(a[0], sgs_query::Answer::EdgeCount(1), "block {block}");
         assert_eq!(a[2], sgs_query::Answer::Degree(1), "block {block}");
         assert_eq!(a[4], sgs_query::Answer::Adjacent(true), "block {block}");
-        let (b, _) = answer_insertion_batch_with_block(&batch, &ins, 7, 0);
+        let (b, _) = one_shard_pass(
+            RouterMode::Insertion,
+            &batch,
+            &ins,
+            7,
+            PassOpts::with_block(0),
+        );
         assert_eq!(a, b, "block {block}");
     }
     for &shards in &SHARD_SWEEP {
         let feed = ShardedFeed::partition(&ins, shards);
         let mut arena = RouterArena::new();
-        let (scalar, _) =
-            answer_insertion_batch_sharded_with_block(&batch, &feed, 7, &mut arena, 0);
-        let (blocked, _) =
-            answer_insertion_batch_sharded_with_block(&batch, &feed, 7, &mut arena, 64);
+        let scalar = sharded_pass(RouterMode::Insertion, &batch, &feed, 7, &mut arena, 0);
+        let blocked = sharded_pass(RouterMode::Insertion, &batch, &feed, 7, &mut arena, 64);
         assert_eq!(blocked, scalar, "{shards} shards");
     }
 }
@@ -145,17 +246,41 @@ fn empty_streams_and_empty_batches_are_handled() {
     let ins = InsertionStream::from_edge_order(4, vec![]);
     let batch = mixed_batch(true);
     for block in [0usize, 1, 16] {
-        let (a, _) = answer_insertion_batch_with_block(&batch, &ins, 3, block);
-        let (b, _) = answer_insertion_batch_with_block(&batch, &ins, 3, 0);
+        let (a, _) = one_shard_pass(
+            RouterMode::Insertion,
+            &batch,
+            &ins,
+            3,
+            PassOpts::with_block(block),
+        );
+        let (b, _) = one_shard_pass(
+            RouterMode::Insertion,
+            &batch,
+            &ins,
+            3,
+            PassOpts::with_block(0),
+        );
         assert_eq!(a, b, "empty stream, block {block}");
         // Empty batch: nothing to answer, nothing to panic over.
-        let (empty, _) = answer_insertion_batch_with_block(&[], &ins, 3, block);
+        let (empty, _) = one_shard_pass(
+            RouterMode::Insertion,
+            &[],
+            &ins,
+            3,
+            PassOpts::with_block(block),
+        );
         assert!(empty.is_empty());
     }
     let g = sgs_graph::gen::gnm(10, 20, 5);
     let tst = TurnstileStream::from_graph_with_churn(&g, 0.5, 6);
     for block in [0usize, 16] {
-        let (empty, _) = answer_turnstile_batch_with_block(&[], &tst, 3, block);
+        let (empty, _) = one_shard_pass(
+            RouterMode::Turnstile,
+            &[],
+            &tst,
+            3,
+            PassOpts::with_block(block),
+        );
         assert!(empty.is_empty(), "block {block}");
     }
 }
@@ -175,28 +300,21 @@ fn estimates_are_bit_identical_across_block_sizes_and_shards() {
         let tst_feed = ShardedFeed::partition(&tst, shards);
         for block in [0usize, 5, 128] {
             let mut arena = RouterArena::new();
-            let est = estimate_insertion_on_feed_with_block(
-                &Pattern::triangle(),
+            let opts = PassOpts::with_block(block);
+            let est = triangle_estimate(
+                RouterMode::Insertion,
                 &ins_feed,
                 3_000,
                 34,
                 &mut arena,
-                block,
-            )
-            .unwrap();
+                opts,
+            );
             let (hits, estimate) = *reference.get_or_insert((est.hits, est.estimate));
             assert_eq!(est.hits, hits, "{shards} shards, block {block}");
             assert_eq!(est.estimate, estimate, "{shards} shards, block {block}");
             assert_eq!(est.report.passes, 3);
-            let tst_est = estimate_turnstile_on_feed_with_block(
-                &Pattern::triangle(),
-                &tst_feed,
-                600,
-                35,
-                &mut arena,
-                block,
-            )
-            .unwrap();
+            let tst_est =
+                triangle_estimate(RouterMode::Turnstile, &tst_feed, 600, 35, &mut arena, opts);
             let (th, te) = *tst_reference.get_or_insert((tst_est.hits, tst_est.estimate));
             assert_eq!(tst_est.hits, th, "turnstile {shards} shards, block {block}");
             assert_eq!(
@@ -219,19 +337,24 @@ fn estimates_are_bit_identical_across_block_sizes_and_shards() {
 /// oracle — answers and measured space alike.
 #[test]
 fn turnstile_dispatch_matches_predicated_at_block_remainders_1_to_17() {
-    use sgs_query::exec::answer_turnstile_batch_with_opts;
-    use sgs_query::{L0Mode, PassOpts};
+    use sgs_query::L0Mode;
     let g = sgs_graph::gen::gnm(22, 83, 37);
     let tst = TurnstileStream::from_graph_with_churn(&g, 1.0, 38);
     let batch = mixed_batch(false);
     for pass_seed in 0..3u64 {
-        let (oracle, _) =
-            answer_turnstile_batch_with_opts(&batch, &tst, pass_seed, PassOpts::oracle());
+        let (oracle, _) = one_shard_pass(
+            RouterMode::Turnstile,
+            &batch,
+            &tst,
+            pass_seed,
+            PassOpts::oracle(),
+        );
         for block in 1usize..=17 {
             let mut space_at_block = None;
             for mode in [L0Mode::Predicated, L0Mode::Dispatch] {
                 let opts = PassOpts::with_block(block).l0(mode);
-                let (got, space) = answer_turnstile_batch_with_opts(&batch, &tst, pass_seed, opts);
+                let (got, space) =
+                    one_shard_pass(RouterMode::Turnstile, &batch, &tst, pass_seed, opts);
                 assert_eq!(got, oracle, "block {block} {mode:?} seed {pass_seed}");
                 // The ℓ₀ mode never changes measured space — the cohort
                 // scratch is part of the bank either way.
@@ -247,8 +370,7 @@ fn turnstile_dispatch_matches_predicated_at_block_remainders_1_to_17() {
 /// scalar and blocked.
 #[test]
 fn turnstile_estimates_bit_identical_across_l0_modes() {
-    use sgs_core::fgp::estimate_turnstile_on_feed_with_opts;
-    use sgs_query::{L0Mode, PassOpts};
+    use sgs_query::L0Mode;
     let g = sgs_graph::gen::gnm(30, 140, 31);
     let tst = TurnstileStream::from_graph_with_churn(&g, 0.5, 33);
     let mut reference = None;
@@ -257,15 +379,9 @@ fn turnstile_estimates_bit_identical_across_l0_modes() {
         for block in [0usize, 5, 128] {
             for mode in [L0Mode::Predicated, L0Mode::Dispatch] {
                 let mut arena = RouterArena::new();
-                let est = estimate_turnstile_on_feed_with_opts(
-                    &Pattern::triangle(),
-                    &feed,
-                    600,
-                    35,
-                    &mut arena,
-                    PassOpts::with_block(block).l0(mode),
-                )
-                .unwrap();
+                let opts = PassOpts::with_block(block).l0(mode);
+                let est =
+                    triangle_estimate(RouterMode::Turnstile, &feed, 600, 35, &mut arena, opts);
                 let (hits, estimate) = *reference.get_or_insert((est.hits, est.estimate));
                 assert_eq!(est.hits, hits, "{shards} shards block {block} {mode:?}");
                 assert_eq!(

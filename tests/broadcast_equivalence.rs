@@ -25,18 +25,13 @@
 
 use sgs_core::baselines::exact_stream::count_exact;
 use sgs_core::baselines::triest::estimate_triest;
-use sgs_core::fgp::{
-    estimate_insertion_broadcast_with_opts, estimate_turnstile_broadcast_with_opts, triest_seed,
-    ConsumerSet,
-};
+use sgs_core::fgp::{estimate, estimate_broadcast, triest_seed, ConsumerSet, MultiQuerySpec};
 use sgs_core::{SamplerMode, SamplerPlan, SubgraphSampler};
-use sgs_query::broadcast::{
-    run_insertion_broadcast_with_opts, run_turnstile_broadcast_with_opts, BroadcastOpts,
-};
-use sgs_query::exec::run_insertion_with_opts;
 use sgs_query::reference::run_insertion_reference;
-use sgs_query::sharded::run_turnstile_sharded_with_block;
-use sgs_query::{ExecPolicy, Parallel, PassOpts, ReservoirMode, RouterArena};
+use sgs_query::{
+    BroadcastOpts, Engine, ExecPolicy, Parallel, PassOpts, QuerySet, ReservoirMode, RouterArena,
+    ShardRuntime,
+};
 use sgs_stream::hash::split_seed;
 use sgs_stream::sharded::shard_of_vertex;
 use sgs_stream::{InsertionStream, ShardMap, ShardedFeed, TurnstileStream};
@@ -45,6 +40,34 @@ use subgraph_streams::prelude::*;
 const SHARD_SWEEP: [usize; 3] = [1, 2, 4];
 /// Feed-path block sizes: scalar, an odd remainder-heavy size, default.
 const BLOCK_SWEEP: [usize; 3] = [0, 17, 128];
+
+/// A one-job run over `feed` on `engine`.
+fn run_on<A: RoundAdaptive>(
+    model: RouterMode,
+    alg: A,
+    feed: &ShardedFeed,
+    seed: u64,
+    arena: &mut RouterArena,
+    opts: PassOpts,
+    engine: Engine<'_, '_>,
+) -> (A::Output, ExecReport) {
+    QuerySet::solo(alg, seed, opts.reservoir)
+        .run(model, feed, arena, opts, engine)
+        .into_solo()
+}
+
+/// The scoped ring with `bcast` and no side sinks.
+fn ring(bcast: BroadcastOpts) -> Engine<'static, 'static> {
+    Engine::Ring(bcast, &mut [])
+}
+
+/// `rt`'s persistent workers when given, else the scoped ring.
+fn ring_or_runtime(rt: Option<&mut ShardRuntime>, bcast: BroadcastOpts) -> Engine<'_, 'static> {
+    match rt {
+        Some(rt) => Engine::Runtime(rt, bcast),
+        None => ring(bcast),
+    }
+}
 
 fn bank(
     pattern: &Pattern,
@@ -89,26 +112,39 @@ fn broadcast_insertion_matches_single_stream_all_modes_and_blocks() {
             for &block in &BLOCK_SWEEP {
                 let opts = PassOpts::with_block(block).reservoir(mode);
                 let sampler = SamplerMode::Relaxed; // exercises reservoirs
-                let (want, want_rep) =
-                    run_insertion_with_opts(bank(&pattern, sampler, trials, 5), &ins, 0xb0, opts);
+                let (want, want_rep) = run_on(
+                    RouterMode::Insertion,
+                    bank(&pattern, sampler, trials, 5),
+                    &ShardedFeed::partition(&ins, 1),
+                    0xb0,
+                    &mut RouterArena::new(),
+                    opts,
+                    Engine::Sharded(ExecPolicy::default()),
+                );
                 for &shards in &SHARD_SWEEP {
-                    let feed = ShardedFeed::partition(&ins, shards);
-                    let mut arena = RouterArena::new();
-                    let (got, got_rep) = run_insertion_broadcast_with_opts(
-                        bank(&pattern, sampler, trials, 5),
-                        &feed,
-                        0xb0,
-                        &mut arena,
-                        opts,
-                        BroadcastOpts::default(),
-                        &mut [],
-                    );
-                    assert_eq!(
-                        got, want,
-                        "{pattern:?}, {mode:?}, block {block}, {shards} shards"
-                    );
-                    assert_eq!(got_rep.passes, want_rep.passes);
-                    assert_eq!(feed.logical_passes() as usize, got_rep.passes);
+                    let mut rt = ShardRuntime::new(shards, ExecPolicy::threaded());
+                    for persistent in [false, true] {
+                        let feed = ShardedFeed::partition(&ins, shards);
+                        let mut arena = RouterArena::new();
+                        let (got, got_rep) = run_on(
+                            RouterMode::Insertion,
+                            bank(&pattern, sampler, trials, 5),
+                            &feed,
+                            0xb0,
+                            &mut arena,
+                            opts,
+                            ring_or_runtime(
+                                persistent.then_some(&mut rt),
+                                BroadcastOpts::default(),
+                            ),
+                        );
+                        assert_eq!(
+                            got, want,
+                            "{pattern:?}, {mode:?}, block {block}, {shards} shards"
+                        );
+                        assert_eq!(got_rep.passes, want_rep.passes);
+                        assert_eq!(feed.logical_passes() as usize, got_rep.passes);
+                    }
                 }
             }
         }
@@ -129,14 +165,14 @@ fn broadcast_offer_mode_matches_frozen_reference() {
     for &shards in &SHARD_SWEEP {
         let feed = ShardedFeed::partition(&ins, shards);
         let mut arena = RouterArena::new();
-        let (got, _) = run_insertion_broadcast_with_opts(
+        let (got, _) = run_on(
+            RouterMode::Insertion,
             bank(&Pattern::triangle(), SamplerMode::Indexed, 300, 7),
             &feed,
             0xf0,
             &mut arena,
             PassOpts::oracle(),
-            BroadcastOpts::default(),
-            &mut [],
+            ring(BroadcastOpts::default()),
         );
         assert_eq!(got, want, "{shards} shards vs frozen reference");
     }
@@ -149,29 +185,34 @@ fn broadcast_turnstile_matches_single_stream_all_blocks() {
     for (pattern, trials) in [(Pattern::triangle(), 120), (Pattern::cycle(5), 80)] {
         for &block in &BLOCK_SWEEP {
             // Single-stream counterpart: the one-shard sharded driver
-            // (== `run_turnstile` at the default block).
+            // (== `run_on_stream` at the default block).
             let single_feed = ShardedFeed::partition(&tst, 1);
             let mut single_arena = RouterArena::new();
-            let (want, _) = run_turnstile_sharded_with_block(
+            let (want, _) = run_on(
+                RouterMode::Turnstile,
                 bank(&pattern, SamplerMode::Relaxed, trials, 3),
                 &single_feed,
                 0x71,
                 &mut single_arena,
-                block,
+                PassOpts::with_block(block),
+                Engine::Sharded(ExecPolicy::default()),
             );
             for &shards in &SHARD_SWEEP {
                 let feed = ShardedFeed::partition(&tst, shards);
                 let mut arena = RouterArena::new();
-                let (got, _) = run_turnstile_broadcast_with_opts(
-                    bank(&pattern, SamplerMode::Relaxed, trials, 3),
-                    &feed,
-                    0x71,
-                    &mut arena,
-                    PassOpts::with_block(block),
-                    BroadcastOpts::default(),
-                    &mut [],
-                );
-                assert_eq!(got, want, "{pattern:?}, block {block}, {shards} shards");
+                let mut rt = ShardRuntime::new(shards, ExecPolicy::threaded());
+                for persistent in [false, true] {
+                    let (got, _) = run_on(
+                        RouterMode::Turnstile,
+                        bank(&pattern, SamplerMode::Relaxed, trials, 3),
+                        &feed,
+                        0x71,
+                        &mut arena,
+                        PassOpts::with_block(block),
+                        ring_or_runtime(persistent.then_some(&mut rt), BroadcastOpts::default()),
+                    );
+                    assert_eq!(got, want, "{pattern:?}, block {block}, {shards} shards");
+                }
             }
         }
     }
@@ -187,28 +228,28 @@ fn ring_geometry_never_changes_answers() {
     let feed = ShardedFeed::partition(&ins, 3);
     let mut arena = RouterArena::new();
     let mk = || bank(&Pattern::triangle(), SamplerMode::Relaxed, 200, 11);
-    let (want, _) = run_insertion_broadcast_with_opts(
+    let (want, _) = run_on(
+        RouterMode::Insertion,
         mk(),
         &feed,
         0xaa,
         &mut arena,
         PassOpts::default(),
-        BroadcastOpts::default(),
-        &mut [],
+        ring(BroadcastOpts::default()),
     );
     for (capacity, block) in [(1usize, 3usize), (2, 1), (4, 1000), (1, 256)] {
-        let (got, _) = run_insertion_broadcast_with_opts(
+        let (got, _) = run_on(
+            RouterMode::Insertion,
             mk(),
             &feed,
             0xaa,
             &mut arena,
             PassOpts::default(),
-            BroadcastOpts {
+            ring(BroadcastOpts {
                 ring_capacity: capacity,
                 ring_block: block,
                 ..BroadcastOpts::default()
-            },
-            &mut [],
+            }),
         );
         assert_eq!(got, want, "ring capacity {capacity}, block {block}");
     }
@@ -232,19 +273,23 @@ fn insertion_bundle_consumers_match_their_private_counterparts() {
             for &shards in &SHARD_SWEEP {
                 let feed = ShardedFeed::partition(&ins, shards);
                 let mut arena = RouterArena::new();
-                let bundle = estimate_insertion_broadcast_with_opts(
-                    &Pattern::triangle(),
+                let spec = MultiQuerySpec {
+                    sampler: SamplerMode::Relaxed,
+                    reservoir: mode,
+                    ..MultiQuerySpec::new(Pattern::triangle(), 800, 91)
+                };
+                let bundle = estimate_broadcast(
+                    &spec,
+                    RouterMode::Insertion,
                     &feed,
-                    800,
-                    91,
                     &mut arena,
                     opts,
-                    SamplerMode::Relaxed,
                     ConsumerSet {
                         triest_capacity: Some(64),
                         exact: true,
                         extra_raw: 2,
                     },
+                    BroadcastOpts::default(),
                 )
                 .unwrap();
                 let tag = format!("{mode:?}, block {block}, {shards} shards");
@@ -263,16 +308,20 @@ fn insertion_bundle_consumers_match_their_private_counterparts() {
                 assert_eq!(bundle.raw_updates, ins.len() as u64, "{tag}");
                 assert_eq!(bundle.extra_raw, vec![ins.len() as u64; 2], "{tag}");
                 // And the estimator itself is unchanged by the riders.
-                let single = sgs_core::fgp::estimate_insertion_threaded_with_opts(
-                    &Pattern::triangle(),
-                    &ins,
-                    800,
-                    1,
-                    91,
+                let single_feed = ShardedFeed::partition(&ins, 1);
+                let engine = Engine::Sharded(ExecPolicy::default());
+                let model = RouterMode::Insertion;
+                let mut single_arena = RouterArena::new();
+                let (ests, _) = estimate(
+                    std::slice::from_ref(&spec),
+                    model,
+                    &single_feed,
+                    &mut single_arena,
                     opts,
-                    SamplerMode::Relaxed,
+                    engine,
                 )
                 .unwrap();
+                let single = &ests[0];
                 assert_eq!(bundle.estimate.hits, single.hits, "{tag}");
                 assert_eq!(bundle.estimate.estimate, single.estimate, "{tag}");
             }
@@ -286,19 +335,21 @@ fn turnstile_bundle_consumers_match_their_private_counterparts() {
     let tst = TurnstileStream::from_graph_with_churn(&g, 1.0, 462);
     let exact_direct = sgs_graph::exact::count_pattern_auto(&g, &Pattern::triangle());
     assert_eq!(count_exact(&Pattern::triangle(), &tst).count, exact_direct);
-    let single = sgs_core::fgp::estimate_turnstile(&Pattern::triangle(), &tst, 300, 93).unwrap();
+    let single =
+        sgs_core::fgp::estimate_stream(&Pattern::triangle(), RouterMode::Turnstile, &tst, 300, 93)
+            .unwrap();
     for &block in &[0usize, 128] {
         for &shards in &SHARD_SWEEP {
             let feed = ShardedFeed::partition(&tst, shards);
             let mut arena = RouterArena::new();
-            let bundle = estimate_turnstile_broadcast_with_opts(
-                &Pattern::triangle(),
+            let bundle = estimate_broadcast(
+                &MultiQuerySpec::new(Pattern::triangle(), 300, 93),
+                RouterMode::Turnstile,
                 &feed,
-                300,
-                93,
                 &mut arena,
                 PassOpts::with_block(block),
                 ConsumerSet::default(),
+                BroadcastOpts::default(),
             )
             .unwrap();
             let tag = format!("block {block}, {shards} shards");
@@ -328,46 +379,52 @@ fn placement_and_policy_never_change_broadcast_answers() {
     let map = ShardMap::balanced(shards, &uniform_ins.vertex_delivery_counts(), 8);
     assert!(!map.is_uniform(), "hub workload must produce overrides");
     let mut arena = RouterArena::new();
-    let (want_i, _) = run_insertion_broadcast_with_opts(
+    let (want_i, _) = run_on(
+        RouterMode::Insertion,
         bank(&Pattern::triangle(), SamplerMode::Relaxed, 200, 17),
         &uniform_ins,
         0x71,
         &mut arena,
         PassOpts::default(),
-        BroadcastOpts::default(),
-        &mut [],
+        ring(BroadcastOpts::default()),
     );
-    let (want_t, _) = run_turnstile_broadcast_with_opts(
+    let (want_t, _) = run_on(
+        RouterMode::Turnstile,
         bank(&Pattern::triangle(), SamplerMode::Relaxed, 150, 18),
         &uniform_tst,
         0x72,
         &mut arena,
         PassOpts::with_block(64),
-        BroadcastOpts::default(),
-        &mut [],
+        ring(BroadcastOpts::default()),
     );
     let placed_ins = ShardedFeed::partition_with_map(&ins, map.clone());
     let placed_tst = ShardedFeed::partition_with_map(&tst, map);
+    // Each policy on the scoped ring and on persistent workers (one pool
+    // serving every run).
+    let mut rt = ShardRuntime::new(shards, ExecPolicy::threaded());
     for policy in [ExecPolicy::serial(), ExecPolicy::threaded()] {
-        let (got, _) = run_insertion_broadcast_with_opts(
-            bank(&Pattern::triangle(), SamplerMode::Relaxed, 200, 17),
-            &placed_ins,
-            0x71,
-            &mut arena,
-            PassOpts::default(),
-            BroadcastOpts::with_policy(policy),
-            &mut [],
-        );
-        assert_eq!(got, want_i, "insertion, {policy:?}");
-        let (got, _) = run_turnstile_broadcast_with_opts(
-            bank(&Pattern::triangle(), SamplerMode::Relaxed, 150, 18),
-            &placed_tst,
-            0x72,
-            &mut arena,
-            PassOpts::with_block(64),
-            BroadcastOpts::with_policy(policy),
-            &mut [],
-        );
-        assert_eq!(got, want_t, "turnstile, {policy:?}");
+        let bcast = BroadcastOpts::with_policy(policy);
+        for persistent in [false, true] {
+            let (got, _) = run_on(
+                RouterMode::Insertion,
+                bank(&Pattern::triangle(), SamplerMode::Relaxed, 200, 17),
+                &placed_ins,
+                0x71,
+                &mut arena,
+                PassOpts::default(),
+                ring_or_runtime(persistent.then_some(&mut rt), bcast),
+            );
+            assert_eq!(got, want_i, "insertion, {policy:?}");
+            let (got, _) = run_on(
+                RouterMode::Turnstile,
+                bank(&Pattern::triangle(), SamplerMode::Relaxed, 150, 18),
+                &placed_tst,
+                0x72,
+                &mut arena,
+                PassOpts::with_block(64),
+                ring_or_runtime(persistent.then_some(&mut rt), bcast),
+            );
+            assert_eq!(got, want_t, "turnstile, {policy:?}");
+        }
     }
 }

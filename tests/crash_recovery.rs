@@ -15,11 +15,8 @@
 //! rot) and a version-bumped or bit-flipped snapshot must produce clean
 //! structured errors — never a panic, never a silently wrong answer.
 
-use sgs_core::fgp::{
-    estimate_insertion_checkpointed, estimate_insertion_on_feed_with_opts,
-    estimate_turnstile_checkpointed, estimate_turnstile_on_feed_with_block,
-};
-use sgs_query::{CheckpointSession, PassOpts, RouterArena};
+use sgs_core::fgp::{estimate, estimate_checkpointed, MultiQuerySpec};
+use sgs_query::{CheckpointSession, Engine, ExecPolicy, PassOpts, RouterArena};
 use sgs_stream::persist::PersistError;
 use sgs_stream::reservoir::ReservoirMode;
 use sgs_stream::{ShardMap, ShardedFeed};
@@ -50,6 +47,31 @@ impl Cfg {
             _ => ReservoirMode::Skip,
         })
     }
+
+    fn model(self) -> RouterMode {
+        match self {
+            Cfg::Turnstile => RouterMode::Turnstile,
+            _ => RouterMode::Insertion,
+        }
+    }
+
+    /// The triangle estimate every run of this configuration makes.
+    fn spec(self) -> MultiQuerySpec {
+        MultiQuerySpec {
+            reservoir: self.opts().reservoir,
+            ..MultiQuerySpec::new(Pattern::triangle(), self.trials(), SEED)
+        }
+    }
+
+    /// The same estimate without checkpoints.
+    fn plain(self, feed: &ShardedFeed) -> CountEstimate {
+        let mut arena = RouterArena::new();
+        let engine = Engine::Sharded(ExecPolicy::default());
+        let specs = [self.spec()];
+        let (mut ests, _) =
+            estimate(&specs, self.model(), feed, &mut arena, self.opts(), engine).unwrap();
+        ests.pop().unwrap()
+    }
 }
 
 fn feed_for(cfg: Cfg, shards: usize) -> ShardedFeed {
@@ -70,27 +92,14 @@ fn feed_for(cfg: Cfg, shards: usize) -> ShardedFeed {
 /// simulated crash point fired.
 fn drive(cfg: Cfg, feed: &ShardedFeed, session: &mut CheckpointSession) -> Option<CountEstimate> {
     let mut arena = RouterArena::new();
-    match cfg {
-        Cfg::Turnstile => estimate_turnstile_checkpointed(
-            &Pattern::triangle(),
-            feed,
-            cfg.trials(),
-            SEED,
-            &mut arena,
-            cfg.opts(),
-            session,
-        ),
-        _ => estimate_insertion_checkpointed(
-            &Pattern::triangle(),
-            feed,
-            cfg.trials(),
-            SEED,
-            &mut arena,
-            cfg.opts(),
-            SamplerMode::Indexed,
-            session,
-        ),
-    }
+    estimate_checkpointed(
+        &cfg.spec(),
+        cfg.model(),
+        feed,
+        &mut arena,
+        cfg.opts(),
+        session,
+    )
     .expect("checkpointed run must not error")
 }
 
@@ -170,17 +179,7 @@ fn checkpointed_baseline_matches_plain_executors() {
         let mut session = CheckpointSession::create(&dir, &feed, SNAP_EVERY, CHUNK).unwrap();
         let ckpt = drive(Cfg::InsertionSkip, &feed, &mut session).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
-        let mut arena = RouterArena::new();
-        let plain = estimate_insertion_on_feed_with_opts(
-            &Pattern::triangle(),
-            &feed,
-            Cfg::InsertionSkip.trials(),
-            SEED,
-            &mut arena,
-            Cfg::InsertionSkip.opts(),
-            SamplerMode::Indexed,
-        )
-        .unwrap();
+        let plain = Cfg::InsertionSkip.plain(&feed);
         assert_eq!(ckpt.estimate.to_bits(), plain.estimate.to_bits());
         assert_eq!(ckpt.hits, plain.hits);
         assert_eq!(ckpt.m, plain.m);
@@ -191,16 +190,7 @@ fn checkpointed_baseline_matches_plain_executors() {
         let mut session = CheckpointSession::create(&dir, &feed, SNAP_EVERY, CHUNK).unwrap();
         let ckpt = drive(Cfg::Turnstile, &feed, &mut session).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
-        let mut arena = RouterArena::new();
-        let plain = estimate_turnstile_on_feed_with_block(
-            &Pattern::triangle(),
-            &feed,
-            Cfg::Turnstile.trials(),
-            SEED,
-            &mut arena,
-            Cfg::Turnstile.opts().block,
-        )
-        .unwrap();
+        let plain = Cfg::Turnstile.plain(&feed);
         assert_eq!(ckpt.estimate.to_bits(), plain.estimate.to_bits());
         assert_eq!(ckpt.hits, plain.hits);
         assert_eq!(ckpt.m, plain.m);

@@ -9,7 +9,14 @@ fn fgp_triangle_insertion_end_to_end() {
     let exact = sgs_graph::exact::triangles::count_triangles(&g);
     assert!(exact > 100);
     let stream = InsertionStream::from_graph(&g, 2);
-    let est = estimate_insertion(&Pattern::triangle(), &stream, 30_000, 3).unwrap();
+    let est = estimate_stream(
+        &Pattern::triangle(),
+        RouterMode::Insertion,
+        &stream,
+        30_000,
+        3,
+    )
+    .unwrap();
     assert_eq!(est.report.passes, 3);
     assert_eq!(est.m, 400);
     assert!(
@@ -26,7 +33,14 @@ fn fgp_turnstile_matches_final_graph_despite_churn() {
     assert!(exact > 20);
     let stream = TurnstileStream::from_graph_with_churn(&g, 2.0, 5);
     assert!(stream.deletion_fraction() > 0.3);
-    let est = estimate_turnstile(&Pattern::triangle(), &stream, 15_000, 6).unwrap();
+    let est = estimate_stream(
+        &Pattern::triangle(),
+        RouterMode::Turnstile,
+        &stream,
+        15_000,
+        6,
+    )
+    .unwrap();
     assert!(est.report.passes <= 3);
     assert!(
         est.relative_error(exact) < 0.35,
@@ -46,7 +60,7 @@ fn fgp_handles_pattern_zoo() {
     ] {
         let exact = sgs_graph::exact::count_pattern_auto(&g, &pattern);
         assert!(exact > 0, "{pattern:?} absent from workload");
-        let est = estimate_insertion(&pattern, &stream, trials, 9).unwrap();
+        let est = estimate_stream(&pattern, RouterMode::Insertion, &stream, trials, 9).unwrap();
         assert!(est.report.passes <= 3);
         assert!(
             est.relative_error(exact) < tol,
@@ -82,7 +96,14 @@ fn oracle_and_stream_estimates_agree_statistically() {
     let exact = sgs_graph::exact::triangles::count_triangles(&g) as f64;
     let stream = InsertionStream::from_graph(&g, 14);
     let oracle_est = sgs_core::fgp::estimate_oracle(&Pattern::triangle(), &g, 25_000, 15).unwrap();
-    let stream_est = estimate_insertion(&Pattern::triangle(), &stream, 25_000, 16).unwrap();
+    let stream_est = estimate_stream(
+        &Pattern::triangle(),
+        RouterMode::Insertion,
+        &stream,
+        25_000,
+        16,
+    )
+    .unwrap();
     let a = oracle_est.estimate / exact;
     let b = stream_est.estimate / exact;
     assert!((a - b).abs() < 0.25, "oracle {a:.3} vs stream {b:.3}");
@@ -110,9 +131,9 @@ fn pass_counts_match_paper_claims() {
     let ins = InsertionStream::from_graph(&g, 21);
 
     // FGP: 3 passes for cycle-bearing patterns, 2 for star-only.
-    let tri = estimate_insertion(&Pattern::triangle(), &ins, 100, 22).unwrap();
+    let tri = estimate_stream(&Pattern::triangle(), RouterMode::Insertion, &ins, 100, 22).unwrap();
     assert_eq!(tri.report.passes, 3);
-    let star = estimate_insertion(&Pattern::star(3), &ins, 100, 23).unwrap();
+    let star = estimate_stream(&Pattern::star(3), RouterMode::Insertion, &ins, 100, 23).unwrap();
     assert_eq!(star.report.passes, 2);
 
     // ERS for r: <= 5r passes (Theorem 2), and our construction uses
@@ -139,7 +160,7 @@ fn pass_counts_match_paper_claims() {
 #[test]
 fn sampled_copies_are_always_real_subgraphs() {
     use sgs_core::{SamplerMode, SamplerPlan, SubgraphSampler};
-    use sgs_query::exec::run_insertion;
+    use sgs_query::exec::run_on_stream;
     // Small and dense so the K4 hit probability #K4/(2m)^2 is large
     // enough to observe within the trial budget.
     let g = sgs_graph::gen::plant_pattern(
@@ -153,7 +174,7 @@ fn sampled_copies_are_always_real_subgraphs() {
     let mut found = 0;
     for t in 0..10_000u64 {
         let s = SubgraphSampler::new(plan.clone(), SamplerMode::Indexed, t);
-        let (out, _) = run_insertion(s, &stream, 5000 + t);
+        let (out, _) = run_on_stream(RouterMode::Insertion, s, &stream, 5000 + t);
         if let Some(c) = out.copy {
             found += 1;
             assert_eq!(c.vertices.len(), 4);

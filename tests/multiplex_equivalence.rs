@@ -14,17 +14,28 @@
 //! counters match solo exactly, and the ring engine reproduces the
 //! sharded engine.
 
-use sgs_core::fgp::{
-    estimate_insertion_on_feed_with_exec, estimate_multi_insertion,
-    estimate_multi_insertion_broadcast, estimate_multi_turnstile,
-    estimate_turnstile_on_feed_with_exec,
-};
+use sgs_core::fgp::estimate;
 use sgs_core::{MultiQuerySpec, SamplerMode};
-use sgs_query::{BroadcastOpts, ExecPolicy, PassOpts, ReservoirMode, RouterArena};
+use sgs_query::{BroadcastOpts, Engine, ExecPolicy, PassOpts, ReservoirMode, RouterArena};
 use sgs_stream::{InsertionStream, ShardedFeed, TurnstileStream};
 use subgraph_streams::prelude::*;
 
 const SHARD_SWEEP: [usize; 3] = [1, 2, 4];
+
+/// `spec` alone over `feed`: its solo run on the sharded engine.
+fn solo(
+    spec: &MultiQuerySpec,
+    model: RouterMode,
+    feed: &ShardedFeed,
+    opts: PassOpts,
+    policy: ExecPolicy,
+) -> CountEstimate {
+    let specs = std::slice::from_ref(spec);
+    let engine = Engine::Sharded(policy);
+    let (mut ests, _) =
+        estimate(specs, model, feed, &mut RouterArena::new(), opts, engine).unwrap();
+    ests.pop().unwrap()
+}
 
 /// A mixed admission batch: two patterns, different trial counts, seeds,
 /// sampler modes, and both reservoir acceptance schemes.
@@ -77,30 +88,27 @@ fn insertion_mux_matches_solo_across_shards_and_blocks() {
         let feed = ShardedFeed::partition(&ins, shards);
         for &block in &[0usize, 128] {
             let mut arena = RouterArena::new();
-            let (ests, admission) = estimate_multi_insertion(
+            let (ests, admission) = estimate(
                 &specs,
+                RouterMode::Insertion,
                 &feed,
                 &mut arena,
                 PassOpts::with_block(block),
-                ExecPolicy::serial(),
+                Engine::Sharded(ExecPolicy::serial()),
             )
             .unwrap();
             // Every sampler is 3-round: 4 jobs share exactly 3 passes.
             assert_eq!(admission.rounds.len(), 3, "{shards} shards, block {block}");
             assert_eq!(feed.logical_passes() % 3, 0);
             for (j, spec) in specs.iter().enumerate() {
-                let mut solo_arena = RouterArena::new();
-                let solo = estimate_insertion_on_feed_with_exec(
-                    &spec.pattern,
+                let opts = PassOpts::with_block(block);
+                let solo = solo(
+                    spec,
+                    RouterMode::Insertion,
                     &feed,
-                    spec.trials,
-                    spec.seed,
-                    &mut solo_arena,
-                    PassOpts::with_block(block).reservoir(spec.reservoir),
-                    spec.sampler,
+                    opts,
                     ExecPolicy::serial(),
-                )
-                .unwrap();
+                );
                 let ctx = format!("job {j}, {shards} shards, block {block}");
                 assert_estimates_equal(&ests[j], &solo, &ctx);
                 assert_eq!(ests[j].report.passes, solo.report.passes, "{ctx}");
@@ -120,27 +128,25 @@ fn turnstile_mux_matches_solo_across_shards_and_blocks() {
         let feed = ShardedFeed::partition(&tst, shards);
         for &block in &[0usize, 128] {
             let mut arena = RouterArena::new();
-            let (ests, admission) = estimate_multi_turnstile(
+            let (ests, admission) = estimate(
                 &specs,
+                RouterMode::Turnstile,
                 &feed,
                 &mut arena,
                 PassOpts::with_block(block),
-                ExecPolicy::serial(),
+                Engine::Sharded(ExecPolicy::serial()),
             )
             .unwrap();
             assert_eq!(admission.rounds.len(), 3);
             for (j, spec) in specs.iter().enumerate() {
-                let mut solo_arena = RouterArena::new();
-                let solo = estimate_turnstile_on_feed_with_exec(
-                    &spec.pattern,
+                let opts = PassOpts::with_block(block);
+                let solo = solo(
+                    spec,
+                    RouterMode::Turnstile,
                     &feed,
-                    spec.trials,
-                    spec.seed,
-                    &mut solo_arena,
-                    PassOpts::with_block(block),
+                    opts,
                     ExecPolicy::serial(),
-                )
-                .unwrap();
+                );
                 let ctx = format!("job {j}, {shards} shards, block {block}");
                 assert_estimates_equal(&ests[j], &solo, &ctx);
             }
@@ -155,21 +161,23 @@ fn threaded_policy_is_byte_identical_to_serial() {
     let feed = ShardedFeed::partition(&ins, 4);
     let specs = mixed_specs();
     let mut arena = RouterArena::new();
-    let (serial, _) = estimate_multi_insertion(
+    let (serial, _) = estimate(
         &specs,
+        RouterMode::Insertion,
         &feed,
         &mut arena,
         PassOpts::with_block(128),
-        ExecPolicy::serial(),
+        Engine::Sharded(ExecPolicy::serial()),
     )
     .unwrap();
     let mut arena2 = RouterArena::new();
-    let (threaded, _) = estimate_multi_insertion(
+    let (threaded, _) = estimate(
         &specs,
+        RouterMode::Insertion,
         &feed,
         &mut arena2,
         PassOpts::with_block(128),
-        ExecPolicy::threaded(),
+        Engine::Sharded(ExecPolicy::threaded()),
     )
     .unwrap();
     for (j, (a, b)) in serial.iter().zip(&threaded).enumerate() {
@@ -216,29 +224,25 @@ fn threaded_policy_is_byte_identical_to_serial_on_turnstile_banks() {
             2 * spec.trials * min_owned >= 2 * 65_536,
             "{shards} shards: round-1 sweeps too small to split"
         );
-        let solo = |policy: ExecPolicy| {
-            estimate_turnstile_on_feed_with_exec(
-                &spec.pattern,
-                &feed,
-                spec.trials,
-                spec.seed,
-                &mut RouterArena::new(),
-                opts,
-                policy,
-            )
-            .unwrap()
-        };
-        let serial = solo(ExecPolicy::serial());
+        let solo_at = |policy: ExecPolicy| solo(&spec, RouterMode::Turnstile, &feed, opts, policy);
+        let serial = solo_at(ExecPolicy::serial());
         assert!(serial.hits > 0, "{shards} shards: a degenerate estimate");
         assert_estimates_equal(
             &serial,
-            &solo(ExecPolicy::threaded()),
+            &solo_at(ExecPolicy::threaded()),
             &format!("solo, {shards} shards"),
         );
         let mux = |policy: ExecPolicy| {
-            estimate_multi_turnstile(&specs, &feed, &mut RouterArena::new(), opts, policy)
-                .unwrap()
-                .0
+            estimate(
+                &specs,
+                RouterMode::Turnstile,
+                &feed,
+                &mut RouterArena::new(),
+                opts,
+                Engine::Sharded(policy),
+            )
+            .unwrap()
+            .0
         };
         let serial = mux(ExecPolicy::serial());
         for (j, (a, b)) in serial.iter().zip(&mux(ExecPolicy::threaded())).enumerate() {
@@ -255,22 +259,24 @@ fn ring_engine_matches_sharded_engine() {
     for &shards in &SHARD_SWEEP {
         let feed = ShardedFeed::partition(&ins, shards);
         let mut arena = RouterArena::new();
-        let (sharded, _) = estimate_multi_insertion(
+        let (sharded, _) = estimate(
             &specs,
+            RouterMode::Insertion,
             &feed,
             &mut arena,
             PassOpts::with_block(64),
-            ExecPolicy::serial(),
+            Engine::Sharded(ExecPolicy::serial()),
         )
         .unwrap();
         for policy in [ExecPolicy::serial(), ExecPolicy::threaded()] {
             let mut ring_arena = RouterArena::new();
-            let (ringed, _) = estimate_multi_insertion_broadcast(
+            let (ringed, _) = estimate(
                 &specs,
+                RouterMode::Insertion,
                 &feed,
                 &mut ring_arena,
                 PassOpts::with_block(64),
-                BroadcastOpts::with_policy(policy),
+                Engine::Ring(BroadcastOpts::with_policy(policy), &mut []),
             )
             .unwrap();
             for (j, (a, b)) in sharded.iter().zip(&ringed).enumerate() {
@@ -287,20 +293,22 @@ fn arena_reuse_across_mux_runs_is_stable() {
     let feed = ShardedFeed::partition(&ins, 2);
     let specs = mixed_specs();
     let mut arena = RouterArena::new();
-    let (first, _) = estimate_multi_insertion(
+    let (first, _) = estimate(
         &specs,
+        RouterMode::Insertion,
         &feed,
         &mut arena,
         PassOpts::with_block(64),
-        ExecPolicy::serial(),
+        Engine::Sharded(ExecPolicy::serial()),
     )
     .unwrap();
-    let (second, _) = estimate_multi_insertion(
+    let (second, _) = estimate(
         &specs,
+        RouterMode::Insertion,
         &feed,
         &mut arena,
         PassOpts::with_block(64),
-        ExecPolicy::serial(),
+        Engine::Sharded(ExecPolicy::serial()),
     )
     .unwrap();
     for (j, (a, b)) in first.iter().zip(&second).enumerate() {

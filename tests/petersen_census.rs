@@ -60,14 +60,29 @@ fn petersen_zoo_patterns_absent() {
 
 #[test]
 fn fgp_estimates_match_petersen_census() {
+    use sgs_query::RouterMode;
     use sgs_stream::InsertionStream;
     let g = gen::petersen();
     let stream = InsertionStream::from_graph(&g, 1);
     // No triangles: estimator must report 0.
-    let t = sgs_core::fgp::estimate_insertion(&Pattern::triangle(), &stream, 3_000, 2).unwrap();
+    let t = sgs_core::fgp::estimate_stream(
+        &Pattern::triangle(),
+        RouterMode::Insertion,
+        &stream,
+        3_000,
+        2,
+    )
+    .unwrap();
     assert_eq!(t.hits, 0);
     // Twelve 5-cycles: (2m)^2.5 = 30^2.5 ~ 4930, hit rate 12/4930.
-    let c5 = sgs_core::fgp::estimate_insertion(&Pattern::cycle(5), &stream, 60_000, 3).unwrap();
+    let c5 = sgs_core::fgp::estimate_stream(
+        &Pattern::cycle(5),
+        RouterMode::Insertion,
+        &stream,
+        60_000,
+        3,
+    )
+    .unwrap();
     let rel = c5.relative_error(12);
     assert!(rel < 0.3, "C5 estimate {} vs 12", c5.estimate);
 }

@@ -135,13 +135,13 @@ fn exact_counters_cross_check() {
 #[test]
 fn sampler_soundness() {
     use sgs_core::{SamplerMode, SamplerPlan, SubgraphSampler};
-    use sgs_query::exec::run_insertion;
+    use sgs_query::exec::run_on_stream;
     let g = sgs_graph::gen::gnm(20, 80, 3);
     let stream = InsertionStream::from_graph(&g, 4);
     let plan = SamplerPlan::new(&Pattern::triangle()).unwrap();
     for seed in 0..150u64 {
         let s = SubgraphSampler::new(plan.clone(), SamplerMode::Indexed, seed);
-        let (out, rep) = run_insertion(s, &stream, seed ^ 0x5555);
+        let (out, rep) = run_on_stream(RouterMode::Insertion, s, &stream, seed ^ 0x5555);
         assert!(rep.passes <= 3, "seed {seed}");
         if let Some(c) = out.copy {
             assert_eq!(c.edges.len(), 3, "seed {seed}");
@@ -235,7 +235,8 @@ fn executor_random_edge_sound() {
         let m = (n * (n - 1) / 2) / 2;
         let g = sgs_graph::gen::gnm(n, m, seed);
         let stream = InsertionStream::from_graph(&g, seed ^ 1);
-        let (out, _) = sgs_query::exec::run_insertion(
+        let (out, _) = sgs_query::exec::run_on_stream(
+            RouterMode::Insertion,
             One {
                 asked: false,
                 got: None,

@@ -22,12 +22,35 @@
 //! the `sgs_query::sharded` unit tests.
 
 use sgs_graph::{Edge, StaticGraph, VertexId};
-use sgs_query::exec::{answer_insertion_batch_with_opts, insertion_pass_reservoir_draws, PassOpts};
-use sgs_query::sharded::answer_insertion_batch_sharded_with_opts;
-use sgs_query::{Answer, Query, QueryRouter, ReservoirMode, RouterArena, RouterMode};
+use sgs_query::exec::{insertion_pass_reservoir_draws, PassOpts};
+use sgs_query::{
+    answer_batch, Answer, Engine, ExecPolicy, Query, QueryRouter, ReservoirMode, RouterArena,
+    RouterMode,
+};
 use sgs_stream::hash::split_seed;
 use sgs_stream::reservoir::ReservoirBank;
-use sgs_stream::{EdgeUpdate, InsertionStream, ShardedFeed};
+use sgs_stream::{EdgeStream, EdgeUpdate, InsertionStream, ShardedFeed};
+
+/// One serial pass over `stream` partitioned into one shard.
+fn one_shard_pass(
+    model: RouterMode,
+    batch: &[Query],
+    stream: &impl EdgeStream,
+    pass_seed: u64,
+    opts: PassOpts,
+) -> (Vec<Answer>, usize) {
+    let feed = ShardedFeed::partition(stream, 1);
+    let engine = Engine::Sharded(ExecPolicy::serial());
+    answer_batch(
+        model,
+        batch,
+        &feed,
+        pass_seed,
+        &mut RouterArena::new(),
+        opts,
+        engine,
+    )
+}
 
 /// Chi-square statistic of observed counts against a uniform expectation.
 fn chi_square(counts: &[u64], total: u64) -> f64 {
@@ -188,10 +211,16 @@ fn router_fed_skip_winners_uniform_at_shards_1_2_4() {
         let mut arena = RouterArena::new();
         let mut wins = vec![0u64; petals as usize];
         for pass_seed in 0..trials {
-            let (a, _) = answer_insertion_batch_sharded_with_opts(
-                &batch, &feed, pass_seed, &mut arena, opts,
+            let (a, _) = answer_batch(
+                RouterMode::Insertion,
+                &batch,
+                &feed,
+                pass_seed,
+                &mut arena,
+                opts,
+                Engine::Sharded(ExecPolicy::default()),
             );
-            let (b, _) = answer_insertion_batch_with_opts(&batch, &ins, pass_seed, opts);
+            let (b, _) = one_shard_pass(RouterMode::Insertion, &batch, &ins, pass_seed, opts);
             assert_eq!(a, b, "shards {shards}, pass seed {pass_seed}");
             let Answer::Neighbor(Some(v)) = a[0] else {
                 panic!("star center must always have a neighbor");
@@ -223,7 +252,7 @@ fn skip_mode_sampled_neighbors_match_offer_mode_distribution() {
     for mode in [ReservoirMode::Offer, ReservoirMode::Skip] {
         let opts = PassOpts::with_reservoir(mode);
         for pass_seed in 0..trials {
-            let (a, _) = answer_insertion_batch_with_opts(&batch, &ins, pass_seed, opts);
+            let (a, _) = one_shard_pass(RouterMode::Insertion, &batch, &ins, pass_seed, opts);
             for (qi, ans) in a.iter().enumerate() {
                 if let Answer::Neighbor(Some(u)) = ans {
                     *hist.entry((qi, u.0, mode)).or_insert(0) += 1;

@@ -14,9 +14,9 @@
 //!    still converge to the exact subgraph counts (the end-to-end check
 //!    that the equivalence above is measuring the right thing).
 
-use sgs_core::fgp::estimate_insertion;
+use sgs_core::fgp::estimate_stream;
 use sgs_core::{SamplerMode, SamplerPlan, SubgraphSampler};
-use sgs_query::exec::{run_insertion, run_turnstile};
+use sgs_query::exec::run_on_stream;
 use sgs_query::reference::{run_insertion_reference, run_turnstile_reference};
 use sgs_query::Parallel;
 use sgs_stream::hash::split_seed;
@@ -42,7 +42,8 @@ fn insertion_byte_identical_triangle() {
     let g = sgs_graph::gen::gnm(30, 140, 42);
     let ins = InsertionStream::from_graph(&g, 7);
     for seed in 0..8u64 {
-        let (a, ra) = run_insertion(
+        let (a, ra) = run_on_stream(
+            RouterMode::Insertion,
             bank(&Pattern::triangle(), SamplerMode::Indexed, 400, seed),
             &ins,
             seed ^ 0xaa,
@@ -64,7 +65,8 @@ fn insertion_byte_identical_five_cycle() {
     let g = sgs_graph::gen::gnm(24, 110, 5);
     let ins = InsertionStream::from_graph(&g, 6);
     for seed in 0..8u64 {
-        let (a, _) = run_insertion(
+        let (a, _) = run_on_stream(
+            RouterMode::Insertion,
             bank(&Pattern::cycle(5), SamplerMode::Indexed, 300, seed),
             &ins,
             seed ^ 0xc5,
@@ -84,7 +86,8 @@ fn turnstile_byte_identical_triangle_and_five_cycle() {
     let tst = TurnstileStream::from_graph_with_churn(&g, 1.0, 10);
     for (pattern, trials) in [(Pattern::triangle(), 150), (Pattern::cycle(5), 100)] {
         for seed in 0..4u64 {
-            let (a, _) = run_turnstile(
+            let (a, _) = run_on_stream(
+                RouterMode::Turnstile,
                 bank(&pattern, SamplerMode::Relaxed, trials, seed),
                 &tst,
                 seed ^ 0x7,
@@ -105,7 +108,14 @@ fn router_estimates_stay_accurate_triangle() {
     let exact = sgs_graph::exact::triangles::count_triangles(&g);
     assert!(exact > 20, "workload sanity: {exact}");
     let ins = InsertionStream::from_graph(&g, 22);
-    let est = estimate_insertion(&Pattern::triangle(), &ins, 40_000, 23).unwrap();
+    let est = estimate_stream(
+        &Pattern::triangle(),
+        RouterMode::Insertion,
+        &ins,
+        40_000,
+        23,
+    )
+    .unwrap();
     assert_eq!(est.report.passes, 3);
     assert!(
         est.relative_error(exact) < 0.2,
@@ -120,7 +130,8 @@ fn router_estimates_stay_accurate_five_cycle() {
     let exact = sgs_graph::exact::count_pattern_auto(&g, &Pattern::cycle(5));
     assert!(exact > 0, "workload sanity");
     let ins = InsertionStream::from_graph(&g, 32);
-    let est = estimate_insertion(&Pattern::cycle(5), &ins, 120_000, 33).unwrap();
+    let est =
+        estimate_stream(&Pattern::cycle(5), RouterMode::Insertion, &ins, 120_000, 33).unwrap();
     assert_eq!(est.report.passes, 3);
     assert!(
         est.relative_error(exact) < 0.35,

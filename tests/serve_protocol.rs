@@ -401,14 +401,14 @@ fn kill_nine_mid_ingest_then_restart_resumes_byte_identical() {
 /// directory then serves a defaulted COUNT byte-identical to batch.
 #[test]
 fn zero_size_flags_are_refused_before_the_node_opens() {
-    // `--shards 0`, `--wal-block 0` and `--ring-capacity 0` used to be
-    // clamped to 1 silently; now each exits 2 naming the flag, before
-    // serve opens DIR and before count writes a checkpoint directory.
+    // `--shards 0` and `--wal-block 0` used to be clamped to 1 silently;
+    // now each exits 2 naming the flag, before serve opens DIR and before
+    // count writes a checkpoint directory.
     let dir = tmp("zero_sizes");
     let updates_file = dir.join("updates.txt");
     write_updates_file(&updates_file, &script(12, 40, true));
     let node_dir = dir.join("node");
-    for flag in ["--shards", "--wal-block", "--ring-capacity"] {
+    for flag in ["--shards", "--wal-block"] {
         let out = Command::new(BIN)
             .arg("serve")
             .arg(&node_dir)

@@ -15,15 +15,30 @@
 //! and a warm `RouterArena` performs zero per-round heap growth across
 //! repeat runs (the no-allocation claim of the arena).
 
+use sgs_core::fgp::{estimate, estimate_stream, MultiQuerySpec};
 use sgs_core::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_query::reference::{run_insertion_reference, run_turnstile_reference};
-use sgs_query::sharded::{run_insertion_sharded, run_turnstile_sharded};
-use sgs_query::{Parallel, RouterArena};
+use sgs_query::{Engine, ExecPolicy, Parallel, PassOpts, QuerySet, RouterArena};
 use sgs_stream::hash::split_seed;
 use sgs_stream::{InsertionStream, ShardedFeed, TurnstileStream};
 use subgraph_streams::prelude::*;
 
 const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 7];
+
+/// A one-job run over `feed` on the sharded engine with default options.
+fn run_sharded<A: RoundAdaptive>(
+    model: RouterMode,
+    alg: A,
+    feed: &ShardedFeed,
+    seed: u64,
+    arena: &mut RouterArena,
+) -> (A::Output, ExecReport) {
+    let opts = PassOpts::default();
+    let engine = Engine::Sharded(ExecPolicy::default());
+    QuerySet::solo(alg, seed, opts.reservoir)
+        .run(model, feed, arena, opts, engine)
+        .into_solo()
+}
 
 fn bank(
     pattern: &Pattern,
@@ -47,7 +62,8 @@ fn sharded_insertion_matches_reference_triangle() {
         let feed = ShardedFeed::partition(&ins, shards);
         let mut arena = RouterArena::new();
         for seed in 0..6u64 {
-            let (a, ra) = run_insertion_sharded(
+            let (a, ra) = run_sharded(
+                RouterMode::Insertion,
                 bank(&Pattern::triangle(), SamplerMode::Indexed, 400, seed),
                 &feed,
                 seed ^ 0xaa,
@@ -74,7 +90,8 @@ fn sharded_insertion_matches_reference_five_cycle() {
         let feed = ShardedFeed::partition(&ins, shards);
         let mut arena = RouterArena::new();
         for seed in 0..4u64 {
-            let (a, _) = run_insertion_sharded(
+            let (a, _) = run_sharded(
+                RouterMode::Insertion,
                 bank(&Pattern::cycle(5), SamplerMode::Indexed, 300, seed),
                 &feed,
                 seed ^ 0xc5,
@@ -99,7 +116,8 @@ fn sharded_turnstile_matches_reference_triangle_and_five_cycle() {
             let feed = ShardedFeed::partition(&tst, shards);
             let mut arena = RouterArena::new();
             for seed in 0..3u64 {
-                let (a, _) = run_turnstile_sharded(
+                let (a, _) = run_sharded(
+                    RouterMode::Turnstile,
                     bank(&pattern, SamplerMode::Relaxed, trials, seed),
                     &feed,
                     seed ^ 0x7,
@@ -124,29 +142,46 @@ fn sharded_estimates_match_single_stream_estimators() {
     // End-to-end: the public estimator entry points agree bit for bit.
     let g = sgs_graph::gen::gnm(30, 150, 21);
     let ins = InsertionStream::from_graph(&g, 22);
-    let single = sgs_core::fgp::estimate_insertion(&Pattern::triangle(), &ins, 3_000, 23).unwrap();
+    let single =
+        estimate_stream(&Pattern::triangle(), RouterMode::Insertion, &ins, 3_000, 23).unwrap();
     for &shards in &SHARD_SWEEP[1..] {
-        let multi = sgs_core::fgp::estimate_insertion_threaded(
-            &Pattern::triangle(),
-            &ins,
-            3_000,
-            shards,
-            23,
-        )
-        .unwrap();
+        let multi = sharded_estimate(RouterMode::Insertion, &ins, 3_000, shards, 23);
         assert_eq!(multi.hits, single.hits, "{shards} shards");
         assert_eq!(multi.estimate, single.estimate);
         assert_eq!(multi.report.passes, 3);
     }
     let tst = TurnstileStream::from_graph_with_churn(&g, 0.5, 24);
-    let single_t = sgs_core::fgp::estimate_turnstile(&Pattern::triangle(), &tst, 400, 25).unwrap();
+    let single_t =
+        estimate_stream(&Pattern::triangle(), RouterMode::Turnstile, &tst, 400, 25).unwrap();
     for &shards in &SHARD_SWEEP[1..] {
-        let multi =
-            sgs_core::fgp::estimate_turnstile_threaded(&Pattern::triangle(), &tst, 400, shards, 25)
-                .unwrap();
+        let multi = sharded_estimate(RouterMode::Turnstile, &tst, 400, shards, 25);
         assert_eq!(multi.hits, single_t.hits, "{shards} shards");
         assert_eq!(multi.estimate, single_t.estimate);
     }
+}
+
+/// A triangle estimate over `stream` partitioned into `shards` shards.
+fn sharded_estimate(
+    model: RouterMode,
+    stream: &impl EdgeStream,
+    trials: usize,
+    shards: usize,
+    seed: u64,
+) -> CountEstimate {
+    let feed = ShardedFeed::partition(stream, shards);
+    let specs = [MultiQuerySpec::new(Pattern::triangle(), trials, seed)];
+    let engine = Engine::Sharded(ExecPolicy::default());
+    let mut arena = RouterArena::new();
+    let (mut ests, _) = estimate(
+        &specs,
+        model,
+        &feed,
+        &mut arena,
+        PassOpts::default(),
+        engine,
+    )
+    .unwrap();
+    ests.pop().unwrap()
 }
 
 #[test]
@@ -159,7 +194,8 @@ fn warm_arena_never_allocates_per_round() {
     let ins = InsertionStream::from_graph(&g, 32);
     let feed = ShardedFeed::partition(&ins, 4);
     let mut arena = RouterArena::new();
-    let (first, _) = run_insertion_sharded(
+    let (first, _) = run_sharded(
+        RouterMode::Insertion,
         bank(&Pattern::triangle(), SamplerMode::Indexed, 500, 1),
         &feed,
         2,
@@ -169,7 +205,8 @@ fn warm_arena_never_allocates_per_round() {
     let warmed = arena.heap_bytes();
     assert!(warmed > 0);
     for run in 0..3 {
-        let (again, _) = run_insertion_sharded(
+        let (again, _) = run_sharded(
+            RouterMode::Insertion,
             bank(&Pattern::triangle(), SamplerMode::Indexed, 500, 1),
             &feed,
             2,
@@ -191,7 +228,8 @@ fn logical_pass_accounting_under_sharding() {
     let ins = InsertionStream::from_graph(&g, 42);
     let feed = ShardedFeed::partition(&ins, 7);
     let mut arena = RouterArena::new();
-    let (_, report) = run_insertion_sharded(
+    let (_, report) = run_sharded(
+        RouterMode::Insertion,
         bank(&Pattern::triangle(), SamplerMode::Indexed, 200, 3),
         &feed,
         4,
@@ -227,13 +265,15 @@ fn placement_never_changes_answers() {
         ];
         assert!(!maps[0].is_uniform(), "hub workload must produce overrides");
         for seed in 0..3u64 {
-            let (want_i, _) = run_insertion_sharded(
+            let (want_i, _) = run_sharded(
+                RouterMode::Insertion,
                 bank(&Pattern::triangle(), SamplerMode::Relaxed, 300, seed),
                 &uniform_ins,
                 seed ^ 0x91,
                 &mut RouterArena::new(),
             );
-            let (want_t, _) = run_turnstile_sharded(
+            let (want_t, _) = run_sharded(
+                RouterMode::Turnstile,
                 bank(&Pattern::triangle(), SamplerMode::Relaxed, 200, seed),
                 &uniform_tst,
                 seed ^ 0x92,
@@ -242,7 +282,8 @@ fn placement_never_changes_answers() {
             for map in &maps {
                 let feed = ShardedFeed::partition_with_map(&ins, map.clone());
                 let mut arena = RouterArena::new();
-                let (got, _) = run_insertion_sharded(
+                let (got, _) = run_sharded(
+                    RouterMode::Insertion,
                     bank(&Pattern::triangle(), SamplerMode::Relaxed, 300, seed),
                     &feed,
                     seed ^ 0x91,
@@ -256,7 +297,8 @@ fn placement_never_changes_answers() {
                 );
                 let feed = ShardedFeed::partition_with_map(&tst, map.clone());
                 let mut arena = RouterArena::new();
-                let (got, _) = run_turnstile_sharded(
+                let (got, _) = run_sharded(
+                    RouterMode::Turnstile,
                     bank(&Pattern::triangle(), SamplerMode::Relaxed, 200, seed),
                     &feed,
                     seed ^ 0x92,
