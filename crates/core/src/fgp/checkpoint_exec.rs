@@ -1,6 +1,6 @@
 //! The durable estimator: [`estimate_checkpointed`].
 //!
-//! It runs the FGP trial bank (the same [`sgs_query::Parallel`] bank every
+//! It runs the FGP trial bank (the same [`crate::fgp::TrialBank`] every
 //! other engine drives) through `sgs-query`'s checkpointed driver
 //! ([`run_checkpointed`]): the input stream is made durable in a
 //! write-ahead log before estimation starts, estimator state is
@@ -10,7 +10,8 @@
 //! report, at any shard count, in both stream models.
 //! `tests/crash_recovery.rs` sweeps every crash point.
 
-use crate::fgp::counter::{build_parallel, CountEstimate};
+use crate::fgp::bank::TrialBank;
+use crate::fgp::counter::CountEstimate;
 use crate::fgp::multi_exec::MultiQuerySpec;
 use crate::fgp::plan::SamplerPlan;
 use crate::fgp::sampler::SamplerMode;
@@ -42,10 +43,10 @@ pub fn estimate_checkpointed(
         RouterMode::Insertion => spec.sampler,
         RouterMode::Turnstile => SamplerMode::Relaxed,
     };
-    let par = build_parallel(&plan, sampler, spec.trials, spec.seed);
+    let bank = TrialBank::new(&plan, sampler, spec.trials, spec.seed);
     let seed = split_seed(spec.seed, u64::MAX);
     let opts = opts.reservoir(spec.reservoir);
-    let run = run_checkpointed(model, par, feed, seed, arena, opts, session)?;
+    let run = run_checkpointed(model, bank, feed, seed, arena, opts, session)?;
     Ok(run.map(|(outcomes, report)| CountEstimate::from_outcomes(outcomes, plan.rho(), report)))
 }
 

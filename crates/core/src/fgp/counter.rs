@@ -6,18 +6,22 @@
 //! (they share the same 3 rounds, hence the same 3 passes) and counting
 //! successes `X` gives the estimator `#Ĥ = (2m)^ρ(H) · X/k`, concentrated
 //! by Chernoff bounds once `k ≳ (2m)^ρ/(ε²·#H)`.
+//!
+//! Every estimate runs its `k` trials in one [`TrialBank`], whose
+//! outcomes equal those of `k` one-trial [`crate::fgp::SubgraphSampler`]s
+//! run in [`sgs_query::Parallel`]. The bank skips round 3 for indexed
+//! trials that have already failed, so a run where every trial has
+//! reports 2 passes; its estimate is the same.
 
+use crate::fgp::bank::TrialBank;
 use crate::fgp::multi_exec::{estimate, MultiQuerySpec};
 use crate::fgp::plan::SamplerPlan;
-use crate::fgp::sampler::{SamplerMode, SamplerOutcome, SubgraphSampler};
+use crate::fgp::sampler::{SamplerMode, SamplerOutcome};
 use sgs_graph::{AdjListGraph, Pattern, Rho};
 use sgs_query::exec::run_on_oracle;
-use sgs_query::{
-    Engine, ExactOracle, ExecPolicy, ExecReport, Parallel, PassOpts, RouterArena, RouterMode,
-};
+use sgs_query::{Engine, ExactOracle, ExecPolicy, ExecReport, PassOpts, RouterArena, RouterMode};
 use sgs_stream::hash::split_seed;
 use sgs_stream::{EdgeStream, ShardedFeed};
-use std::sync::Arc;
 
 /// The result of a counting run.
 #[derive(Clone, Debug)]
@@ -73,19 +77,6 @@ impl CountEstimate {
     }
 }
 
-pub(crate) fn build_parallel(
-    plan: &Arc<SamplerPlan>,
-    mode: SamplerMode,
-    trials: usize,
-    seed: u64,
-) -> Parallel<SubgraphSampler> {
-    Parallel::new(
-        (0..trials)
-            .map(|i| SubgraphSampler::new(plan.clone(), mode, split_seed(seed, i as u64)))
-            .collect(),
-    )
-}
-
 /// Estimate `#H` from a replayable stream in `model` with `trials`
 /// parallel sampler copies: 3 passes (Theorem 17 for
 /// [`RouterMode::Insertion`] with the indexed sampler, Theorem 1 for
@@ -120,9 +111,9 @@ pub fn estimate_oracle(
     seed: u64,
 ) -> Option<CountEstimate> {
     let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, SamplerMode::Indexed, trials, seed);
+    let bank = TrialBank::new(&plan, SamplerMode::Indexed, trials, seed);
     let mut oracle = ExactOracle::new(g, split_seed(seed, u64::MAX));
-    let (outcomes, report) = run_on_oracle(par, &mut oracle);
+    let (outcomes, report) = run_on_oracle(bank, &mut oracle);
     Some(CountEstimate::from_outcomes(outcomes, plan.rho(), report))
 }
 
@@ -146,18 +137,24 @@ pub fn practical_trials(m: usize, rho: Rho, epsilon: f64, lower_bound: f64) -> u
     (k.ceil() as usize).max(1)
 }
 
-/// Peak resident bytes one insertion-model trial costs: the sampler, its
-/// queries and answers, and its share of the pass state. Measured with
-/// `sgs count --pattern triangle --shards 2` on a 1M-edge stream over
-/// 50k vertices: 459.5 MB peak RSS at 300k trials against 78.7 MB at
-/// one trial, (459.5 − 78.7) MiB / 300k ≈ 1,331 B.
-pub const INSERTION_TRIAL_BYTES: u64 = 1_331;
+/// Peak resident bytes one insertion-model trial costs: its bank state,
+/// its queries and answers, and its share of the pass state. Measured
+/// with `sgs count --pattern triangle --shards 2` on the complete graph
+/// `K_1415` (1,000,405 edges), where almost every trial asks round 3:
+/// each degree is 1414 < √(2m) ≈ 1414.5, so a wedge query misses only
+/// at `j = 1415`. 408.1 MiB peak RSS at 300k trials against 77.6 MiB at
+/// one trial, (408.1 − 77.6) MiB / 300k ≈ 1,155 B. Inputs where trials
+/// skip round 3 cost less, so admission stays an upper bound.
+pub const INSERTION_TRIAL_BYTES: u64 = 1_155;
 
 /// Peak resident bytes one turnstile-model trial costs, dominated by its
 /// `f1` ℓ₀-sampler (whose size grows with `log n`, so larger graphs cost
 /// more). Measured with `sgs count --pattern triangle --turnstile
 /// --shards 1` on gnm(200, 8000): 401.3 MB peak RSS at 30k trials
 /// against 13.8 MB at one trial, (401.3 − 13.8) MiB / 30k ≈ 13,544 B.
+/// Re-measured with the trial bank on a random 8000-edge graph over 200
+/// vertices: (395.6 − 13.6) MiB / 30k ≈ 13,350 B, 1.4% less, so the
+/// figure stands.
 pub const TURNSTILE_TRIAL_BYTES: u64 = 13_544;
 
 /// Admit `trials` concurrently resident trials before anything is

@@ -2,7 +2,13 @@
 //!
 //! * [`plan`] — per-pattern precomputation (decomposition, `ρ`, `f_T`),
 //! * [`sampler`] — the 3-round-adaptive `SampleSubgraph` (Algorithms 1, 5,
-//!   and 9),
+//!   and 9): its per-trial steps, and [`SubgraphSampler`], one trial as a
+//!   `RoundAdaptive` machine — the oracle the bank is tested against,
+//! * [`bank`] — [`TrialBank`], the production path: `k` trials in columns
+//!   sharing 3 rounds, one batch per round. An indexed trial whose wedge
+//!   answer is missing has already failed, so it asks nothing in round 3;
+//!   when no trial is left, the run ends after 2 passes with the same
+//!   zero hits,
 //! * [`assemble`] — the piece-to-copy assembly and acceptance machinery,
 //! * [`counter`] — the parallel-trials estimate (Theorems 1 and 17), its
 //!   trial formulas and admission, and the two whole-input conveniences:
@@ -28,6 +34,7 @@
 //! benchmark's traced replay.
 
 pub mod assemble;
+pub mod bank;
 pub mod broadcast_exec;
 pub mod checkpoint_exec;
 pub mod counter;
@@ -41,6 +48,7 @@ pub mod serve_exec;
 pub mod uniform;
 
 pub use assemble::FoundCopy;
+pub use bank::TrialBank;
 pub use broadcast_exec::{estimate_broadcast, triest_seed, BroadcastEstimate, ConsumerSet};
 pub use checkpoint_exec::{estimate_checkpointed, estimate_insertion_checkpointed};
 pub use counter::{

@@ -13,7 +13,8 @@
 //! (solo and `--queries`) and `sgs serve` (lone and batched COUNTs) all
 //! make this call.
 
-use crate::fgp::counter::{build_parallel, CountEstimate};
+use crate::fgp::bank::TrialBank;
+use crate::fgp::counter::CountEstimate;
 use crate::fgp::plan::SamplerPlan;
 use crate::fgp::sampler::SamplerMode;
 use sgs_graph::Pattern;
@@ -76,8 +77,8 @@ pub fn estimate(
             RouterMode::Insertion => spec.sampler,
             RouterMode::Turnstile => SamplerMode::Relaxed,
         };
-        let par = build_parallel(&plan, sampler, spec.trials, spec.seed);
-        set.admit(par, split_seed(spec.seed, u64::MAX), spec.reservoir);
+        let bank = TrialBank::new(&plan, sampler, spec.trials, spec.seed);
+        set.admit(bank, split_seed(spec.seed, u64::MAX), spec.reservoir);
         rhos.push(plan.rho());
     }
     let out = set.run(model, feed, arena, opts, engine);

@@ -1,7 +1,7 @@
 //! Sharded-stream equivalence of the estimator.
 //!
 //! [`crate::fgp::estimate`] shards the *stream*, not the trial bank:
-//! **one** `Parallel` bank of all `k` trials drives the passes, which
+//! **one** [`crate::fgp::TrialBank`] of all `k` trials drives the passes, which
 //! hash-partition the stream across a [`ShardedFeed`], run one private
 //! `QueryRouter` per shard (pooled in a [`RouterArena`]), and merge
 //! per-shard answers back into the exact single-stream batch answers.

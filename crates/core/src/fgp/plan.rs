@@ -48,14 +48,32 @@ impl SamplerPlan {
     /// Number of `f1` queries the sampler issues in round 1 (one per star
     /// petal edge, plus path edges and one auxiliary edge per cycle).
     pub fn round1_edge_queries(&self) -> usize {
+        self.pieces().iter().map(piece_edge_queries).sum()
+    }
+
+    /// Number of odd-cycle pieces: the wedge queries one trial asks in
+    /// round 2.
+    pub fn cycle_pieces(&self) -> usize {
         self.pieces()
             .iter()
-            .map(|p| match p {
-                // length 2k+1 cycle: k path edges + 1 auxiliary edge
-                Piece::OddCycle(vs) => (vs.len() - 1) / 2 + 1,
-                Piece::Star { petals, .. } => petals.len(),
-            })
-            .sum()
+            .filter(|p| matches!(p, Piece::OddCycle(_)))
+            .count()
+    }
+
+    /// The words one trial's state holds between rounds (Lemma 16: O(1)
+    /// per trial): its 4-word coin generator, one word per oriented
+    /// round-1 edge (two 32-bit endpoints) and one per wedge answer.
+    pub fn trial_words(&self) -> usize {
+        4 + self.round1_edge_queries() + self.cycle_pieces()
+    }
+}
+
+/// The `f1` queries one piece asks in round 1: for a `2k+1`-cycle its `k`
+/// path edges plus one auxiliary edge, for a star one per petal.
+pub(crate) fn piece_edge_queries(p: &Piece) -> usize {
+    match p {
+        Piece::OddCycle(vs) => (vs.len() - 1) / 2 + 1,
+        Piece::Star { petals, .. } => petals.len(),
     }
 }
 

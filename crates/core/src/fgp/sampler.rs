@@ -23,7 +23,7 @@
 //! probability exactly `1/(2m)^ρ(H)`.
 
 use crate::fgp::assemble::{compatible_copies, ConcretePiece, FoundCopy};
-use crate::fgp::plan::SamplerPlan;
+use crate::fgp::plan::{piece_edge_queries, SamplerPlan};
 use sgs_graph::decompose::Piece;
 use sgs_graph::order::precedes_with_degrees;
 use sgs_graph::{canonical, VertexId};
@@ -51,39 +51,295 @@ pub struct SamplerOutcome {
     pub copy: Option<FoundCopy>,
 }
 
-/// Per-cycle-piece draw state.
-#[derive(Clone, Debug)]
-struct CycleDraw {
-    piece_idx: usize,
-    /// Oriented auxiliary edge (heavy-case candidate = first endpoint).
-    aux: Option<(VertexId, VertexId)>,
-    /// Oriented path edges `(u_i, v_i)`.
-    path: Vec<(VertexId, VertexId)>,
-    /// Round-2 wedge answer.
-    w: Option<VertexId>,
+/// One trial's round-1 edges split into its pieces' runs, in plan
+/// order: a cycle's run is its auxiliary edge then its path edges, a
+/// star's run its petal edges.
+fn piece_runs<'a>(
+    plan: &'a SamplerPlan,
+    edges: &'a [(VertexId, VertexId)],
+) -> impl Iterator<Item = (usize, &'a Piece, &'a [(VertexId, VertexId)])> + 'a {
+    let mut rest = edges;
+    plan.pieces().iter().enumerate().map(move |(idx, p)| {
+        let (run, tail) = rest.split_at(piece_edge_queries(p));
+        rest = tail;
+        (idx, p, run)
+    })
 }
 
-/// Per-star-piece draw state.
-#[derive(Clone, Debug)]
-struct StarDraw {
-    piece_idx: usize,
-    /// Oriented sampled edges `(x_t, y_t)`.
-    edges: Vec<(VertexId, VertexId)>,
+/// Each cycle piece's oriented path edges (auxiliary edge dropped), in
+/// plan order — one per wedge answer.
+fn cycle_paths<'a>(
+    plan: &'a SamplerPlan,
+    edges: &'a [(VertexId, VertexId)],
+) -> impl Iterator<Item = (usize, (VertexId, VertexId), &'a [(VertexId, VertexId)])> + 'a {
+    piece_runs(plan, edges).filter_map(|(idx, p, run)| match p {
+        Piece::OddCycle(_) => Some((idx, run[0], &run[1..])),
+        Piece::Star { .. } => None,
+    })
 }
 
-/// The FGP sampler (one trial). Run many in [`sgs_query::Parallel`] to
-/// estimate `#H` (Theorem 17 / Theorem 1).
+/// Orient a trial's round-1 edge answers (plan order) with its own coins
+/// and append them to `edges`. Returns false at the first failed `f1`
+/// answer: the trial is dead, and its coins are never drawn again.
+pub(crate) fn orient_edges(
+    rng: &mut FastRng,
+    answers: &[Answer],
+    edges: &mut Vec<(VertexId, VertexId)>,
+) -> bool {
+    for a in answers {
+        let Some(e) = a.expect_edge() else {
+            return false;
+        };
+        // Uniformly random orientation: the algorithm's own coin.
+        edges.push(if rng.gen_bool(0.5) {
+            (e.u(), e.v())
+        } else {
+            (e.v(), e.u())
+        });
+    }
+    true
+}
+
+/// Append a trial's round-2 wedge queries, one per cycle piece: in
+/// [`SamplerMode::Indexed`] the `j`-th neighbor of the path's first
+/// vertex `u1` with `j = ⌊t·√(2m)⌋ + 1`, in [`SamplerMode::Relaxed`] a
+/// random neighbor of `u1`.
+pub(crate) fn push_wedge_queries(
+    plan: &SamplerPlan,
+    mode: SamplerMode,
+    sqrt2m: f64,
+    rng: &mut FastRng,
+    edges: &[(VertexId, VertexId)],
+    qs: &mut Vec<Query>,
+) {
+    for (_, _, path) in cycle_paths(plan, edges) {
+        let u1 = path[0].0;
+        qs.push(match mode {
+            SamplerMode::Indexed => {
+                // j = floor(t * sqrt(2m)) + 1: each j <= dg hit with
+                // probability exactly 1/sqrt(2m).
+                let t = rng.gen_f64();
+                Query::IthNeighbor(u1, (t * sqrt2m).floor() as u64 + 1)
+            }
+            SamplerMode::Relaxed => Query::RandomNeighbor(u1),
+        });
+    }
+}
+
+/// Append a trial's round-3 batch, all degrees then all pairwise
+/// adjacencies on its sampled vertex set `V'`, and append `V'` itself to
+/// `verts`. `V'` lists first appearances in this order: each cycle's path
+/// vertices, its auxiliary edge's first endpoint and its wedge answer,
+/// then each star's edge endpoints.
+pub(crate) fn push_round3(
+    plan: &SamplerPlan,
+    edges: &[(VertexId, VertexId)],
+    wedges: &[Option<VertexId>],
+    verts: &mut Vec<VertexId>,
+    qs: &mut Vec<Query>,
+) {
+    // `V'` holds at most a handful of vertices (pattern-sized), so a
+    // linear dedup over a flat vec beats any hashed set.
+    let start = verts.len();
+    let mut push = |v: VertexId| {
+        if !verts[start..].contains(&v) {
+            verts.push(v);
+        }
+    };
+    for ((_, aux, path), w) in cycle_paths(plan, edges).zip(wedges) {
+        for &(a, b) in path {
+            push(a);
+            push(b);
+        }
+        push(aux.0);
+        if let Some(w) = *w {
+            push(w);
+        }
+    }
+    for (_, p, run) in piece_runs(plan, edges) {
+        if let Piece::Star { .. } = p {
+            for &(a, b) in run {
+                push(a);
+                push(b);
+            }
+        }
+    }
+    let vs = &verts[start..];
+    qs.extend(vs.iter().map(|&v| Query::Degree(v)));
+    for i in 0..vs.len() {
+        for j in (i + 1)..vs.len() {
+            qs.push(Query::Adjacent(vs[i], vs[j]));
+        }
+    }
+}
+
+/// The round-3 queries of a trial whose `V'` has `nv` vertices.
+pub(crate) fn round3_len(nv: usize) -> usize {
+    nv + nv * nv.saturating_sub(1) / 2
+}
+
+/// Whether a trial's outcome is already fixed at "no copy" after round 2,
+/// whatever round 3 answers. In [`SamplerMode::Indexed`] a missing wedge
+/// answer means `dg(u1) < j ≤ ⌊t·√(2m)⌋ + 1`, so `dg(u1) < √(2m)`: `u1`
+/// is light, and the light case ends on a missing `w` before drawing a
+/// coin. In [`SamplerMode::Relaxed`] a missing `w` can be a failed draw
+/// at a heavy `u1`, so no relaxed trial is settled early.
+pub(crate) fn settled_without_copy(mode: SamplerMode, wedges: &[Option<VertexId>]) -> bool {
+    mode == SamplerMode::Indexed && wedges.contains(&None)
+}
+
+/// One trial's state as postprocessing reads it.
+pub(crate) struct TrialDraws<'a> {
+    /// Oriented round-1 edges, plan order.
+    pub edges: &'a [(VertexId, VertexId)],
+    /// Round-2 wedge answers, one per cycle piece.
+    pub wedges: &'a [Option<VertexId>],
+    /// `V'` in round-3 query order.
+    pub verts: &'a [VertexId],
+    /// Answers to the trial's round-3 queries.
+    pub answers: &'a [Answer],
+}
+
+/// Postprocessing (no queries): canonicality, light/heavy split,
+/// assembly, acceptance. `accept` is the `1/f_T(H)` acceptance coin,
+/// off only in the ablation. Returns the sampled copy, if any.
+pub(crate) fn postprocess(
+    plan: &SamplerPlan,
+    mode: SamplerMode,
+    sqrt2m: f64,
+    accept: bool,
+    rng: &mut FastRng,
+    t: TrialDraws<'_>,
+) -> Option<FoundCopy> {
+    // `V'` is pattern-sized (a handful of vertices, tens of pairs), so
+    // the scratch is flat sorted vecs: linear degree lookup and a
+    // binary-searched adjacency list beat hashed containers at this
+    // scale — this runs once per trial, thousands of times per estimate.
+    let verts = t.verts;
+    let nv = verts.len();
+    let deg_of = |v: VertexId| -> Option<usize> {
+        verts
+            .iter()
+            .position(|&x| x == v)
+            .map(|i| t.answers[i].expect_degree())
+    };
+    let mut adj: Vec<u64> = Vec::new();
+    let mut k = nv;
+    for i in 0..nv {
+        for j in (i + 1)..nv {
+            if t.answers[k].expect_adjacent() {
+                adj.push(sgs_graph::Edge::new(verts[i], verts[j]).key());
+            }
+            k += 1;
+        }
+    }
+    adj.sort_unstable();
+    let has_edge = |a: VertexId, b: VertexId| -> bool {
+        a != b && adj.binary_search(&sgs_graph::Edge::new(a, b).key()).is_ok()
+    };
+    let precedes = |a: VertexId, b: VertexId| -> bool {
+        let da = deg_of(a).expect("round-3 vertex");
+        let db = deg_of(b).expect("round-3 vertex");
+        precedes_with_degrees(a, da, b, db)
+    };
+
+    // Cycles: light/heavy case split and canonical check.
+    let mut concrete: Vec<(usize, ConcretePiece)> = Vec::new();
+    for ((piece_idx, aux, path), w) in cycle_paths(plan, t.edges).zip(t.wedges) {
+        let u1 = path[0].0;
+        let du1 = deg_of(u1).expect("round-3 vertex") as f64;
+        let mut seq: Vec<VertexId> = Vec::with_capacity(2 * path.len() + 1);
+        for &(a, b) in path {
+            seq.push(a);
+            seq.push(b);
+        }
+        if du1 <= sqrt2m {
+            // Light case: the wedge answer closes the cycle.
+            let w = (*w)?;
+            if mode == SamplerMode::Relaxed {
+                // Thin 1/dg(u1) down to exactly 1/sqrt(2m)
+                // (Algorithm 5, lines 21-22).
+                let t: f64 = rng.gen_f64() * sqrt2m;
+                if t > du1 {
+                    return None;
+                }
+            }
+            seq.push(w);
+        } else {
+            // Heavy case: the auxiliary edge's first endpoint is a
+            // degree-proportional vertex sample; accept with
+            // probability sqrt(2m)/dg (Algorithm 5, lines 26-27).
+            let u0 = aux.0;
+            let du0 = deg_of(u0)?;
+            let t = rng.gen_f64();
+            if t > (sqrt2m / du0 as f64).min(1.0) {
+                return None;
+            }
+            seq.push(u0);
+        }
+        if !canonical::is_canonical_cycle(&seq, has_edge, precedes) {
+            return None;
+        }
+        concrete.push((piece_idx, ConcretePiece::Cycle(seq)));
+    }
+
+    // Stars: shared center and canonical petal order.
+    for (piece_idx, p, run) in piece_runs(plan, t.edges) {
+        let Piece::Star { .. } = p else { continue };
+        let x0 = run[0].0;
+        if !run.iter().all(|&(x, _)| x == x0) {
+            return None;
+        }
+        let mut seq = vec![x0];
+        seq.extend(run.iter().map(|&(_, y)| y));
+        if !canonical::is_canonical_star(&seq, has_edge, precedes) {
+            return None;
+        }
+        concrete.push((
+            piece_idx,
+            ConcretePiece::Star {
+                center: x0,
+                petals: run.iter().map(|&(_, y)| y).collect(),
+            },
+        ));
+    }
+
+    // Restore plan piece order.
+    concrete.sort_by_key(|&(idx, _)| idx);
+    let pieces: Vec<ConcretePiece> = concrete.into_iter().map(|(_, p)| p).collect();
+
+    let mut copies = compatible_copies(&plan.pattern, plan.pieces(), &pieces, &has_edge);
+    if copies.is_empty() {
+        return None;
+    }
+    let f_t = plan.tuple_multiplicity() as f64;
+    debug_assert!(
+        copies.len() as f64 <= f_t,
+        "|C(S)| = {} exceeds f_T = {}",
+        copies.len(),
+        f_t
+    );
+    // Accept with probability |C(S)|/f_T, then pick uniformly: each
+    // compatible copy is returned with probability exactly 1/f_T.
+    if accept && rng.gen_f64() >= copies.len() as f64 / f_t {
+        return None;
+    }
+    let idx = rng.gen_range(0..copies.len());
+    Some(copies.swap_remove(idx))
+}
+
+/// The FGP sampler (one trial): the per-trial oracle that
+/// [`crate::fgp::TrialBank`] is checked against. Run many in
+/// [`sgs_query::Parallel`] to estimate `#H` (Theorem 17 / Theorem 1).
 pub struct SubgraphSampler {
     plan: Arc<SamplerPlan>,
     mode: SamplerMode,
     rng: FastRng,
     stage: u8,
-    m: usize,
     sqrt2m: f64,
-    cycles: Vec<CycleDraw>,
-    stars: Vec<StarDraw>,
+    edges: Vec<(VertexId, VertexId)>,
+    wedges: Vec<Option<VertexId>>,
     verts: Vec<VertexId>,
-    pairs: Vec<(VertexId, VertexId)>,
     outcome: SamplerOutcome,
     ft_correction: bool,
 }
@@ -96,12 +352,10 @@ impl SubgraphSampler {
             mode,
             rng: FastRng::seed_from_u64(seed),
             stage: 0,
-            m: 0,
             sqrt2m: 0.0,
-            cycles: Vec::new(),
-            stars: Vec::new(),
+            edges: Vec::new(),
+            wedges: Vec::new(),
             verts: Vec::new(),
-            pairs: Vec::new(),
             outcome: SamplerOutcome::default(),
             ft_correction: true,
         }
@@ -122,280 +376,17 @@ impl SubgraphSampler {
         Vec::new()
     }
 
-    /// Round-1 batch: edge count plus all piece edges.
-    fn round1(&mut self) -> Vec<Query> {
-        let mut qs = vec![Query::EdgeCount];
-        for p in self.plan.pieces() {
-            match p {
-                Piece::OddCycle(vs) => {
-                    let k = (vs.len() - 1) / 2;
-                    // aux + k path edges
-                    for _ in 0..=k {
-                        qs.push(Query::RandomEdge);
-                    }
-                }
-                Piece::Star { petals, .. } => {
-                    for _ in 0..petals.len() {
-                        qs.push(Query::RandomEdge);
-                    }
-                }
-            }
-        }
-        qs
-    }
-
-    /// Parse round-1 answers; returns false if the trial is dead.
-    fn absorb_round1(&mut self, answers: &[Answer]) -> bool {
-        self.m = answers[0].expect_edge_count();
-        self.outcome.m = self.m;
-        if self.m == 0 {
-            return false;
-        }
-        self.sqrt2m = (2.0 * self.m as f64).sqrt();
-        let mut cursor = 1usize;
-        let orient = |rng: &mut FastRng, a: Answer| -> Option<(VertexId, VertexId)> {
-            let e = a.expect_edge()?;
-            // Uniformly random orientation: the algorithm's own coin.
-            if rng.gen_bool(0.5) {
-                Some((e.u(), e.v()))
-            } else {
-                Some((e.v(), e.u()))
-            }
-        };
-        // Arc clone instead of cloning the piece list: `orient` needs
-        // `&mut self.rng` while we iterate the plan, and this runs once
-        // per trial (thousands of times per estimate).
-        let plan = self.plan.clone();
-        for (piece_idx, p) in plan.pieces().iter().enumerate() {
-            match p {
-                Piece::OddCycle(vs) => {
-                    let k = (vs.len() - 1) / 2;
-                    let aux = orient(&mut self.rng, answers[cursor]);
-                    cursor += 1;
-                    let mut path = Vec::with_capacity(k);
-                    let mut ok = aux.is_some();
-                    for _ in 0..k {
-                        match orient(&mut self.rng, answers[cursor]) {
-                            Some(e) => path.push(e),
-                            None => ok = false,
-                        }
-                        cursor += 1;
-                    }
-                    if !ok {
-                        return false;
-                    }
-                    self.cycles.push(CycleDraw {
-                        piece_idx,
-                        aux,
-                        path,
-                        w: None,
-                    });
-                }
-                Piece::Star { petals, .. } => {
-                    let mut edges = Vec::with_capacity(petals.len());
-                    for _ in 0..petals.len() {
-                        match orient(&mut self.rng, answers[cursor]) {
-                            Some(e) => edges.push(e),
-                            None => {
-                                return false;
-                            }
-                        }
-                        cursor += 1;
-                    }
-                    self.stars.push(StarDraw { piece_idx, edges });
-                }
-            }
-        }
-        true
-    }
-
-    /// Round-2 batch: one wedge query per cycle piece.
-    fn round2(&mut self) -> Vec<Query> {
-        let mut qs = Vec::with_capacity(self.cycles.len());
-        for c in &self.cycles {
-            let u1 = c.path[0].0;
-            match self.mode {
-                SamplerMode::Indexed => {
-                    // j = floor(t * sqrt(2m)) + 1: each j <= dg hit with
-                    // probability exactly 1/sqrt(2m).
-                    let t = self.rng.gen_f64();
-                    let j = (t * self.sqrt2m).floor() as u64 + 1;
-                    qs.push(Query::IthNeighbor(u1, j));
-                }
-                SamplerMode::Relaxed => qs.push(Query::RandomNeighbor(u1)),
-            }
-        }
-        qs
-    }
-
-    fn absorb_round2(&mut self, answers: &[Answer]) {
-        for (c, a) in self.cycles.iter_mut().zip(answers) {
-            c.w = a.expect_neighbor();
-        }
-    }
-
     /// Round-3 batch: all degrees and pairwise adjacencies on `V'`.
     fn round3(&mut self) -> Vec<Query> {
-        // `V'` holds at most a handful of vertices (pattern-sized), so a
-        // linear dedup over a flat vec beats any hashed set.
-        let mut verts: Vec<VertexId> = Vec::new();
-        let push = |v: VertexId, verts: &mut Vec<VertexId>| {
-            if !verts.contains(&v) {
-                verts.push(v);
-            }
-        };
-        for c in &self.cycles {
-            for &(a, b) in &c.path {
-                push(a, &mut verts);
-                push(b, &mut verts);
-            }
-            if let Some((a, _)) = c.aux {
-                push(a, &mut verts);
-            }
-            if let Some(w) = c.w {
-                push(w, &mut verts);
-            }
-        }
-        for s in &self.stars {
-            for &(a, b) in &s.edges {
-                push(a, &mut verts);
-                push(b, &mut verts);
-            }
-        }
-        let n_pairs = verts.len() * verts.len().saturating_sub(1) / 2;
-        let mut qs: Vec<Query> = Vec::with_capacity(verts.len() + n_pairs);
-        qs.extend(verts.iter().map(|&v| Query::Degree(v)));
-        let mut pairs = Vec::with_capacity(n_pairs);
-        for i in 0..verts.len() {
-            for j in (i + 1)..verts.len() {
-                pairs.push((verts[i], verts[j]));
-                qs.push(Query::Adjacent(verts[i], verts[j]));
-            }
-        }
-        self.verts = verts;
-        self.pairs = pairs;
-        qs
-    }
-
-    /// Postprocessing: canonicality, light/heavy split, assembly,
-    /// acceptance.
-    fn postprocess(&mut self, answers: &[Answer]) {
-        // `V'` is pattern-sized (a handful of vertices, tens of pairs),
-        // so the scratch is flat sorted vecs: linear degree lookup and a
-        // binary-searched adjacency list beat hashed containers at this
-        // scale — this runs once per trial, thousands of times per
-        // estimate.
-        let nv = self.verts.len();
-        let verts = &self.verts;
-        let deg_of = |v: VertexId| -> Option<usize> {
-            verts
-                .iter()
-                .position(|&x| x == v)
-                .map(|i| answers[i].expect_degree())
-        };
-        let mut adj: Vec<u64> = Vec::with_capacity(self.pairs.len());
-        for (k, &(a, b)) in self.pairs.iter().enumerate() {
-            if answers[nv + k].expect_adjacent() {
-                adj.push(sgs_graph::Edge::new(a, b).key());
-            }
-        }
-        adj.sort_unstable();
-        let has_edge = |a: VertexId, b: VertexId| -> bool {
-            a != b && adj.binary_search(&sgs_graph::Edge::new(a, b).key()).is_ok()
-        };
-        let precedes = |a: VertexId, b: VertexId| -> bool {
-            let da = deg_of(a).expect("round-3 vertex");
-            let db = deg_of(b).expect("round-3 vertex");
-            precedes_with_degrees(a, da, b, db)
-        };
-
-        // Cycles: light/heavy case split and canonical check.
-        let mut concrete: Vec<(usize, ConcretePiece)> = Vec::new();
-        for c in &self.cycles {
-            let u1 = c.path[0].0;
-            let du1 = deg_of(u1).expect("round-3 vertex") as f64;
-            let mut seq: Vec<VertexId> = Vec::with_capacity(2 * c.path.len() + 1);
-            for &(a, b) in &c.path {
-                seq.push(a);
-                seq.push(b);
-            }
-            if du1 <= self.sqrt2m {
-                // Light case: the wedge answer closes the cycle.
-                let Some(w) = c.w else { return };
-                if self.mode == SamplerMode::Relaxed {
-                    // Thin 1/dg(u1) down to exactly 1/sqrt(2m)
-                    // (Algorithm 5, lines 21-22).
-                    let t: f64 = self.rng.gen_f64() * self.sqrt2m;
-                    if t > du1 {
-                        return;
-                    }
-                }
-                seq.push(w);
-            } else {
-                // Heavy case: the auxiliary edge's first endpoint is a
-                // degree-proportional vertex sample; accept with
-                // probability sqrt(2m)/dg (Algorithm 5, lines 26-27).
-                let (u0, _) = c.aux.expect("aux edge present for live cycle");
-                let Some(du0) = deg_of(u0) else { return };
-                let t = self.rng.gen_f64();
-                if t > (self.sqrt2m / du0 as f64).min(1.0) {
-                    return;
-                }
-                seq.push(u0);
-            }
-            if !canonical::is_canonical_cycle(&seq, has_edge, precedes) {
-                return;
-            }
-            concrete.push((c.piece_idx, ConcretePiece::Cycle(seq)));
-        }
-
-        // Stars: shared center and canonical petal order.
-        for s in &self.stars {
-            let x0 = s.edges[0].0;
-            if !s.edges.iter().all(|&(x, _)| x == x0) {
-                return;
-            }
-            let mut seq = vec![x0];
-            seq.extend(s.edges.iter().map(|&(_, y)| y));
-            if !canonical::is_canonical_star(&seq, has_edge, precedes) {
-                return;
-            }
-            concrete.push((
-                s.piece_idx,
-                ConcretePiece::Star {
-                    center: x0,
-                    petals: s.edges.iter().map(|&(_, y)| y).collect(),
-                },
-            ));
-        }
-
-        // Restore plan piece order.
-        concrete.sort_by_key(|&(idx, _)| idx);
-        let pieces: Vec<ConcretePiece> = concrete.into_iter().map(|(_, p)| p).collect();
-
-        let copies = compatible_copies(&self.plan.pattern, self.plan.pieces(), &pieces, &has_edge);
-        if copies.is_empty() {
-            return;
-        }
-        let f_t = self.plan.tuple_multiplicity() as f64;
-        debug_assert!(
-            copies.len() as f64 <= f_t,
-            "|C(S)| = {} exceeds f_T = {}",
-            copies.len(),
-            f_t
+        let mut qs = Vec::new();
+        push_round3(
+            &self.plan,
+            &self.edges,
+            &self.wedges,
+            &mut self.verts,
+            &mut qs,
         );
-        // Accept with probability |C(S)|/f_T, then pick uniformly: each
-        // compatible copy is returned with probability exactly 1/f_T.
-        if !self.ft_correction {
-            let idx = self.rng.gen_range(0..copies.len());
-            self.outcome.copy = Some(copies[idx].clone());
-            return;
-        }
-        let t = self.rng.gen_f64();
-        if t < copies.len() as f64 / f_t {
-            let idx = self.rng.gen_range(0..copies.len());
-            self.outcome.copy = Some(copies[idx].clone());
-        }
+        qs
     }
 }
 
@@ -405,29 +396,55 @@ impl RoundAdaptive for SubgraphSampler {
     fn next_round(&mut self, answers: &[Answer]) -> Vec<Query> {
         match self.stage {
             0 => {
+                // Round 1: edge count plus all piece edges.
                 self.stage = 1;
-                self.round1()
+                let mut qs = vec![Query::EdgeCount];
+                qs.resize(1 + self.plan.round1_edge_queries(), Query::RandomEdge);
+                qs
             }
             1 => {
-                if !self.absorb_round1(answers) {
+                let m = answers[0].expect_edge_count();
+                self.outcome.m = m;
+                if m == 0 {
                     return self.die();
                 }
-                if self.cycles.is_empty() {
+                self.sqrt2m = (2.0 * m as f64).sqrt();
+                if !orient_edges(&mut self.rng, &answers[1..], &mut self.edges) {
+                    return self.die();
+                }
+                if self.plan.cycle_pieces() == 0 {
                     // Star-only patterns skip the wedge round.
                     self.stage = 3;
                     self.round3()
                 } else {
                     self.stage = 2;
-                    self.round2()
+                    let mut qs = Vec::new();
+                    push_wedge_queries(
+                        &self.plan,
+                        self.mode,
+                        self.sqrt2m,
+                        &mut self.rng,
+                        &self.edges,
+                        &mut qs,
+                    );
+                    qs
                 }
             }
             2 => {
-                self.absorb_round2(answers);
+                self.wedges = answers.iter().map(Answer::expect_neighbor).collect();
                 self.stage = 3;
                 self.round3()
             }
             3 => {
-                self.postprocess(answers);
+                let draws = TrialDraws {
+                    edges: &self.edges,
+                    wedges: &self.wedges,
+                    verts: &self.verts,
+                    answers,
+                };
+                let (plan, mode, sqrt2m) = (&self.plan, self.mode, self.sqrt2m);
+                self.outcome.copy =
+                    postprocess(plan, mode, sqrt2m, self.ft_correction, &mut self.rng, draws);
                 self.stage = 99;
                 Vec::new()
             }

@@ -5,16 +5,17 @@
 //! *same* probability `1/(2m)^ρ(H)` (Lemma 15), the first successful
 //! trial among many is a uniformly random copy. The paper prescribes
 //! `q = 10·(2m)^ρ(H)/T` trials for success probability `≈ 1 - e^{-10}`
-//! given `T ≤ #H`; all trials share the same 3 passes via
-//! [`sgs_query::Parallel`].
+//! given `T ≤ #H`; all trials share the same 3 passes in one
+//! [`crate::fgp::TrialBank`].
 
 use crate::fgp::assemble::FoundCopy;
+use crate::fgp::bank::TrialBank;
 use crate::fgp::plan::SamplerPlan;
-use crate::fgp::sampler::{SamplerMode, SubgraphSampler};
+use crate::fgp::sampler::SamplerMode;
 use sgs_graph::Pattern;
 use sgs_query::exec::{run_on_oracle, run_on_stream};
 use sgs_query::RouterMode;
-use sgs_query::{ExactOracle, ExecReport, Parallel};
+use sgs_query::{ExactOracle, ExecReport};
 use sgs_stream::hash::split_seed;
 use sgs_stream::EdgeStream;
 
@@ -61,20 +62,10 @@ pub fn sample_uniform_insertion(
     seed: u64,
 ) -> Option<UniformSample> {
     let plan = SamplerPlan::new(pattern)?;
-    let par = Parallel::new(
-        (0..trials)
-            .map(|i| {
-                SubgraphSampler::new(
-                    plan.clone(),
-                    SamplerMode::Indexed,
-                    split_seed(seed, i as u64),
-                )
-            })
-            .collect(),
-    );
+    let bank = TrialBank::new(&plan, SamplerMode::Indexed, trials, seed);
     let (outcomes, report) = run_on_stream(
         RouterMode::Insertion,
-        par,
+        bank,
         stream,
         split_seed(seed, u64::MAX),
     );
@@ -89,20 +80,10 @@ pub fn sample_uniform_turnstile(
     seed: u64,
 ) -> Option<UniformSample> {
     let plan = SamplerPlan::new(pattern)?;
-    let par = Parallel::new(
-        (0..trials)
-            .map(|i| {
-                SubgraphSampler::new(
-                    plan.clone(),
-                    SamplerMode::Relaxed,
-                    split_seed(seed, i as u64),
-                )
-            })
-            .collect(),
-    );
+    let bank = TrialBank::new(&plan, SamplerMode::Relaxed, trials, seed);
     let (outcomes, report) = run_on_stream(
         RouterMode::Turnstile,
-        par,
+        bank,
         stream,
         split_seed(seed, u64::MAX),
     );
@@ -117,19 +98,9 @@ pub fn sample_uniform_oracle(
     seed: u64,
 ) -> Option<UniformSample> {
     let plan = SamplerPlan::new(pattern)?;
-    let par = Parallel::new(
-        (0..trials)
-            .map(|i| {
-                SubgraphSampler::new(
-                    plan.clone(),
-                    SamplerMode::Indexed,
-                    split_seed(seed, i as u64),
-                )
-            })
-            .collect(),
-    );
+    let bank = TrialBank::new(&plan, SamplerMode::Indexed, trials, seed);
     let mut oracle = ExactOracle::new(g, split_seed(seed, u64::MAX));
-    let (outcomes, report) = run_on_oracle(par, &mut oracle);
+    let (outcomes, report) = run_on_oracle(bank, &mut oracle);
     Some(first_success(outcomes, report))
 }
 

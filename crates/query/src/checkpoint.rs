@@ -558,9 +558,23 @@ pub fn run_checkpointed<A: RoundAdaptive>(
     let mut resume_offset = 0u64;
     let mut resume_blobs: Option<Vec<Vec<u8>>> = None;
     let mut resuming = false;
+    // The in-flight round's batch length as the snapshotting run counted
+    // it: every query the report counts minus the finished rounds'.
+    let mut in_flight: Option<usize> = None;
 
     if let Some(snap) = session.take_resume(model_tag, shards, opts, seed)? {
         answers = replay_history(&mut alg, &snap.history)?;
+        let finished: usize = snap.history.iter().map(Vec::len).sum();
+        in_flight = Some(snap.report.queries.checked_sub(finished).ok_or_else(|| {
+            PersistError::corrupt(
+                0,
+                format!(
+                    "snapshot counts {} queries but its finished rounds hold {finished} answers",
+                    snap.report.queries
+                ),
+            )
+            .located(&session.dir)
+        })?);
         history = snap.history;
         report = snap.report;
         session.blocks_processed = snap.blocks_done;
@@ -572,6 +586,19 @@ pub fn run_checkpointed<A: RoundAdaptive>(
     arena.begin_run();
     loop {
         let batch = alg.next_round(&answers);
+        // The machines' snapshot state is laid out by the batch, so a
+        // rebuilt batch of another length cannot take it.
+        if let Some(stored) = in_flight.take() {
+            if stored != batch.len() {
+                return Err(PersistError::incompatible(format!(
+                    "snapshot predates this trial bank: its in-flight round {} asked {stored} \
+                     queries, this build asks {}",
+                    history.len() + 1,
+                    batch.len()
+                ))
+                .located(&session.dir));
+            }
+        }
         if batch.is_empty() {
             break;
         }

@@ -19,8 +19,8 @@
 //!   [`run_on_stream`] is the one-shard run over a stream.
 //!
 //! Every pass dispatches each update through a shared
-//! [`crate::router::QueryRouter`]: the whole merged batch of a
-//! [`crate::Parallel`] sampler bank is bucketed into per-vertex and
+//! [`crate::router::QueryRouter`]: the whole batch of a round (for the
+//! FGP estimator, every trial's queries) is bucketed into per-vertex and
 //! per-edge flat indexes at round start, so per-update work is
 //! O(1 + hits) regardless of how many trials are pending. The
 //! pre-refactor executors survive verbatim in [`crate::reference`];

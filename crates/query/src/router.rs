@@ -1,9 +1,9 @@
 //! The **QueryRouter**: shared batch→stream routing for the pass
 //! emulators.
 //!
-//! One round of a [`crate::round::Parallel`] sampler bank merges the
-//! query batches of thousands of independent trials (Theorem 17's
-//! "parallel for"), so the per-*update* work of a streaming pass must not
+//! One round of a sampler bank (`sgs-core`'s FGP trial bank, or a
+//! [`crate::round::Parallel`] of instances) holds the queries of
+//! thousands of independent trials (Theorem 17's "parallel for"), so the per-*update* work of a streaming pass must not
 //! scale with the number of pending queries. The router ingests a whole
 //! batch once and builds flat hash-bucket indexes over it:
 //!

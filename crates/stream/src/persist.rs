@@ -130,6 +130,14 @@ pub enum PersistError {
         /// The version this build reads.
         supported: u16,
     },
+    /// Well-formed state that this build cannot resume: it was written
+    /// by a build whose algorithm asked different queries.
+    Incompatible {
+        /// Path of the offending file or directory (empty until located).
+        path: String,
+        /// What does not match.
+        detail: String,
+    },
 }
 
 impl PersistError {
@@ -150,6 +158,14 @@ impl PersistError {
         }
     }
 
+    /// An incompatible-state error (path filled in by the caller).
+    pub fn incompatible(detail: impl Into<String>) -> Self {
+        PersistError::Incompatible {
+            path: String::new(),
+            detail: detail.into(),
+        }
+    }
+
     /// Attach a file path to a buffer-level error that lacks one.
     pub fn located(mut self, at: impl AsRef<Path>) -> Self {
         let p = at.as_ref().display().to_string();
@@ -157,7 +173,8 @@ impl PersistError {
             PersistError::Io { path, .. }
             | PersistError::Corrupt { path, .. }
             | PersistError::Truncated { path, .. }
-            | PersistError::VersionMismatch { path, .. } => {
+            | PersistError::VersionMismatch { path, .. }
+            | PersistError::Incompatible { path, .. } => {
                 if path.is_empty() {
                     *path = p;
                 }
@@ -207,6 +224,7 @@ impl fmt::Display for PersistError {
                 "{}: format version {found} not supported (this build reads version {supported})",
                 loc(path)
             ),
+            PersistError::Incompatible { path, detail } => write!(f, "{}: {detail}", loc(path)),
         }
     }
 }

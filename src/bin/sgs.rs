@@ -428,11 +428,14 @@ fn effective_query_line(raw: &str) -> Option<&str> {
 /// [seed=S] [reservoir=offer|skip] [relaxed]`. `line_no` is 1-based.
 /// Malformed lines come back as structured errors (the caller routes
 /// them through the exit-2 [`fail_persist`] path with the file path
-/// attached) — never a panic, even for key=value-only lines.
+/// attached) — never a panic, even for key=value-only lines. In a
+/// `turnstile` run `relaxed` and `reservoir=` are refused, as the solo
+/// flags are.
 fn parse_query_line(
     line: &str,
     line_no: usize,
     base_seed: u64,
+    turnstile: bool,
 ) -> Result<sgs_core::MultiQuerySpec, PersistError> {
     let bad = |what: String| PersistError::corrupt(line_no as u64, what);
     let mut toks = line.split_whitespace();
@@ -458,6 +461,16 @@ fn parse_query_line(
         reservoir: sgs_query::ReservoirMode::Skip,
     };
     for tok in toks {
+        if turnstile && (tok == "relaxed" || tok.starts_with("reservoir=")) {
+            let why = if tok == "relaxed" {
+                "relaxed only applies to insertion runs \
+                 (turnstile trials are always relaxed, on ℓ₀-samplers)"
+            } else {
+                "reservoir= only applies to insertion runs \
+                 (turnstile f3 is answered by ℓ₀-samplers, not reservoirs)"
+            };
+            return Err(bad(format!("queries line {line_no}: {why}")));
+        }
         if tok == "relaxed" {
             spec.sampler = SamplerMode::Relaxed;
         } else if let Some(v) = tok.strip_prefix("trials=") {
@@ -530,7 +543,7 @@ fn run_multi_count(args: &Args, queries_path: &str, seed: u64) {
         let Some(line) = effective_query_line(raw) else {
             continue;
         };
-        match parse_query_line(line, i + 1, seed) {
+        match parse_query_line(line, i + 1, seed, turnstile) {
             Ok(spec) => specs.push(spec),
             Err(e) => fail_persist(e.located(Path::new(queries_path))),
         }
@@ -673,6 +686,18 @@ fn main() {
             // [relaxed]) from ONE shared pass per round — the
             // multiplexed serving path. Each answer is byte-identical
             // to the equivalent solo `sgs count` invocation.
+            // Durable runs are solo sharded runs: refuse the shapes that
+            // would drop the directory before reading any input.
+            if args.has("checkpoint-dir") {
+                for other in ["queries", "broadcast"] {
+                    if args.has(other) {
+                        fail_usage(&format!(
+                            "--checkpoint-dir does not combine with --{other} \
+                             (checkpoint a solo run without it)"
+                        ));
+                    }
+                }
+            }
             if let Some(qpath) = args.get("queries") {
                 let qpath = qpath.to_string();
                 run_multi_count(&args, &qpath, seed);
@@ -823,13 +848,6 @@ fn main() {
             // A killed run resumes with `sgs recover D` to the
             // byte-identical estimate the uninterrupted run produces.
             if let Some(dirs) = args.get("checkpoint-dir") {
-                if args.has("broadcast") {
-                    eprintln!(
-                        "error: --checkpoint-dir does not combine with --broadcast \
-                         (checkpoint the plain sharded run)"
-                    );
-                    exit(2);
-                }
                 if turnstile && (args.has("relaxed") || args.has("reservoir")) {
                     eprintln!(
                         "error: --relaxed/--reservoir only apply to insertion runs \
@@ -1335,24 +1353,34 @@ mod tests {
     #[test]
     fn parse_query_line_returns_structured_errors_not_panics() {
         // Key=value-only line: a structured error pointing at the line.
-        let err = parse_query_line("trials=5", 4, 1).unwrap_err();
+        let err = parse_query_line("trials=5", 4, 1, false).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("line 4"), "{msg}");
         assert!(msg.contains("pattern"), "{msg}");
         // Defensive: an empty effective line is an error, not a panic.
-        assert!(parse_query_line("", 2, 1).is_err());
-        assert!(parse_query_line("nosuchpattern", 1, 1).is_err());
-        assert!(parse_query_line("triangle trials=abc", 1, 1).is_err());
-        assert!(parse_query_line("triangle reservoir=bogus", 1, 1).is_err());
+        assert!(parse_query_line("", 2, 1, false).is_err());
+        assert!(parse_query_line("nosuchpattern", 1, 1, false).is_err());
+        assert!(parse_query_line("triangle trials=abc", 1, 1, false).is_err());
+        assert!(parse_query_line("triangle reservoir=bogus", 1, 1, false).is_err());
         // And the happy path still parses.
-        let spec = parse_query_line("K4 trials=7 seed=3 reservoir=offer relaxed", 2, 10).unwrap();
+        let spec =
+            parse_query_line("K4 trials=7 seed=3 reservoir=offer relaxed", 2, 10, false).unwrap();
         assert_eq!(spec.trials, 7);
         assert_eq!(spec.seed, 3);
         assert!(matches!(spec.reservoir, sgs_query::ReservoirMode::Offer));
         assert!(matches!(spec.sampler, SamplerMode::Relaxed));
         // Default seed derives from the 1-based line number.
-        let spec = parse_query_line("triangle", 5, 100).unwrap();
+        let spec = parse_query_line("triangle", 5, 100, false).unwrap();
         assert_eq!(spec.seed, 105);
+        // A turnstile run refuses the insertion-only options by line.
+        for line in ["triangle relaxed", "triangle reservoir=skip"] {
+            let msg = parse_query_line(line, 3, 1, true).unwrap_err().to_string();
+            assert!(
+                msg.contains("line 3") && msg.contains("insertion runs"),
+                "{msg}"
+            );
+        }
+        assert!(parse_query_line("triangle trials=9", 3, 1, true).is_ok());
     }
 
     #[test]

@@ -430,25 +430,11 @@ fn placement_overrides_survive_checkpoint_recovery() {
 /// banks for the relaxed insertion run, ℓ₀ banks for the turnstile run.
 #[test]
 fn checked_in_checkpoints_recover_to_their_plain_run_bits() {
-    let fixtures =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoints");
     for (name, resumed_at, bits) in [
         ("insertion-relaxed", 10, "404c2ca92ea8ee22"),
         ("turnstile", 8, "4053a4c99b6c6988"),
     ] {
-        let dir = std::env::temp_dir().join(format!("sgs-fixture-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        for entry in std::fs::read_dir(fixtures.join(name)).unwrap() {
-            let entry = entry.unwrap();
-            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
-        }
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sgs"))
-            .arg("recover")
-            .arg(&dir)
-            .arg("--bits")
-            .output()
-            .expect("run sgs recover");
+        let (out, dir) = recover_fixture(name);
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
             out.status.success(),
@@ -464,4 +450,46 @@ fn checked_in_checkpoints_recover_to_their_plain_run_bits() {
         assert!(stdout.contains(&format!("bits={bits}")), "{name}: {stdout}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// The `insertion-indexed` fixture snapshots mid-pass 3 under the old
+/// per-trial sampler bank, which asked round 3 of every trial; the trial
+/// bank asks fewer, so the snapshot's router state does not fit the
+/// rebuilt batch. Recovery refuses it as incompatible (exit 2, naming the
+/// round and both batch lengths), not as corrupt.
+#[test]
+fn a_checkpoint_of_the_old_round_3_batch_is_refused_as_incompatible() {
+    let (out, dir) = recover_fixture("insertion-indexed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    for want in [
+        "snapshot predates this trial bank",
+        "round 3 asked 2408 queries",
+        "this build asks 1820",
+    ] {
+        assert!(stderr.contains(want), "{stderr}");
+    }
+    assert!(!stderr.contains("corrupt"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Copy a checked-in checkpoint fixture to a temporary directory and run
+/// `sgs recover DIR --bits` on the copy.
+fn recover_fixture(name: &str) -> (std::process::Output, std::path::PathBuf) {
+    let fixtures =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoints");
+    let dir = std::env::temp_dir().join(format!("sgs-fixture-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(fixtures.join(name)).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sgs"))
+        .arg("recover")
+        .arg(&dir)
+        .arg("--bits")
+        .output()
+        .expect("run sgs recover");
+    (out, dir)
 }
